@@ -54,7 +54,6 @@ from .lda import (
     percentile_vs_n,
     run_lda,
 )
-from .specfun import Accuracy, log_gamma, regularized_upper_gamma, upper_inc_gamma
 from .tna import (
     EmpiricalDistribution,
     TnaResult,
@@ -73,11 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # specfun
-    "Accuracy",
-    "log_gamma",
-    "upper_inc_gamma",
-    "regularized_upper_gamma",
     # dist
     "Exp4Params",
     "ExpNParams",

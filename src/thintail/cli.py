@@ -2,9 +2,10 @@
 
 Every command writes a machine-readable result (JSON for reports, CSV
 for tables and plot data) plus a run manifest recording the command,
-inputs, configuration, tool version, and timestamp, so any output can
-be reproduced from its manifest.  Reports themselves carry no
-timestamps: identical inputs and flags give byte-identical files.
+inputs, configuration, tool, Python, numpy and scipy versions, and
+timestamp, so any output can be reproduced from its manifest.  Reports
+themselves carry no timestamps: identical inputs and flags give
+byte-identical files.
 
 No plotting happens here; ``curve`` and ``density`` emit plot-ready
 CSV for external tools.  THINTAIL_THREADS caps simulation workers.
@@ -16,11 +17,13 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dist import ExpNParams, SeverityModel
@@ -216,6 +219,9 @@ def _write_manifest(args, argv: list[str], command: str, out_dir: Path):
         "schema_version": 1,
         "tool": "thintail",
         "tool_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
         "command": command,
         "inputs": [str(Path(args.input).resolve())],
         "config": {k: _jsonable(v) for k, v in config.items()},
@@ -320,10 +326,10 @@ def _frequency_model(spec, lam: float):
 def _cmd_capital(args, argv) -> int:
     loss_set = _load_losses(args)
     losses = np.asarray(loss_set.losses)
+    cfg = LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
     fit_payload, fit_result = _fit_payload(loss_set, args.power)
     lam = annual_frequency(losses.size, loss_set.span_years)
     freq = _frequency_model(args.freq, lam)
-    cfg = LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
     capital = run_lda(fit_result.model, freq, cfg)
     payload = {
         "label": loss_set.label,

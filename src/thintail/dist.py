@@ -10,10 +10,12 @@ power-exponential density on x > 0 is
 with CDF 1 - Q(1/n, x^n / (2 s^n)) in terms of the regularized upper
 incomplete gamma function Q.  ``Exp4`` is exactly ``ExpN`` with n = 4.
 
-Quantiles are found by bracketed root finding on the unit-scale CDF
-over (1e-12, 20) — doubling the upper bound, at most 8 times, on the
-rare occasions the bracket is too short — and then multiplied by s, so
-quantiles and samples scale exactly with s.
+Q is ``scipy.special.gammaincc``.  The quantile is closed-form,
+x = s * (2 g)^(1/n) with g the inverse of the regularized incomplete
+gamma function at shape 1/n: ``gammainccinv(1/n, 1 - p)`` for p > 0.5,
+where 1 - p is exact and the far tail keeps full precision, and
+``gammaincinv(1/n, p)`` otherwise.  Scalars and arrays take the same
+path, and quantiles and samples scale exactly with s.
 
 Two interchangeable samplers are provided for the power-exponential
 family: the default draws G ~ Gamma(shape=1/n, scale=1) and returns
@@ -32,10 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
-
-from .specfun import log_gamma, regularized_upper_gamma
+from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
+from scipy.special import gammaincc as regularized_upper_gamma
 
 __all__ = [
     "Exp4Params",
@@ -63,11 +63,6 @@ __all__ = [
     "baseline_quantile",
     "baseline_sample",
 ]
-
-_QUANTILE_EPS = 1e-12
-_BRACKET_FACTOR = 20.0
-_MAX_BRACKET_DOUBLINGS = 8
-
 
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
@@ -195,7 +190,7 @@ def _expn_exponent(x: np.ndarray, s: float, n: int) -> np.ndarray:
 def expn_pdf(x, s, n):
     """Density of ExpN(s, n) at x >= 0."""
     arr = _check_xs(x, s, n)
-    log_norm = math.log(s) + math.log(2.0) / n + log_gamma(1.0 + 1.0 / n)
+    log_norm = math.log(s) + math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n)
     with np.errstate(under="ignore"):
         out = np.exp(-_expn_exponent(arr, float(s), int(n)) - log_norm)
     return float(out) if arr.ndim == 0 else out
@@ -205,67 +200,24 @@ def expn_cdf(x, s, n):
     """CDF of ExpN(s, n): 1 - Q(1/n, x^n / (2 s^n))."""
     arr = _check_xs(x, s, n)
     u = _expn_exponent(arr, float(s), int(n))
-    return 1.0 - regularized_upper_gamma(1.0 / n, u)
-
-
-def _expn_quantile_unit(p: float, n: int) -> float:
-    """Quantile of ExpN(1, n) by bracketed root finding."""
-    lo, hi = _QUANTILE_EPS, _BRACKET_FACTOR
-    f = lambda x: expn_cdf(x, 1.0, n) - p
-    if f(lo) >= 0.0:
-        lo = 0.0
-    doublings = 0
-    while f(hi) < 0.0:
-        doublings += 1
-        if doublings > _MAX_BRACKET_DOUBLINGS:
-            raise RuntimeError(
-                f"quantile bracket not found for p={p} after {_MAX_BRACKET_DOUBLINGS} doublings"
-            )
-        hi *= 2.0
-    return brentq(f, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-
-
-def _expn_quantile_unit_vec(p: np.ndarray, n: int, steps: int = 64) -> np.ndarray:
-    """Vectorized bisection on the unit-scale CDF (same bracket policy)."""
-    lo = np.zeros_like(p)
-    hi = np.full_like(p, _BRACKET_FACTOR)
-    f_hi = expn_cdf(hi, 1.0, n)
-    doublings = 0
-    while (f_hi < p).any():
-        doublings += 1
-        if doublings > _MAX_BRACKET_DOUBLINGS:
-            raise RuntimeError("quantile bracket not found after doubling limit")
-        short = f_hi < p
-        hi[short] *= 2.0
-        f_hi = expn_cdf(hi, 1.0, n)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = expn_cdf(mid, 1.0, n) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    out = 1.0 - regularized_upper_gamma(1.0 / n, u)
+    return float(out) if arr.ndim == 0 else out
 
 
 def expn_quantile(p, s, n):
-    """Quantile of ExpN(s, n) for p in [0, 1).
-
-    Solved on the unit scale and multiplied by s, so quantiles scale
-    exactly with s.
-    """
+    """Quantile of ExpN(s, n) for p in [0, 1): s * (2 g)^(1/n), g = P^-1(1/n, p)."""
     _require_positive("s", s)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr >= 1.0).any():
         raise ValueError("p must lie in [0, 1)")
-    if arr.ndim == 0:
-        pp = float(arr)
-        return 0.0 if pp == 0.0 else float(s) * _expn_quantile_unit(pp, int(n))
-    out = np.zeros(arr.shape, dtype=float)
-    nz = arr > 0.0
-    if nz.any():
-        out[nz] = _expn_quantile_unit_vec(arr[nz], int(n))
-    return float(s) * out
+    upper = arr > 0.5
+    g = np.empty_like(arr)
+    g[~upper] = gammaincinv(1.0 / n, arr[~upper])
+    g[upper] = gammainccinv(1.0 / n, 1.0 - arr[upper])
+    out = float(s) * np.power(2.0 * g, 1.0 / n)
+    return float(out) if arr.ndim == 0 else out
 
 
 def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):

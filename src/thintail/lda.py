@@ -124,6 +124,8 @@ class LdaConfig:
             raise ValueError(f"percentile must lie in (0, 1), got {self.percentile}")
         if self.batch < 2:
             raise ValueError(f"batch must be >= 2, got {self.batch}")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

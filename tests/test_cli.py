@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import thintail as tt
 from thintail.cli import main
@@ -98,6 +100,18 @@ class TestCapitalCommand:
                     "--trials", "500"])
         assert code == 1
         assert "trials" in capsys.readouterr().err
+
+    def test_negative_seed_rejected_before_fitting(self, pre_file, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the seed was checked")
+
+        monkeypatch.setattr("thintail.cli.fit_expn", no_fit)
+        out = tmp_path / "out"
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--seed", "-1", "--out-dir", out])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_event_mode_pipeline(self, event_file, tmp_path):
         out = tmp_path / "out"
@@ -272,6 +286,9 @@ class TestManifests:
             assert manifest["tool"] == "thintail"
             assert manifest["tool_version"] == tt.__version__
             assert "timestamp" in manifest and "config" in manifest
+            assert manifest["python_version"] == platform.python_version()
+            assert manifest["numpy_version"] == np.__version__
+            assert manifest["scipy_version"] == scipy.__version__
 
     def test_replaying_manifest_reproduces_report(self, pre_file, tmp_path):
         out_a = tmp_path / "a"

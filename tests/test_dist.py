@@ -10,11 +10,13 @@ under test.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaincc
 
 import thintail as tt
 
@@ -39,6 +41,20 @@ Q999_BY_N = {
     18: 1.10102104326769258,
     20: 1.08870682098100425,
 }
+
+
+def mpmath_unit_quantile(n, lower=None, upper=None):
+    """ExpN(1, n) quantile (2 g)^(1/n) at 50 digits, where P(1/n, g) = lower
+    or Q(1/n, g) = upper; the lower branch is solved for log g."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(1) / n
+        if upper is not None:
+            f = lambda g: mpmath.log(mpmath.gammainc(a, g, mpmath.inf, regularized=True) / upper)
+            g = mpmath.findroot(f, (mpmath.mpf("1e-3"), mpmath.mpf(60)), solver="anderson")
+        else:
+            f = lambda t: mpmath.log(mpmath.gammainc(a, 0, mpmath.exp(t), regularized=True) / lower)
+            g = mpmath.exp(mpmath.findroot(f, (mpmath.mpf(-3000), mpmath.mpf(5)), solver="anderson"))
+        return float((2 * g) ** a)
 
 
 def unit_expn_pdf(n):
@@ -76,6 +92,11 @@ class TestExp4Cdf:
         oracle, _ = quad(unit_expn_pdf(4), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
         assert tt.exp4_cdf(1.0, 1.0) == pytest.approx(oracle, abs=1e-12)
         assert tt.exp4_cdf(1.0, 1.0) == pytest.approx(EXP4_CDF_1_1, rel=1e-13)
+
+    @pytest.mark.parametrize("x", [-0.1, float("nan"), np.array([0.5, -1e-300]), np.array([1.0, np.nan])])
+    def test_domain_errors(self, x):
+        with pytest.raises(ValueError):
+            tt.exp4_cdf(x, 1.0)
 
 
 class TestExp4Quantile:
@@ -172,11 +193,32 @@ class TestExpN:
             assert tt.expn_quantile(p, 1.0, n) == pytest.approx(x, abs=1e-6)
 
     def test_n1_bracket_expansion(self):
-        # Exp(1)-like tail: q(1 - 1e-12) is past 20*s, needs doubling
+        # Exp(1)-like tail: q(1 - 1e-12) lies past 20*s
         p = 1.0 - 1e-12
         x = tt.expn_quantile(p, 1.0, 1)
         assert x > 20.0
         assert abs(tt.expn_cdf(x, 1.0, 1) - p) <= 1e-10
+
+    @pytest.mark.parametrize("tail", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("n", [2, 4, 8, 20, 100])
+    def test_far_tail_quantile_against_mpmath(self, n, tail):
+        p = 1.0 - tail
+        oracle = mpmath_unit_quantile(n, upper=1 - mpmath.mpf(p))  # exact 1 - p of the float p
+        assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    # n = 100 is left out: below p ~ 6e-4, P^-1(1/100, p) underflows float64 and the quantile reads 0.
+    @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 20])
+    def test_lower_quantile_against_mpmath(self, n, p):
+        oracle = mpmath_unit_quantile(n, lower=mpmath.mpf(p))
+        assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    def test_scalar_and_array_quantiles_identical(self):
+        ps = np.array([0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-16, 0.75, 0.999, 1.0 - 1e-12])
+        for n in (1, 4, 100):
+            vec = tt.expn_quantile(ps, 3.0, n)
+            assert vec.shape == ps.shape
+            assert [tt.expn_quantile(float(p), 3.0, n) for p in ps] == list(vec)
 
     def test_scale_family_exact(self):
         xs = np.linspace(0.0, 8.0, 100)
@@ -223,7 +265,7 @@ class TestThinTailOrdering:
         from scipy.special import ndtr
 
         for x in np.linspace(2.0, 6.0, 9):
-            exp4_surv = tt.regularized_upper_gamma(0.25, x**4 / 2.0)
+            exp4_surv = gammaincc(0.25, x**4 / 2.0)
             norm_surv = float(ndtr(-(x - EXP4_MEAN) / EXP4_SD))
             assert exp4_surv < norm_surv
 

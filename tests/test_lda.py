@@ -80,6 +80,16 @@ class TestLdaConfig:
         with pytest.raises(ValueError):
             tt.LdaConfig(percentile=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            tt.LdaConfig(seed=seed)
+
+    def test_seed_key_range_ends_accepted(self):
+        sev = tt.SeverityModel(tt.Exp4Params(1.0))
+        for seed in (0, 2**128 - 1):
+            assert tt.run_lda(sev, tt.PoissonFreq(2.0), tt.LdaConfig(trials=1_000, seed=seed)).seed == seed
+
 
 class TestRunLda:
     def test_zero_frequency_limit_gives_zero_capital(self):
