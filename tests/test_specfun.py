@@ -1,8 +1,9 @@
-"""Tests for the incomplete-gamma kernel behind the ExpN CDF.
+"""Tests for the gamma-family special functions behind the ExpN family.
 
 ``thintail.dist.regularized_upper_gamma`` is the Q(a, x) that
 ``expn_cdf`` calls (``scipy.special.gammaincc``); the upper incomplete
-gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
+gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).  The ``expn_pdf``
+normaliser takes log Gamma from ``math.lgamma``.
 
 Reference values were frozen from a 40-digit mpmath evaluation and,
 where marked, cross-checked against adaptive quadrature of the
@@ -17,10 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from thintail.dist import regularized_upper_gamma
+import mpmath
+
+from thintail.dist import expn_cdf, regularized_upper_gamma
 
 # mpmath, 40 digits
 GAMMA_QUARTER = 3.625609908221908311931
+LN_GAMMA_QUARTER = 1.288022524698077457371
 UIG_QUARTER_HALF = 0.5565804140094271343879  # Gamma(1/4, 1/2), quadrature-checked
 Q_QUARTER_FIVE = 0.0004920251244463400829434  # Q(1/4, 5)
 
@@ -28,6 +32,29 @@ Q_QUARTER_FIVE = 0.0004920251244463400829434  # Q(1/4, 5)
 def upper_inc_gamma(a, x):
     """Gamma(a, x) = Q(a, x) * Gamma(a)."""
     return regularized_upper_gamma(a, x) * math.gamma(a)
+
+
+class TestLogGamma:
+    """``math.lgamma``, the log Gamma of the ``expn_pdf`` normaliser."""
+
+    def test_at_one_and_two(self):
+        assert math.lgamma(1.0) == 0.0
+        assert math.lgamma(2.0) == 0.0
+
+    def test_quarter(self):
+        assert math.lgamma(0.25) == pytest.approx(LN_GAMMA_QUARTER, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.1, 1.5, 100.0, 1e6])
+    def test_wide_range_against_math(self, a):
+        # relative error target 1e-13 across [1e-3, 1e6], against 50-digit mpmath
+        with mpmath.workdps(50):
+            oracle = float(mpmath.loggamma(mpmath.mpf(a)))
+        assert math.lgamma(a) == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_domain_errors(self, a):
+        with pytest.raises(ValueError):
+            math.lgamma(a)
 
 
 class TestUpperIncGamma:
@@ -69,6 +96,17 @@ class TestUpperIncGamma:
     def test_analytic_identity_a_one(self):
         xs = np.linspace(0.0, 50.0, 101)
         assert upper_inc_gamma(1.0, xs) == pytest.approx(np.exp(-xs), rel=1e-12)
+
+    @pytest.mark.parametrize("a,x", [(-1.0, 1.0), (0.0, 1.0), (1.0, -0.5), (float("nan"), 1.0)])
+    def test_domain_errors(self, a, x):
+        # scipy's Q does not raise outside a > 0, x >= 0 (it returns NaN, or
+        # 0 at a = 0).  Its only caller, expn_cdf, evaluates Q(1/n, (x/s)^n / 2)
+        # and must reject every n and x that would take it there.
+        n = math.inf if a == 0.0 else 1.0 / a
+        if float(n).is_integer():
+            n = int(n)
+        with pytest.raises(ValueError):
+            expn_cdf(x, 1.0, n)
 
     def test_no_convergence_failure_on_required_region(self):
         for a in (0.01, 0.1, 1.0, 5.0, 10.0):
