@@ -37,6 +37,7 @@ from .ingest import (
     AggregatedLossSet,
     LossCsvError,
     LossRecord,
+    LossTable,
     aggregate,
     parse_csv,
     parse_pre_aggregated,
@@ -127,6 +128,7 @@ __all__ = [
     "percentile_vs_n",
     # ingest
     "LossRecord",
+    "LossTable",
     "AggregatedLossSet",
     "LossCsvError",
     "parse_csv",

@@ -2,10 +2,10 @@
 
 Every command writes a machine-readable result (JSON for reports, CSV
 for tables and plot data) plus a run manifest recording the command,
-inputs, configuration, tool, Python, numpy and scipy versions, and
-timestamp, so any output can be reproduced from its manifest.  Reports
-themselves carry no timestamps: identical inputs and flags give
-byte-identical files.
+inputs and the input file's SHA-256, configuration, tool, Python, numpy
+and scipy versions, and timestamp, so any output can be reproduced from
+its manifest.  Reports themselves carry no timestamps: identical inputs
+and flags give byte-identical files.
 
 No plotting happens here; ``curve`` and ``density`` emit plot-ready
 CSV for external tools.  THINTAIL_THREADS caps simulation workers.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import platform
@@ -190,8 +191,8 @@ def _load_losses(args) -> AggregatedLossSet:
             label=label,
             aggregation_mode="pre-aggregated",
         )
-    records = parse_csv(path, permissive=args.permissive)
-    loss_set = aggregate(records, mode=args.mode, label=label)
+    table = parse_csv(path, permissive=args.permissive)
+    loss_set = aggregate(table, mode=args.mode, label=label)
     if args.span_years is not None:
         loss_set = AggregatedLossSet(
             losses=loss_set.losses,
@@ -209,6 +210,15 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
+def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _write_manifest(args, argv: list[str], command: str, out_dir: Path):
     config = {
         key: value
@@ -224,6 +234,7 @@ def _write_manifest(args, argv: list[str], command: str, out_dir: Path):
         "scipy_version": scipy.__version__,
         "command": command,
         "inputs": [str(Path(args.input).resolve())],
+        "input_sha256": _sha256(Path(args.input)),
         "config": {k: _jsonable(v) for k, v in config.items()},
         "argv": argv,
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -17,6 +17,12 @@ where 1 - p is exact and the far tail keeps full precision, and
 ``gammaincinv(1/n, p)`` otherwise.  Scalars and arrays take the same
 path, and quantiles and samples scale exactly with s.
 
+In the far lower tail, where x^n / (2 s^n) or the inverse P^-1(1/n, p)
+falls below the smallest normal double (x below about 8e-4 s at
+n = 100), both would lose precision or underflow to 0.  There the CDF
+is linear to double precision, F(x) = x f(0) (1 - x^n/(2 s^n)/(n+1)
++ ...), so the CDF returns x f(0) and the quantile p / f(0).
+
 Two interchangeable samplers are provided for the power-exponential
 family: the default draws G ~ Gamma(shape=1/n, scale=1) and returns
 s * (2 G)^(1/n) (a change of variables shows this has the CDF above;
@@ -63,6 +69,9 @@ __all__ = [
     "baseline_quantile",
     "baseline_sample",
 ]
+
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
+
 
 def _require_positive(name: str, value: float) -> float:
     value = float(value)
@@ -181,6 +190,11 @@ def _check_xs(x, s: float, n: int) -> np.ndarray:
     return arr
 
 
+def _expn_unit_norm(n: int) -> float:
+    """1 / f(0) for ExpN(1, n): 2^(1/n) Gamma(1 + 1/n)."""
+    return math.exp(math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n))
+
+
 def _expn_exponent(x: np.ndarray, s: float, n: int) -> np.ndarray:
     """x^n / (2 s^n), evaluated as (x/s)^n / 2; overflow saturates to inf."""
     with np.errstate(over="ignore"):
@@ -197,15 +211,23 @@ def expn_pdf(x, s, n):
 
 
 def expn_cdf(x, s, n):
-    """CDF of ExpN(s, n): 1 - Q(1/n, x^n / (2 s^n))."""
+    """CDF of ExpN(s, n): 1 - Q(1/n, x^n / (2 s^n)).
+
+    Where x^n / (2 s^n) is below the smallest normal double it is x f(0).
+    """
     arr = _check_xs(x, s, n)
     u = _expn_exponent(arr, float(s), int(n))
     out = 1.0 - regularized_upper_gamma(1.0 / n, u)
+    if u.min(initial=np.inf) < _TINY:
+        out = np.where(u < _TINY, (arr / float(s)) / _expn_unit_norm(n), out)
     return float(out) if arr.ndim == 0 else out
 
 
 def expn_quantile(p, s, n):
-    """Quantile of ExpN(s, n) for p in [0, 1): s * (2 g)^(1/n), g = P^-1(1/n, p)."""
+    """Quantile of ExpN(s, n) for p in [0, 1): s * (2 g)^(1/n), g = P^-1(1/n, p).
+
+    Where g is below the smallest normal double it is p / f(0).
+    """
     _require_positive("s", s)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
@@ -216,7 +238,7 @@ def expn_quantile(p, s, n):
     g = np.empty_like(arr)
     g[~upper] = gammaincinv(1.0 / n, arr[~upper])
     g[upper] = gammainccinv(1.0 / n, 1.0 - arr[upper])
-    out = float(s) * np.power(2.0 * g, 1.0 / n)
+    out = float(s) * np.where(g < _TINY, arr * _expn_unit_norm(n), np.power(2.0 * g, 1.0 / n))
     return float(out) if arr.ndim == 0 else out
 
 

@@ -7,8 +7,29 @@ must be positive.  Unknown columns are rejected unless ``permissive``.
 Pre-aggregated inputs are a one-column ``amount`` CSV plus an explicit
 observation span in years.
 
-Group sums use ``math.fsum`` so aggregating very many small payments
-into one number loses nothing to accumulation error.
+:func:`parse_csv` returns one columnar :class:`LossTable`: float64
+amounts, int64 day ordinals, and int codes plus label tuples for the
+event ids and categories.  It first hands the rows after the header to
+numpy's C tokenizer (``np.loadtxt`` with a structured dtype).  Its
+per-column converters are the row loop's own: ``float`` for amounts, a
+per-distinct-string cache of ``date.fromisoformat`` for dates, and
+interning of the stripped ids and categories to codes; amounts are then
+checked finite and positive in one vectorised pass.  Whenever the
+tokenizer or that check raises ``ValueError``, the same rows are read
+again by a per-row loop over ``csv.reader``.  That loop is the only
+producer of :class:`LossCsvError` diagnostics, so their messages and
+line numbers (the CSV record number, header = line 1) do not depend on
+the tokenizer.  It is also the general path for rows the schema allows
+but the tokenizer refuses: blank rows of delimiters such as ``,,,``,
+whitespace-only lines, and rows with fewer (or, under a header of two or
+three columns, more) fields than the header.  A text stream that cannot
+seek back is read by the row loop alone.
+
+:func:`aggregate` groups a table by integer keys (event-id rank, or a
+month/quarter/year index derived from the day ordinals) with one stable
+argsort and a ``bincount`` split.  Group sums use ``math.fsum``, which
+is exact and independent of order, so aggregating very many small
+payments into one number loses nothing to accumulation error.
 """
 
 from __future__ import annotations
@@ -16,14 +37,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "BASEL_CATEGORIES",
     "LossRecord",
+    "LossTable",
     "AggregatedLossSet",
     "LossCsvError",
     "parse_csv",
@@ -37,6 +63,8 @@ BASEL_CATEGORIES = frozenset({"IF", "EF", "EPWS", "CPBP", "DPA", "BDSF", "EDPM"}
 
 _MIN_SPAN_YEARS = 1.0 / 365.0
 _DAYS_PER_YEAR = 365.25
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_COLUMNS = (("amount", np.float64), ("day", np.int64), ("event", np.int64), ("category", np.int64))
 
 
 class LossCsvError(ValueError):
@@ -63,6 +91,64 @@ class LossRecord:
             raise ValueError(f"unknown Basel category {self.category!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class LossTable:
+    """Raw loss payments as columns; the result of :func:`parse_csv`.
+
+    ``amounts`` are mEUR; ``days`` are proleptic Gregorian ordinals
+    (``date.toordinal``).  ``event_codes`` and ``category_codes`` index
+    ``event_ids`` and ``categories``, which list the labels in order of
+    first appearance; -1 marks a missing value.
+    """
+
+    amounts: np.ndarray
+    days: np.ndarray
+    event_codes: np.ndarray
+    event_ids: tuple[str, ...]
+    category_codes: np.ndarray
+    categories: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+    def __eq__(self, other):
+        if not isinstance(other, LossTable):
+            return NotImplemented
+        for field in fields(self):
+            mine, theirs = getattr(self, field.name), getattr(other, field.name)
+            if isinstance(mine, np.ndarray):
+                if mine.dtype != theirs.dtype or not np.array_equal(mine, theirs):
+                    return False
+            elif mine != theirs:
+                return False
+        return True
+
+    @classmethod
+    def from_records(cls, records: list[LossRecord]) -> LossTable:
+        """Columnar copy of ``records``; labels are kept exactly as given."""
+        events: dict[str, int] = {}
+        categories: dict[str, int] = {}
+
+        def code(labels: dict[str, int], label: str | None) -> int:
+            return -1 if label is None else labels.setdefault(label, len(labels))
+
+        event_codes = [code(events, r.event_id) for r in records]
+        category_codes = [code(categories, r.category) for r in records]
+        return _table([r.amount for r in records], [r.date.toordinal() for r in records],
+                      event_codes, events, category_codes, categories)
+
+
+def _table(amounts, days, event_codes, events, category_codes, categories) -> LossTable:
+    return LossTable(
+        amounts=np.asarray(amounts, dtype=np.float64),
+        days=np.asarray(days, dtype=np.int64),
+        event_codes=np.asarray(event_codes, dtype=np.int64),
+        event_ids=tuple(events),
+        category_codes=np.asarray(category_codes, dtype=np.int64),
+        categories=tuple(categories),
+    )
+
+
 @dataclass(frozen=True)
 class AggregatedLossSet:
     """Aggregated losses (mEUR) with their observation span."""
@@ -79,71 +165,168 @@ class AggregatedLossSet:
             raise ValueError(f"span_years must be > 0, got {self.span_years!r}")
 
 
-def _open_rows(source):
+@contextmanager
+def _text(source):
+    """A text stream over ``source``; a path is opened (and closed) here."""
     if isinstance(source, (str, Path)):
-        handle = open(source, "r", encoding="utf-8", newline="")
-        return csv.reader(handle), handle
-    if isinstance(source, io.TextIOBase):
-        return csv.reader(source), None
-    raise TypeError(f"expected a path or text stream, got {type(source)!r}")
+        with open(source, "r", encoding="utf-8", newline="") as handle:
+            yield handle
+    elif isinstance(source, io.TextIOBase):
+        yield source
+    else:
+        raise TypeError(f"expected a path or text stream, got {type(source)!r}")
 
 
-def parse_csv(source, permissive: bool = False) -> list[LossRecord]:
-    """Read loss records; raises :class:`LossCsvError` listing every bad line."""
-    reader, handle = _open_rows(source)
+class _Days(dict):
+    """Field text -> day ordinal of the stripped ISO-8601 date, parsed once per distinct text.
+
+    ``__getitem__`` is the converter: a hit never leaves C.
+    """
+
+    def __missing__(self, text: str) -> int:
+        day = self[text] = date.fromisoformat(text.strip()).toordinal()
+        return day
+
+
+class _Codes(dict):
+    """Field text -> int code of the stripped label, -1 if it is empty.
+
+    ``__getitem__`` is the converter.  Codes are numbered in order of
+    first appearance, and the key order of ``labels`` is the label
+    list.  A label outside ``allowed`` raises ``ValueError``.
+    """
+
+    def __init__(self, allowed: frozenset[str] | None = None):
+        super().__init__()
+        self.allowed = allowed
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        label = text.strip()
+        if not label:
+            code = -1
+        elif self.allowed is not None and label not in self.allowed:
+            raise ValueError(f"unknown Basel category {label!r}")
+        else:
+            code = self.labels.setdefault(label, len(self.labels))
+        self[text] = code
+        return code
+
+
+def _header_width(reader, permissive: bool) -> int:
+    """Check the header row; return how many schema columns it names (2-4)."""
     try:
+        header = next(reader)
+    except StopIteration:
+        raise LossCsvError(["line 1: empty file"]) from None
+    header = [h.strip() for h in header]
+    expected = ["amount", "date", "event_id", "category"]
+    if header[: len(expected)] != expected[: len(header)] or len(header) < 2:
+        raise LossCsvError(
+            [f"line 1: header must start 'amount,date[,event_id[,category]]', got {','.join(header)!r}"]
+        )
+    if len(header) > 4 and not permissive:
+        extra = ",".join(header[4:])
+        raise LossCsvError([f"line 1: unknown columns {extra!r} (pass permissive=True to ignore)"])
+    return min(len(header), 4)
+
+
+def _tokenized(handle, width: int) -> LossTable:
+    """Rows after the header through numpy's C tokenizer; ``ValueError`` on any row it refuses.
+
+    With four schema columns, columns past the fourth are ignored, as
+    the row loop ignores them.  With fewer, every row must have exactly
+    that many fields: the row loop would read a longer row's extra
+    fields as event id and category.
+    """
+    events, categories = _Codes(), _Codes(BASEL_CATEGORIES)
+    # float, not numpy's own parser, which also strips \x1c-\x1f: amounts parse exactly as in the row loop.
+    converters = {0: float, 1: _Days().__getitem__, 2: events.__getitem__, 3: categories.__getitem__}
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(
+            handle,
+            dtype=np.dtype(list(_COLUMNS[:width])),
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            usecols=range(4) if width == 4 else None,
+            converters={k: converters[k] for k in range(width)},
+            ndmin=1,
+        )
+    amounts = rows["amount"]
+    if not np.all((amounts > 0.0) & (amounts < np.inf)):
+        raise ValueError("amounts must be finite and > 0")
+    missing = np.full(len(rows), -1, dtype=np.int64)
+    return _table(
+        amounts,
+        rows["day"],
+        rows["event"] if width > 2 else missing,
+        events.labels,
+        rows["category"] if width > 3 else missing,
+        categories.labels,
+    )
+
+
+def _row_loop(reader) -> LossTable:
+    """Rows after the header, one ``csv.reader`` row at a time, collecting every bad line."""
+    days_of, events, categories = _Days(), _Codes(), _Codes(BASEL_CATEGORIES)
+    amounts: list[float] = []
+    days: list[int] = []
+    event_codes: list[int] = []
+    category_codes: list[int] = []
+    problems: list[str] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        row = row + [""] * (4 - len(row)) if len(row) < 4 else row
         try:
-            header = next(reader)
-        except StopIteration:
-            raise LossCsvError(["line 1: empty file"]) from None
-        header = [h.strip() for h in header]
-        expected = ["amount", "date", "event_id", "category"]
-        if header[: len(expected)] != expected[: len(header)] or len(header) < 2:
-            raise LossCsvError(
-                [f"line 1: header must start 'amount,date[,event_id[,category]]', got {','.join(header)!r}"]
-            )
-        if len(header) > 4 and not permissive:
-            extra = ",".join(header[4:])
-            raise LossCsvError([f"line 1: unknown columns {extra!r} (pass permissive=True to ignore)"])
+            amount = float(row[0])
+        except ValueError:
+            problems.append(f"line {lineno}: bad amount {row[0]!r}")
+            continue
+        if not (math.isfinite(amount) and amount > 0.0):
+            problems.append(f"line {lineno}: amount must be > 0, got {row[0]!r}")
+            continue
+        try:
+            day = days_of[row[1]]
+        except ValueError:
+            problems.append(f"line {lineno}: bad ISO-8601 date {row[1]!r}")
+            continue
+        try:
+            category = categories[row[3]]
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
+            continue
+        amounts.append(amount)
+        days.append(day)
+        event_codes.append(events[row[2]])
+        category_codes.append(category)
+    if problems:
+        raise LossCsvError(problems)
+    return _table(amounts, days, event_codes, events.labels, category_codes, categories.labels)
 
-        records: list[LossRecord] = []
-        problems: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row = row + [""] * (4 - len(row)) if len(row) < 4 else row
-            try:
-                amount = float(row[0])
-            except ValueError:
-                problems.append(f"line {lineno}: bad amount {row[0]!r}")
-                continue
-            if not (math.isfinite(amount) and amount > 0.0):
-                problems.append(f"line {lineno}: amount must be > 0, got {row[0]!r}")
-                continue
-            try:
-                when = date.fromisoformat(row[1].strip())
-            except ValueError:
-                problems.append(f"line {lineno}: bad ISO-8601 date {row[1]!r}")
-                continue
-            event_id = row[2].strip() or None
-            category = row[3].strip() or None
-            if category is not None and category not in BASEL_CATEGORIES:
-                problems.append(f"line {lineno}: unknown Basel category {category!r}")
-                continue
-            records.append(LossRecord(amount=amount, date=when, event_id=event_id, category=category))
 
-        if problems:
-            raise LossCsvError(problems)
-        return records
-    finally:
-        if handle is not None:
-            handle.close()
+def parse_csv(source, permissive: bool = False) -> LossTable:
+    """Read raw loss payments; raises :class:`LossCsvError` listing every bad line."""
+    with _text(source) as handle:
+        start = handle.tell() if handle.seekable() else None
+        reader = csv.reader(handle)
+        width = _header_width(reader, permissive)
+        if start is not None:
+            try:
+                return _tokenized(handle, width)
+            except ValueError:
+                handle.seek(start)
+                reader = csv.reader(handle)
+                next(reader)
+        return _row_loop(reader)
 
 
 def parse_pre_aggregated(source) -> list[float]:
     """Read a one-column 'amount' CSV of already-aggregated losses."""
-    reader, handle = _open_rows(source)
-    try:
+    with _text(source) as handle:
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -167,75 +350,81 @@ def parse_pre_aggregated(source) -> list[float]:
         if problems:
             raise LossCsvError(problems)
         return amounts
-    finally:
-        if handle is not None:
-            handle.close()
 
 
-def write_csv(records: list[LossRecord], destination) -> None:
-    """Serialize records in the input schema (inverse of :func:`parse_csv`)."""
+def write_csv(losses: LossTable | list[LossRecord], destination) -> None:
+    """Serialize payments in the input schema (inverse of :func:`parse_csv`)."""
+    table = losses if isinstance(losses, LossTable) else LossTable.from_records(losses)
+    # Code -1 (missing) indexes the trailing empty label.
+    event_ids = table.event_ids + ("",)
+    categories = table.categories + ("",)
     own = isinstance(destination, (str, Path))
     handle = open(destination, "w", encoding="utf-8", newline="") if own else destination
     try:
         writer = csv.writer(handle)
         writer.writerow(["amount", "date", "event_id", "category"])
-        for record in records:
-            writer.writerow(
-                [repr(record.amount), record.date.isoformat(), record.event_id or "", record.category or ""]
-            )
+        columns = (table.amounts, table.days, table.event_codes, table.category_codes)
+        for amount, day, event, category in zip(*(column.tolist() for column in columns)):
+            when = date.fromordinal(day).isoformat()
+            writer.writerow([repr(amount), when, event_ids[event], categories[category]])
     finally:
         if own:
             handle.close()
 
 
-def _period_key(when: date, granularity: str):
-    if granularity == "month":
-        return (when.year, when.month)
-    if granularity == "quarter":
-        return (when.year, (when.month - 1) // 3 + 1)
-    if granularity == "year":
-        return (when.year,)
-    raise ValueError(f"granularity must be month, quarter, or year, got {granularity!r}")
+def _period_keys(days: np.ndarray, granularity: str) -> np.ndarray:
+    """Integer keys that order like (year, month), (year, quarter) or (year,)."""
+    if granularity not in ("month", "quarter", "year"):
+        raise ValueError(f"granularity must be month, quarter, or year, got {granularity!r}")
+    months = (days - _EPOCH_ORDINAL).astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    return months // {"month": 1, "quarter": 3, "year": 12}[granularity]
 
 
-def span_years_of(records: list[LossRecord]) -> float:
-    dates = [r.date for r in records]
-    days = (max(dates) - min(dates)).days
+def span_years_of(table: LossTable) -> float:
+    days = int(table.days.max() - table.days.min())
     return max(days / _DAYS_PER_YEAR, _MIN_SPAN_YEARS)
 
 
-def aggregate(records: list[LossRecord], mode: str, label: str = "") -> AggregatedLossSet:
-    """Aggregate raw records by originating event or by accounting period.
+def aggregate(table: LossTable | list[LossRecord], mode: str, label: str = "") -> AggregatedLossSet:
+    """Aggregate raw payments by originating event or by accounting period.
 
-    ``mode`` is ``"event"`` or ``"period:<month|quarter|year>"``.  The
-    span defaults to the record date range (floor one day).
+    ``mode`` is ``"event"`` or ``"period:<month|quarter|year>"``.  Losses
+    are listed in sorted key order (event id, or period).  The span
+    defaults to the payment date range (floor one day).  A list of
+    :class:`LossRecord` is converted with :meth:`LossTable.from_records`.
     """
-    if not records:
+    if not isinstance(table, LossTable):
+        table = LossTable.from_records(table)
+    if len(table) == 0:
         raise ValueError("no records to aggregate")
 
     if mode == "event":
-        missing = [i for i, r in enumerate(records) if r.event_id is None]
+        missing = int(np.count_nonzero(table.event_codes < 0))
         if missing:
             raise ValueError(
-                f"event aggregation requires event_id on every record; missing on {len(missing)} record(s)"
+                f"event aggregation requires event_id on every record; missing on {missing} record(s)"
             )
-        keys = [r.event_id for r in records]
+        rank = np.empty(len(table.event_ids), dtype=np.int64)
+        rank[sorted(range(len(table.event_ids)), key=table.event_ids.__getitem__)] = np.arange(len(rank))
+        keys = rank[table.event_codes]
         mode_name = "by-event"
     elif mode.startswith("period:"):
-        granularity = mode.split(":", 1)[1]
-        keys = [_period_key(r.date, granularity) for r in records]
+        keys = _period_keys(table.days, mode.split(":", 1)[1])
         mode_name = "by-period"
     else:
         raise ValueError(f"mode must be 'event' or 'period:<granularity>', got {mode!r}")
 
-    groups: dict = {}
-    for key, record in zip(keys, records):
-        groups.setdefault(key, []).append(record.amount)
-    sums = [math.fsum(groups[key]) for key in sorted(groups)]
+    keys = keys - keys.min()
+    # The narrowest unsigned dtype lets the stable argsort radix-sort 8- and 16-bit keys.
+    keys = keys.astype(np.min_scalar_type(keys.max()))
+    sizes = np.bincount(keys)
+    ends = np.cumsum(sizes[sizes > 0]).tolist()
+    amounts = table.amounts[np.argsort(keys, kind="stable")].tolist()
+    sums = [math.fsum(amounts[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
 
     return AggregatedLossSet(
         losses=tuple(sums),
-        span_years=span_years_of(records),
+        span_years=span_years_of(table),
         label=label,
         aggregation_mode=mode_name,
     )

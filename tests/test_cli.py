@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 import platform
@@ -289,6 +290,7 @@ class TestManifests:
             assert manifest["python_version"] == platform.python_version()
             assert manifest["numpy_version"] == np.__version__
             assert manifest["scipy_version"] == scipy.__version__
+            assert manifest["input_sha256"] == hashlib.sha256(pre_file.read_bytes()).hexdigest()
 
     def test_replaying_manifest_reproduces_report(self, pre_file, tmp_path):
         out_a = tmp_path / "a"

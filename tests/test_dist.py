@@ -206,12 +206,26 @@ class TestExpN:
         oracle = mpmath_unit_quantile(n, upper=1 - mpmath.mpf(p))  # exact 1 - p of the float p
         assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
-    # n = 100 is left out: below p ~ 6e-4, P^-1(1/100, p) underflows float64 and the quantile reads 0.
+    # n = 100 below p ~ 8e-4 takes the linear lower-tail branch: test_lower_tail_linear_branch_against_mpmath.
     @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 20])
     def test_lower_quantile_against_mpmath(self, n, p):
         oracle = mpmath_unit_quantile(n, lower=mpmath.mpf(p))
         assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1e-6, 1e-4])
+    def test_lower_tail_quantile_linear_branch_against_mpmath(self, p):
+        # At n = 100, P^-1(1/100, p) underflows float64 below p ~ 6e-4.
+        oracle = 2.5 * mpmath_unit_quantile(100, lower=mpmath.mpf(p))
+        assert tt.expn_quantile(p, 2.5, 100) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-4])
+    def test_lower_tail_cdf_linear_branch_against_mpmath(self, r):
+        # At n = 100, (x/s)^n / 2 underflows float64 below x ~ 8e-4 s.
+        with mpmath.workdps(50):
+            oracle = float(mpmath.gammainc(mpmath.mpf(1) / 100, 0, mpmath.mpf(r) ** 100 / 2, regularized=True))
+        assert tt.expn_cdf(r * 2.5, 2.5, 100) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert tt.expn_cdf(np.array([r * 2.5]), 2.5, 100)[0] == tt.expn_cdf(r * 2.5, 2.5, 100)
 
     def test_scalar_and_array_quantiles_identical(self):
         ps = np.array([0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-16, 0.75, 0.999, 1.0 - 1e-12])

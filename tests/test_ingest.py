@@ -1,13 +1,17 @@
 """Tests for CSV parsing, aggregation, and summaries."""
 
+import csv
 import io
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import thintail as tt
+from thintail import ingest
 from thintail.ingest import LossCsvError, span_years_of, write_csv
 
 
@@ -17,15 +21,15 @@ def stream(text: str) -> io.StringIO:
 
 class TestParseCsv:
     def test_full_row(self):
-        records = tt.parse_csv(stream("amount,date,event_id,category\n12.5,2016-03-01,EV1,CPBP\n"))
-        assert records == [
-            tt.LossRecord(amount=12.5, date=date(2016, 3, 1), event_id="EV1", category="CPBP")
-        ]
+        table = tt.parse_csv(stream("amount,date,event_id,category\n12.5,2016-03-01,EV1,CPBP\n"))
+        assert table == tt.LossTable.from_records(
+            [tt.LossRecord(amount=12.5, date=date(2016, 3, 1), event_id="EV1", category="CPBP")]
+        )
 
     def test_optional_columns_missing(self):
-        records = tt.parse_csv(stream("amount,date\n3.4,2015-12-31\n"))
-        assert records[0].event_id is None
-        assert records[0].category is None
+        table = tt.parse_csv(stream("amount,date\n3.4,2015-12-31\n"))
+        assert table.event_codes[0] == -1
+        assert table.category_codes[0] == -1
 
     def test_nonpositive_amount_reports_line(self):
         with pytest.raises(LossCsvError) as err:
@@ -56,8 +60,8 @@ class TestParseCsv:
 
     def test_unknown_column_allowed_when_permissive(self):
         text = "amount,date,event_id,category,extra\n1,2016-01-01,,,x\n"
-        records = tt.parse_csv(stream(text), permissive=True)
-        assert records[0].amount == 1.0
+        table = tt.parse_csv(stream(text), permissive=True)
+        assert table.amounts[0] == 1.0
 
     def test_unknown_category_rejected(self):
         with pytest.raises(LossCsvError):
@@ -71,6 +75,51 @@ class TestParseCsv:
         records = tt.parse_csv(stream("amount,date\n1,2016-01-01\n\n2,2016-01-02\n"))
         assert len(records) == 2
 
+    def test_multi_error_diagnostics_pinned(self):
+        text = (
+            "amount,date,event_id,category\n"
+            "1.5,2016-01-01,EV1,CPBP\n"
+            "abc,2016-01-02,EV1,CPBP\n"
+            "\n"
+            "-2,2016-01-03,EV1,CPBP\n"
+            "3,2016-13-01,EV1,CPBP\n"
+            "4, 2016-01-04 ,EV2, XYZ \n"
+            "0,2016-01-05,EV2,EF\n"
+        )
+        with pytest.raises(LossCsvError) as err:
+            tt.parse_csv(stream(text))
+        assert err.value.diagnostics == [
+            "line 3: bad amount 'abc'",
+            "line 5: amount must be > 0, got '-2'",
+            "line 6: bad ISO-8601 date '2016-13-01'",
+            "line 7: unknown Basel category 'XYZ'",
+            "line 8: amount must be > 0, got '0'",
+        ]
+
+    def test_clean_input_never_reaches_the_row_loop(self, monkeypatch):
+        def refuse(reader):
+            raise AssertionError("row loop ran on input the tokenizer accepts")
+
+        monkeypatch.setattr(ingest, "_row_loop", refuse)
+        text = (
+            'amount,date,event_id,category\r\n 2.5 ,2016-03-01,"EV,1", CPBP\r\n'
+            '\r\n"1e1", 2016-03-02 ,"EV\r\n""2""",\r\n3,2016-03-03,EV"3,EF\r\n'
+        )
+        table = tt.parse_csv(io.StringIO(text, newline=""))
+        assert table == tt.LossTable.from_records([
+            tt.LossRecord(2.5, date(2016, 3, 1), "EV,1", "CPBP"),
+            tt.LossRecord(10.0, date(2016, 3, 2), 'EV\r\n"2"', None),
+            tt.LossRecord(3.0, date(2016, 3, 3), 'EV"3', "EF"),
+        ])
+        assert len(tt.parse_csv(io.StringIO("amount,date\r1,2016-01-01\r2,2016-01-02", newline=""))) == 2
+
+    def test_refused_rows_fall_back_to_the_row_loop(self):
+        text = "amount,date,event_id,category\n1_0,2016-01-01,EV1,CPBP\n,,,\n   \n2,2016-01-02,EV2\n"
+        assert tt.parse_csv(stream(text)) == tt.LossTable.from_records([
+            tt.LossRecord(10.0, date(2016, 1, 1), "EV1", "CPBP"),
+            tt.LossRecord(2.0, date(2016, 1, 2), "EV2", None),
+        ])
+
     def test_roundtrip_idempotent(self, tmp_path):
         original = [
             tt.LossRecord(4.25, date(2015, 6, 1), "EV1", "CPBP"),
@@ -80,7 +129,7 @@ class TestParseCsv:
         path = tmp_path / "losses.csv"
         write_csv(original, path)
         reparsed = tt.parse_csv(path)
-        assert reparsed == original
+        assert reparsed == tt.LossTable.from_records(original)
         # serialize -> parse -> serialize is stable
         path2 = tmp_path / "again.csv"
         write_csv(reparsed, path2)
@@ -171,7 +220,7 @@ class TestAggregate:
         assert math.fsum(agg.losses) == math.fsum(r.amount for r in recs)
 
     def test_span_years_of_helper(self):
-        assert span_years_of(self.records()) > 1.0
+        assert span_years_of(tt.LossTable.from_records(self.records())) > 1.0
 
 
 class TestSummary:
@@ -195,3 +244,141 @@ class TestSummary:
             tt.AggregatedLossSet(losses=(), span_years=1.0)
         with pytest.raises(ValueError):
             tt.AggregatedLossSet(losses=(1.0,), span_years=0.0)
+
+
+
+def row_loop_outcome(path, permissive):
+    """parse_csv on the row loop alone: a table, or the diagnostics it raised."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            ingest._header_width(reader, permissive)
+            return ingest._row_loop(reader)
+        except LossCsvError as exc:
+            return exc.diagnostics
+
+
+def tokenizer_outcome(path, permissive):
+    """The tokenizer path alone: a table, or None when it refuses the header or rows."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            width = ingest._header_width(csv.reader(fh), permissive)
+            return ingest._tokenized(fh, width)
+        except ValueError:
+            return None
+
+
+def parse_outcome(source, permissive):
+    try:
+        return tt.parse_csv(source, permissive=permissive)
+    except LossCsvError as exc:
+        return exc.diagnostics
+
+
+AMOUNTS_OK = ["1", "2.5", " 3 ", "1e3", "4.5E-2", '"6.25"', "+7", ".5", "1e-300", "12345678.9", "\u00a08\t", "1_0"]
+# numpy's own float parser strips \x1c-\x1f, which float() rejects.
+AMOUNTS_BAD = ["nan", "inf", "-inf", "-0", "0", "-5", "abc", "", "1e", " ", '"1,5"', "0x10", "1e999", "9\x1c"]
+DATES_OK = ["2016-01-01", " 2016-02-29 ", "2015-12-31", '"2016-03-01"', "2017-07-04"]
+# "20160101" and "2016-W01-1" are dates for date.fromisoformat from Python 3.11 on, and bad before.
+DATES_BAD = ["2015-02-29", "03/01/2016", "", "2016-13-01", "20160101", "2016-W01-1"]
+EVENTS = ["EV1", " EV1 ", "EV2", "", '"EV,1"', '"EV""1"', 'EV"1', '"EV\n1"', '"EV\r\n2"', '"EV\r3"',
+          '"  "', '"EV1"', "\u00e9v"]
+CATEGORIES_OK = ["CPBP", " EF ", "", '"IF"', "EDPM"]
+CATEGORIES_BAD = ["XYZ", "cpbp", '"CP,BP"']
+ODD_ROWS = ["", "   ", ",,,", ",", "\t", '""', "1,2016-01-01", "1,2016-01-01,EV1", "1,2016-01-01,EV1,CPBP,x"]
+HEADERS = ["amount,date", "amount,date,event_id", "amount,date,event_id,category",
+           "amount,date,event_id,category,extra", " amount , date ,event_id,category", "amount"]
+
+
+@st.composite
+def loss_csv_texts(draw):
+    """Loss-schema CSV texts: mostly valid rows, with quoting, spacing, row-shape and line-ending variants."""
+    header = draw(st.sampled_from(HEADERS))
+    width = header.count(",") + 1
+
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.sampled_from(ODD_ROWS)))
+            continue
+        cells = [pick(AMOUNTS_OK, AMOUNTS_BAD), pick(DATES_OK, DATES_BAD)]
+        if width > 2:
+            cells.append(draw(st.sampled_from(EVENTS)))
+        if width > 3:
+            cells.append(pick(CATEGORIES_OK, CATEGORIES_BAD))
+        if width > 4:
+            cells.append(draw(st.sampled_from(["x", "", '"y,z"'])))
+        rows.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header] + rows) + draw(st.sampled_from([newline, ""]))
+
+
+class TestTokenizerEquivalence:
+    @settings(max_examples=500, deadline=None)
+    @given(text=loss_csv_texts(), permissive=st.booleans())
+    def test_tokenizer_and_row_loop_agree(self, text, permissive, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "equivalence.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = row_loop_outcome(path, permissive)
+        tokenized = tokenizer_outcome(path, permissive)
+        if tokenized is not None:
+            event("tokenizer accepted the rows")
+            assert tokenized == expected
+        assert parse_outcome(path, permissive) == expected
+        assert parse_outcome(io.StringIO(text, newline=""), permissive) == expected
+
+
+def reference_aggregate(records, mode):
+    """The record-at-a-time grouping: dict of lists keyed by event id or period tuple, fsum in sorted-key order."""
+    period_key = {
+        "period:month": lambda d: (d.year, d.month),
+        "period:quarter": lambda d: (d.year, (d.month - 1) // 3 + 1),
+        "period:year": lambda d: (d.year,),
+    }
+    key_of = (lambda r: r.event_id) if mode == "event" else (lambda r: period_key[mode](r.date))
+    groups = {}
+    for record in records:
+        groups.setdefault(key_of(record), []).append(record.amount)
+    dates = [r.date for r in records]
+    span = max((max(dates) - min(dates)).days / 365.25, 1.0 / 365.0)
+    return tuple(math.fsum(groups[key]) for key in sorted(groups)), span
+
+
+class TestAggregateEquivalence:
+    @pytest.fixture(scope="class")
+    def payments(self, tmp_path_factory):
+        rng = np.random.default_rng(20)
+        count = 20_000
+        names = [f"EV{k}" for k in rng.permutation(150)] + ["ev-b", "Ev a", "év"]
+        first = date(1969, 11, 3)
+        records = [
+            tt.LossRecord(
+                float(f"{amount:.{digits}g}"),
+                first + timedelta(days=int(day)),
+                names[int(k)],
+                sorted(ingest.BASEL_CATEGORIES)[int(c)] if c < 7 else None,
+            )
+            for amount, digits, day, k, c in zip(
+                rng.lognormal(0.0, 3.0, count), rng.integers(1, 18, count), rng.integers(0, 9 * 366, count),
+                rng.integers(0, len(names), count), rng.integers(0, 9, count),
+            )
+        ]
+        path = tmp_path_factory.mktemp("agg") / "payments.csv"
+        write_csv(records, path)
+        return records, path
+
+    def test_write_parse_round_trip(self, payments):
+        records, path = payments
+        assert tt.parse_csv(path) == tt.LossTable.from_records(records)
+
+    @pytest.mark.parametrize("mode", ["event", "period:month", "period:quarter", "period:year"])
+    def test_parsed_table_records_and_reference_agree(self, payments, mode):
+        records, path = payments
+        parsed = tt.aggregate(tt.parse_csv(path), mode=mode)
+        adapted = tt.aggregate(tt.LossTable.from_records(records), mode=mode)
+        assert parsed == adapted
+        assert tt.aggregate(records, mode=mode) == adapted
+        assert (adapted.losses, adapted.span_years) == reference_aggregate(records, mode)
