@@ -7,7 +7,6 @@ frequency model by Monte Carlo to obtain the 99.9% value-at-risk.
 """
 
 from .dist import (
-    Exp4MixtureParams,
     Exp4Params,
     ExpNParams,
     LogNormalParams,
@@ -15,15 +14,9 @@ from .dist import (
     ParetoParams,
     PointMassParams,
     SeverityModel,
+    SeverityParams,
     WeibullParams,
-    baseline_cdf,
-    baseline_pdf,
-    baseline_quantile,
-    baseline_sample,
     exp4_cdf,
-    exp4_mixture_cdf,
-    exp4_mixture_pdf,
-    exp4_mixture_sample,
     exp4_pdf,
     exp4_quantile,
     exp4_sample,
@@ -74,9 +67,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # dist
+    "SeverityParams",
     "Exp4Params",
     "ExpNParams",
-    "Exp4MixtureParams",
     "NormalParams",
     "LogNormalParams",
     "WeibullParams",
@@ -91,13 +84,6 @@ __all__ = [
     "expn_cdf",
     "expn_quantile",
     "expn_sample",
-    "exp4_mixture_pdf",
-    "exp4_mixture_cdf",
-    "exp4_mixture_sample",
-    "baseline_pdf",
-    "baseline_cdf",
-    "baseline_quantile",
-    "baseline_sample",
     # tna
     "EmpiricalDistribution",
     "TnaResult",

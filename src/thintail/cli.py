@@ -455,7 +455,7 @@ def _cmd_density(args, argv) -> int:
     scaled, _ = scale_losses(losses)
 
     grid = np.linspace(0.0, 1.2 * float(scaled.max()), args.grid_points)
-    fitted = SeverityModel(result.model.params, scaling_mean=1.0).pdf(grid)
+    fitted = result.model.params.pdf(grid)
 
     from scipy.stats import gaussian_kde
 

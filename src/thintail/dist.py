@@ -1,14 +1,17 @@
 """Severity distributions: the very-thin-tailed power-exponential family
-(``Exp4`` and its power-n generalization ``ExpN``), a two-component Exp4
-mixture, and the Normal / LogNormal / Weibull / Pareto baselines.
+(``Exp4`` and its power-n generalization ``ExpN``) and the Normal /
+LogNormal / Weibull / Pareto baselines.
 
-Every family exposes density, CDF, quantile and random sampling.  The
-power-exponential density on x > 0 is
+Each family is a frozen parameter record with its own ``pdf``, ``cdf``,
+``quantile`` and ``sample(count, rng)`` on the mean-scaled axis, and
+``SeverityModel`` maps them to loss units.  The power-exponential
+density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
 with CDF 1 - Q(1/n, x^n / (2 s^n)) in terms of the regularized upper
-incomplete gamma function Q.  ``Exp4`` is exactly ``ExpN`` with n = 4.
+incomplete gamma function Q.  ``Exp4`` is exactly ``ExpN`` with n = 4,
+and ``Exp4Params`` is ``ExpNParams`` with ``n`` fixed at 4.
 
 Q is ``scipy.special.gammaincc``.  The quantile is closed-form,
 x = s * (2 g)^(1/n) with g the inverse of the regularized incomplete
@@ -37,16 +40,16 @@ parallel use requires independently seeded substreams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.special import gammaincc as regularized_upper_gamma
 
 __all__ = [
+    "SeverityParams",
     "Exp4Params",
     "ExpNParams",
-    "Exp4MixtureParams",
     "NormalParams",
     "LogNormalParams",
     "WeibullParams",
@@ -61,13 +64,6 @@ __all__ = [
     "expn_cdf",
     "expn_quantile",
     "expn_sample",
-    "exp4_mixture_pdf",
-    "exp4_mixture_cdf",
-    "exp4_mixture_sample",
-    "baseline_pdf",
-    "baseline_cdf",
-    "baseline_quantile",
-    "baseline_sample",
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
@@ -80,100 +76,27 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-# ---------------------------------------------------------------------------
-# parameter records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Exp4Params:
-    """Scale parameter of the Exp4 distribution (units of scaled loss)."""
-
-    s: float
-
-    def __post_init__(self):
-        _require_positive("s", self.s)
+def check_power(n) -> None:
+    """Reject a power-exponential power that is not an integer >= 1."""
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
-class ExpNParams:
-    """Scale and integer power of the ExpN distribution; n = 4 is Exp4."""
-
-    s: float
-    n: int
-
-    def __post_init__(self):
-        _require_positive("s", self.s)
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+def _check_p(p) -> np.ndarray:
+    arr = np.asarray(p, dtype=float)
+    if np.isnan(arr).any() or (arr < 0.0).any() or (arr >= 1.0).any():
+        raise ValueError("p must lie in [0, 1)")
+    return arr
 
 
-@dataclass(frozen=True)
-class Exp4MixtureParams:
-    """Two-component Exp4 mixture: (1 - p)*Exp4(s1) + p*Exp4(s2)."""
-
-    p: float
-    s1: float
-    s2: float
-
-    def __post_init__(self):
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"mixture weight p must lie in (0, 1), got {self.p!r}")
-        _require_positive("s1", self.s1)
-        _require_positive("s2", self.s2)
-
-
-@dataclass(frozen=True)
-class NormalParams:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _require_positive("sigma", self.sigma)
-
-
-@dataclass(frozen=True)
-class LogNormalParams:
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _require_positive("sigma", self.sigma)
-
-
-@dataclass(frozen=True)
-class WeibullParams:
-    """Weibull with shape tau in (0, 1] (tau < 1 is the fat-tailed regime)."""
-
-    tau: float
-    theta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
-        _require_positive("theta", self.theta)
-
-
-@dataclass(frozen=True)
-class ParetoParams:
-    theta: float
-    alpha: float
-
-    def __post_init__(self):
-        _require_positive("theta", self.theta)
-        _require_positive("alpha", self.alpha)
-
-
-@dataclass(frozen=True)
-class PointMassParams:
-    """Degenerate severity concentrated at a single value (testing aid)."""
-
-    value: float
-
-    def __post_init__(self):
-        _require_positive("value", self.value)
-
-
-BaselineParams = NormalParams | LogNormalParams | WeibullParams | ParetoParams
+def _as_float_array(x, nonneg: bool = False) -> np.ndarray:
+    """``x`` as a float array; NaN, and with ``nonneg`` a negative value, raises."""
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError("x must not contain NaN")
+    if nonneg and (arr < 0.0).any():
+        raise ValueError("x must be >= 0 for this family")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +105,7 @@ BaselineParams = NormalParams | LogNormalParams | WeibullParams | ParetoParams
 
 def _check_xs(x, s: float, n: int) -> np.ndarray:
     _require_positive("s", s)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_power(n)
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any():
         raise ValueError("x must be >= 0")
@@ -229,11 +151,8 @@ def expn_quantile(p, s, n):
     Where g is below the smallest normal double it is p / f(0).
     """
     _require_positive("s", s)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    arr = np.asarray(p, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any() or (arr >= 1.0).any():
-        raise ValueError("p must lie in [0, 1)")
+    check_power(n)
+    arr = _check_p(p)
     upper = arr > 0.5
     g = np.empty_like(arr)
     g[~upper] = gammaincinv(1.0 / n, arr[~upper])
@@ -250,18 +169,13 @@ def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    return _expn_draw(int(count), s, n, rng, method)
-
-
-def _expn_draw(count: int, s, n, rng: np.random.Generator, method: str = "gamma") -> np.ndarray:
     _require_positive("s", s)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    check_power(n)
     if method == "gamma":
-        g = rng.standard_gamma(1.0 / n, size=count)
+        g = rng.standard_gamma(1.0 / n, size=int(count))
         return float(s) * np.power(2.0 * g, 1.0 / n)
     if method == "inverse":
-        u = rng.random(count)
+        u = rng.random(int(count))
         return expn_quantile(u, s, n)
     raise ValueError(f"unknown sampler method {method!r}")
 
@@ -285,161 +199,220 @@ def exp4_sample(count, s, rng: np.random.Generator, method: str = "gamma"):
 
 
 # ---------------------------------------------------------------------------
-# Exp4 mixture
+# parameter records, one per family
 # ---------------------------------------------------------------------------
 
-def exp4_mixture_pdf(x, params: Exp4MixtureParams):
-    return (1.0 - params.p) * exp4_pdf(x, params.s1) + params.p * exp4_pdf(x, params.s2)
+class SeverityParams:
+    """Base of the per-family parameter records: ``pdf``, ``cdf``, ``quantile`` (scalar or
+    array in, the same out) and ``sample(count, rng)`` (count >= 1), on the mean-scaled axis.
+    """
 
 
-def exp4_mixture_cdf(x, params: Exp4MixtureParams):
-    return (1.0 - params.p) * exp4_cdf(x, params.s1) + params.p * exp4_cdf(x, params.s2)
+@dataclass(frozen=True)
+class ExpNParams(SeverityParams):
+    """Scale and integer power of the ExpN distribution; n = 4 is Exp4."""
+
+    s: float
+    n: int
+
+    def __post_init__(self):
+        _require_positive("s", self.s)
+        check_power(self.n)
+
+    def pdf(self, x):
+        return expn_pdf(x, self.s, self.n)
+
+    def cdf(self, x):
+        return expn_cdf(x, self.s, self.n)
+
+    def quantile(self, p):
+        return expn_quantile(p, self.s, self.n)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return expn_sample(count, self.s, self.n, rng)
 
 
-def exp4_mixture_sample(count, params: Exp4MixtureParams, rng: np.random.Generator):
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    count = int(count)
-    pick_second = rng.random(count) < params.p
-    scale = np.where(pick_second, params.s2, params.s1)
-    g = rng.standard_gamma(0.25, size=count)
-    return scale * np.power(2.0 * g, 0.25)
+@dataclass(frozen=True)
+class Exp4Params(ExpNParams):
+    """Scale parameter of the Exp4 distribution (units of scaled loss): ExpN with n = 4."""
+
+    n: int = field(default=4, init=False)
 
 
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-def _as_float_array(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("x must not contain NaN")
-    return arr
+def expn_params(s: float, n: int) -> ExpNParams:
+    """The ExpN(s, n) record; ``Exp4Params`` when n is 4, so that its family reads ``exp4``."""
+    return Exp4Params(s) if n == 4 else ExpNParams(s, n)
 
 
-def _scalar_or_array(value: np.ndarray, was_scalar: bool):
-    return float(value) if was_scalar else value
+@dataclass(frozen=True)
+class NormalParams(SeverityParams):
+    """Normal(mu, sigma); draws are resampled to x >= 0."""
 
+    mu: float
+    sigma: float
 
-def baseline_pdf(x, params: BaselineParams):
-    arr = _as_float_array(x)
-    scalar = arr.ndim == 0
-    if isinstance(params, NormalParams):
-        z = (arr - params.mu) / params.sigma
-        out = np.exp(-0.5 * z * z) / (params.sigma * math.sqrt(2.0 * math.pi))
-    elif isinstance(params, LogNormalParams):
-        out = np.zeros(np.atleast_1d(arr).shape, dtype=float)
-        pos = np.atleast_1d(arr) > 0.0
-        xp = np.atleast_1d(arr)[pos]
-        z = (np.log(xp) - params.mu) / params.sigma
-        out[pos] = np.exp(-0.5 * z * z) / (xp * params.sigma * math.sqrt(2.0 * math.pi))
-        out = out.reshape(arr.shape)
-    elif isinstance(params, WeibullParams):
-        _check_nonneg(arr)
-        r = np.atleast_1d(arr) / params.theta
-        out = np.zeros_like(r)
-        pos = r > 0.0
-        with np.errstate(under="ignore"):
-            out[pos] = (params.tau / params.theta) * r[pos] ** (params.tau - 1.0) * np.exp(-r[pos] ** params.tau)
-        if params.tau == 1.0:
-            out[~pos] = 1.0 / params.theta
-        else:
-            out[~pos] = np.inf  # shape < 1 density diverges at the origin
-        out = out.reshape(arr.shape)
-    elif isinstance(params, ParetoParams):
-        _check_nonneg(arr)
-        out = (params.alpha / params.theta) * np.power(1.0 + arr / params.theta, -params.alpha - 1.0)
-    else:
-        raise ValueError(f"no density for baseline parameters {params!r}")
-    return _scalar_or_array(out, scalar)
+    def __post_init__(self):
+        _require_positive("sigma", self.sigma)
 
+    def pdf(self, x):
+        arr = _as_float_array(x)
+        z = (arr - self.mu) / self.sigma
+        out = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
+        return float(out) if arr.ndim == 0 else out
 
-def _check_nonneg(arr: np.ndarray):
-    if (arr < 0.0).any():
-        raise ValueError("x must be >= 0 for this family")
+    def cdf(self, x):
+        arr = _as_float_array(x)
+        out = ndtr((arr - self.mu) / self.sigma)
+        return float(out) if arr.ndim == 0 else out
 
+    def quantile(self, p):
+        arr = _check_p(p)
+        out = self.mu + self.sigma * ndtri(arr)
+        return float(out) if arr.ndim == 0 else out
 
-def baseline_cdf(x, params: BaselineParams):
-    arr = _as_float_array(x)
-    scalar = arr.ndim == 0
-    if isinstance(params, NormalParams):
-        out = ndtr((arr - params.mu) / params.sigma)
-    elif isinstance(params, LogNormalParams):
-        flat = np.atleast_1d(arr)
-        out = np.zeros(flat.shape, dtype=float)
-        pos = flat > 0.0
-        out[pos] = ndtr((np.log(flat[pos]) - params.mu) / params.sigma)
-        out = out.reshape(arr.shape)
-    elif isinstance(params, WeibullParams):
-        _check_nonneg(arr)
-        with np.errstate(under="ignore"):
-            out = -np.expm1(-np.power(arr / params.theta, params.tau))
-    elif isinstance(params, ParetoParams):
-        _check_nonneg(arr)
-        out = 1.0 - np.power(1.0 + arr / params.theta, -params.alpha)
-    else:
-        raise ValueError(f"no CDF for baseline parameters {params!r}")
-    return _scalar_or_array(out, scalar)
-
-
-def baseline_quantile(p, params: BaselineParams):
-    arr = np.asarray(p, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any() or (arr >= 1.0).any():
-        raise ValueError("p must lie in [0, 1)")
-    scalar = arr.ndim == 0
-    if isinstance(params, NormalParams):
-        out = params.mu + params.sigma * ndtri(arr)
-    elif isinstance(params, LogNormalParams):
-        out = np.exp(params.mu + params.sigma * ndtri(arr))
-    elif isinstance(params, WeibullParams):
-        out = params.theta * np.power(-np.log1p(-arr), 1.0 / params.tau)
-    elif isinstance(params, ParetoParams):
-        out = params.theta * (np.power(1.0 - arr, -1.0 / params.alpha) - 1.0)
-    else:
-        raise ValueError(f"no quantile for baseline parameters {params!r}")
-    return _scalar_or_array(out, scalar)
-
-
-def baseline_sample(count, params: BaselineParams, rng: np.random.Generator):
-    """Draw ``count`` baseline severities; Normal draws are resampled to x >= 0."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    return _baseline_draw(int(count), params, rng)
-
-
-def _baseline_draw(count: int, params, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(params, NormalParams):
-        out = rng.normal(params.mu, params.sigma, size=count)
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        out = rng.normal(self.mu, self.sigma, size=count)
         for _ in range(10_000):
             neg = out < 0.0
             if not neg.any():
                 return out
-            out[neg] = rng.normal(params.mu, params.sigma, size=int(neg.sum()))
+            out[neg] = rng.normal(self.mu, self.sigma, size=int(neg.sum()))
         raise RuntimeError("truncated-Normal resampling failed to terminate; mu is far below 0")
-    if isinstance(params, LogNormalParams):
-        return rng.lognormal(params.mu, params.sigma, size=count)
-    if isinstance(params, WeibullParams):
-        return params.theta * rng.weibull(params.tau, size=count)
-    if isinstance(params, ParetoParams):
-        return baseline_quantile(rng.random(count), params)
-    raise ValueError(f"cannot sample from {params!r}")
+
+
+@dataclass(frozen=True)
+class LogNormalParams(SeverityParams):
+    mu: float
+    sigma: float
+
+    def __post_init__(self):
+        _require_positive("sigma", self.sigma)
+
+    def pdf(self, x):
+        arr = _as_float_array(x)
+        out = np.zeros(np.atleast_1d(arr).shape, dtype=float)
+        pos = np.atleast_1d(arr) > 0.0
+        xp = np.atleast_1d(arr)[pos]
+        z = (np.log(xp) - self.mu) / self.sigma
+        out[pos] = np.exp(-0.5 * z * z) / (xp * self.sigma * math.sqrt(2.0 * math.pi))
+        out = out.reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+
+    def cdf(self, x):
+        arr = _as_float_array(x)
+        flat = np.atleast_1d(arr)
+        out = np.zeros(flat.shape, dtype=float)
+        pos = flat > 0.0
+        out[pos] = ndtr((np.log(flat[pos]) - self.mu) / self.sigma)
+        out = out.reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+
+    def quantile(self, p):
+        arr = _check_p(p)
+        out = np.exp(self.mu + self.sigma * ndtri(arr))
+        return float(out) if arr.ndim == 0 else out
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.lognormal(self.mu, self.sigma, size=count)
+
+
+@dataclass(frozen=True)
+class WeibullParams(SeverityParams):
+    """Weibull with shape tau in (0, 1] (tau < 1 is the fat-tailed regime)."""
+
+    tau: float
+    theta: float
+
+    def __post_init__(self):
+        if not (0.0 < self.tau <= 1.0):
+            raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
+        _require_positive("theta", self.theta)
+
+    def pdf(self, x):
+        arr = _as_float_array(x, nonneg=True)
+        r = np.atleast_1d(arr) / self.theta
+        out = np.zeros_like(r)
+        pos = r > 0.0
+        with np.errstate(under="ignore"):
+            out[pos] = (self.tau / self.theta) * r[pos] ** (self.tau - 1.0) * np.exp(-r[pos] ** self.tau)
+        if self.tau == 1.0:
+            out[~pos] = 1.0 / self.theta
+        else:
+            out[~pos] = np.inf  # shape < 1 density diverges at the origin
+        out = out.reshape(arr.shape)
+        return float(out) if arr.ndim == 0 else out
+
+    def cdf(self, x):
+        arr = _as_float_array(x, nonneg=True)
+        with np.errstate(under="ignore"):
+            out = -np.expm1(-np.power(arr / self.theta, self.tau))
+        return float(out) if arr.ndim == 0 else out
+
+    def quantile(self, p):
+        arr = _check_p(p)
+        out = self.theta * np.power(-np.log1p(-arr), 1.0 / self.tau)
+        return float(out) if arr.ndim == 0 else out
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.theta * rng.weibull(self.tau, size=count)
+
+
+@dataclass(frozen=True)
+class ParetoParams(SeverityParams):
+    theta: float
+    alpha: float
+
+    def __post_init__(self):
+        _require_positive("theta", self.theta)
+        _require_positive("alpha", self.alpha)
+
+    def pdf(self, x):
+        arr = _as_float_array(x, nonneg=True)
+        out = (self.alpha / self.theta) * np.power(1.0 + arr / self.theta, -self.alpha - 1.0)
+        return float(out) if arr.ndim == 0 else out
+
+    def cdf(self, x):
+        arr = _as_float_array(x, nonneg=True)
+        out = 1.0 - np.power(1.0 + arr / self.theta, -self.alpha)
+        return float(out) if arr.ndim == 0 else out
+
+    def quantile(self, p):
+        arr = _check_p(p)
+        out = self.theta * (np.power(1.0 - arr, -1.0 / self.alpha) - 1.0)
+        return float(out) if arr.ndim == 0 else out
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return self.quantile(rng.random(count))
+
+
+@dataclass(frozen=True)
+class PointMassParams(SeverityParams):
+    """Degenerate severity concentrated at a single value (testing aid)."""
+
+    value: float
+
+    def __post_init__(self):
+        _require_positive("value", self.value)
+
+    def pdf(self, x):
+        raise ValueError("point-mass severity has no density")
+
+    def cdf(self, x):
+        out = np.where(np.asarray(x, dtype=float) >= self.value, 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
+
+    def quantile(self, p):
+        arr = _check_p(p)
+        out = np.full(arr.shape, self.value)
+        return float(out) if arr.ndim == 0 else out
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.full(count, self.value)
 
 
 # ---------------------------------------------------------------------------
-# tagged severity model with de-scaling record
+# severity model with de-scaling record
 # ---------------------------------------------------------------------------
-
-AnyParams = (
-    Exp4Params
-    | ExpNParams
-    | Exp4MixtureParams
-    | NormalParams
-    | LogNormalParams
-    | WeibullParams
-    | ParetoParams
-    | PointMassParams
-)
-
 
 @dataclass(frozen=True)
 class SeverityModel:
@@ -450,24 +423,12 @@ class SeverityModel:
     two, so ``cdf``/``pdf``/``quantile``/``sample`` all operate in mEUR.
     """
 
-    params: AnyParams
+    params: SeverityParams
     scaling_mean: float = 1.0
 
     def __post_init__(self):
         _require_positive("scaling_mean", self.scaling_mean)
-        if not isinstance(
-            self.params,
-            (
-                Exp4Params,
-                ExpNParams,
-                Exp4MixtureParams,
-                NormalParams,
-                LogNormalParams,
-                WeibullParams,
-                ParetoParams,
-                PointMassParams,
-            ),
-        ):
+        if not isinstance(self.params, SeverityParams):
             raise ValueError(f"unsupported parameter record {self.params!r}")
 
     @property
@@ -476,64 +437,18 @@ class SeverityModel:
 
     def pdf(self, x):
         m = self.scaling_mean
-        p = self.params
-        z = np.asarray(x, dtype=float) / m
-        if isinstance(p, Exp4Params):
-            return exp4_pdf(z, p.s) / m
-        if isinstance(p, ExpNParams):
-            return expn_pdf(z, p.s, p.n) / m
-        if isinstance(p, Exp4MixtureParams):
-            return exp4_mixture_pdf(z, p) / m
-        if isinstance(p, PointMassParams):
-            raise ValueError("point-mass severity has no density")
-        return baseline_pdf(z, p) / m
+        return self.params.pdf(np.asarray(x, dtype=float) / m) / m
 
     def cdf(self, x):
-        m = self.scaling_mean
-        p = self.params
-        z = np.asarray(x, dtype=float) / m
-        if isinstance(p, Exp4Params):
-            return exp4_cdf(z, p.s)
-        if isinstance(p, ExpNParams):
-            return expn_cdf(z, p.s, p.n)
-        if isinstance(p, Exp4MixtureParams):
-            return exp4_mixture_cdf(z, p)
-        if isinstance(p, PointMassParams):
-            out = np.where(z >= p.value, 1.0, 0.0)
-            return float(out) if out.ndim == 0 else out
-        return baseline_cdf(z, p)
+        return self.params.cdf(np.asarray(x, dtype=float) / self.scaling_mean)
 
-    def quantile(self, p_):
-        m = self.scaling_mean
-        p = self.params
-        if isinstance(p, Exp4Params):
-            return m * exp4_quantile(p_, p.s)
-        if isinstance(p, ExpNParams):
-            return m * expn_quantile(p_, p.s, p.n)
-        if isinstance(p, PointMassParams):
-            arr = np.asarray(p_, dtype=float)
-            if (arr < 0.0).any() or (arr >= 1.0).any():
-                raise ValueError("p must lie in [0, 1)")
-            out = np.full(arr.shape, m * p.value)
-            return float(out) if arr.ndim == 0 else out
-        if isinstance(p, Exp4MixtureParams):
-            raise ValueError("mixture quantile is not provided")
-        return m * baseline_quantile(p_, p)
+    def quantile(self, p):
+        return self.scaling_mean * self.params.quantile(p)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` (>= 0) severities in mEUR."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        m = self.scaling_mean
-        p = self.params
         if count == 0:
             return np.empty(0, dtype=float)
-        if isinstance(p, Exp4Params):
-            return m * _expn_draw(count, p.s, 4, rng)
-        if isinstance(p, ExpNParams):
-            return m * _expn_draw(count, p.s, p.n, rng)
-        if isinstance(p, Exp4MixtureParams):
-            return m * exp4_mixture_sample(count, p, rng)
-        if isinstance(p, PointMassParams):
-            return np.full(count, m * p.value)
-        return m * _baseline_draw(count, p, rng)
+        return self.scaling_mean * self.params.sample(count, rng)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Exp4Params, ExpNParams, SeverityModel, expn_cdf
+from .dist import SeverityModel, check_power, expn_cdf, expn_params
 from .tna import TnaResult, _area_and_crossings, empirical_from_losses, tna_test
 
 __all__ = ["FitConfig", "FitResult", "scale_losses", "fit_exp4", "fit_expn"]
@@ -45,8 +45,7 @@ class FitConfig:
             raise ValueError(f"need 0 < s_lo < s_hi, got ({self.s_lo}, {self.s_hi})")
         if self.tol <= 0.0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        check_power(self.n)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class FitResult:
 
     @property
     def model(self) -> SeverityModel:
-        params = Exp4Params(self.s_hat) if self.n == 4 else ExpNParams(self.s_hat, self.n)
-        return SeverityModel(params=params, scaling_mean=self.scaling_mean)
+        return SeverityModel(params=expn_params(self.s_hat, self.n), scaling_mean=self.scaling_mean)
 
 
 def scale_losses(losses) -> tuple[np.ndarray, float]:
@@ -158,8 +156,7 @@ def fit_expn(losses, cfg: FitConfig = FitConfig()) -> FitResult:
             stacklevel=2,
         )
 
-    params = Exp4Params(s_hat) if n == 4 else ExpNParams(s_hat, n)
-    result_tna = tna_test(scaled, SeverityModel(params=params, scaling_mean=1.0))
+    result_tna = tna_test(scaled, SeverityModel(params=expn_params(s_hat, n), scaling_mean=1.0))
     return FitResult(
         s_hat=s_hat,
         scaling_mean=mean,

@@ -213,13 +213,25 @@ class _Codes(dict):
         return code
 
 
+def _rows(reader, problems: list[str]):
+    """``(line number, row)`` after the header; a ``csv.Error`` ends the rows with one more problem."""
+    try:
+        yield from enumerate(reader, start=2)
+    except csv.Error as exc:
+        problems.append(f"line {reader.line_num}: {exc}")
+
+
+def _header(reader) -> list[str]:
+    """The header row; :class:`LossCsvError` if the file is empty or ``csv`` cannot read it."""
+    problems: list[str] = []
+    for _, header in _rows(reader, problems):
+        return header
+    raise LossCsvError(problems or ["line 1: empty file"])
+
+
 def _header_width(reader, permissive: bool) -> int:
     """Check the header row; return how many schema columns it names (2-4)."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise LossCsvError(["line 1: empty file"]) from None
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in _header(reader)]
     expected = ["amount", "date", "event_id", "category"]
     if header[: len(expected)] != expected[: len(header)] or len(header) < 2:
         raise LossCsvError(
@@ -276,7 +288,7 @@ def _row_loop(reader) -> LossTable:
     event_codes: list[int] = []
     category_codes: list[int] = []
     problems: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in _rows(reader, problems):
         if not row or all(not cell.strip() for cell in row):
             continue
         row = row + [""] * (4 - len(row)) if len(row) < 4 else row
@@ -327,15 +339,12 @@ def parse_pre_aggregated(source) -> list[float]:
     """Read a one-column 'amount' CSV of already-aggregated losses."""
     with _text(source) as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LossCsvError(["line 1: empty file"]) from None
+        header = _header(reader)
         if [h.strip() for h in header] != ["amount"]:
             raise LossCsvError([f"line 1: pre-aggregated header must be 'amount', got {','.join(header)!r}"])
         amounts: list[float] = []
         problems: list[str] = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _rows(reader, problems):
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:

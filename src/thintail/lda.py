@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SeverityModel
+from .dist import NormalParams, SeverityModel
 from .fit import FitConfig, FitResult, fit_expn, scale_losses
 from .tna import tna_test
 
@@ -267,8 +267,6 @@ class ComparisonRow:
 
 def _fit_normal(losses) -> SeverityModel:
     """Moment-matched Normal on the mean-scaled axis (sample sd, ddof=1)."""
-    from .dist import NormalParams
-
     scaled, mean = scale_losses(losses)
     sigma = float(np.std(scaled, ddof=1))
     return SeverityModel(params=NormalParams(mu=1.0, sigma=sigma), scaling_mean=mean)
@@ -300,16 +298,11 @@ def compare_models(
     expn_count = sum(1 for family, _ in specs if family == "expn")
     entries: list[ModelComparison] = []
     for family, power in specs:
-        if family == "exp4":
-            fr = fit_expn(arr, FitConfig(n=4))
+        if family in ("exp4", "expn"):
+            fr = fit_expn(arr, FitConfig(n=4 if family == "exp4" else power))
             model = fr.model
             area = fr.tna.area
-            name = "exp4"
-        elif family == "expn":
-            fr = fit_expn(arr, FitConfig(n=power))
-            model = fr.model
-            area = fr.tna.area
-            name = "expn" if expn_count == 1 else f"expn{power}"
+            name = f"expn{power}" if family == "expn" and expn_count > 1 else family
         elif family == "normal":
             fr = None
             model = _fit_normal(arr)

@@ -72,6 +72,23 @@ class TestFitCommand:
         assert run(["fit", "--input", pre_file, "--mode", "pre"]) == 1
         assert "span-years" in capsys.readouterr().err
 
+    def test_field_past_csv_limit_in_event_file_is_a_diagnostic(self, tmp_path, capsys):
+        # The tokenizer takes the long id, but the bad row sends the file to the csv row loop.
+        path = tmp_path / "events.csv"
+        path.write_text("amount,date,event_id\n1.5,2016-01-01,a\nx,2016-01-02,b\n"
+                        "2.5,2016-01-03," + "e" * 200_000 + "\n3,2016-02-01,a\n")
+        assert run(["fit", "--input", path, "--mode", "event", "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: bad amount 'x'\nline 4: field larger than field limit (131072)\n"
+        )
+
+    def test_field_past_csv_limit_in_pre_aggregated_file_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("amount\n" + "1" * 200_000 + "\n")
+        code = run(["fit", "--input", path, "--mode", "pre", "--span-years", "5", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 2: field larger than field limit (131072)\n"
+
 
 class TestGofCommand:
     def test_reports_area_for_given_scale(self, pre_file, tmp_path):

@@ -8,6 +8,7 @@ densities directly with scipy.integrate.quad and never call the code
 under test.
 """
 
+import hashlib
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
+from thintail.dist import expn_params
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -27,7 +29,6 @@ EXP4_CDF_1_1 = 0.8464864041916775367871
 EXP4_MEDIAN = 0.5436416851509247561108
 EXP4_MEAN = 0.5813683170191185818416
 EXP4_SD = 0.3741653076548955398438
-MIX_CDF_EXAMPLE = 0.8382846389601067122134  # p=0.3, s1=0.5, s2=2 at x=1
 
 # 99.9th percentiles of ExpN(1, n), mpmath bisection
 Q999_BY_N = {
@@ -61,6 +62,15 @@ def unit_expn_pdf(n):
     """Closed-form density, independent of the package internals."""
     norm = 2.0 ** (1.0 / n) * math.gamma(1.0 + 1.0 / n)
     return lambda t: math.exp(-0.5 * t**n) / norm
+
+
+class StrayRecord:
+    """Has the four distribution methods but is no family record."""
+
+    def __init__(self, s):
+        self.inner = tt.Exp4Params(s)
+        self.pdf, self.cdf = self.inner.pdf, self.inner.cdf
+        self.quantile, self.sample = self.inner.quantile, self.inner.sample
 
 
 class TestExp4Pdf:
@@ -265,11 +275,6 @@ class TestNormalization:
         total, _ = quad(lambda t: tt.expn_pdf(t, s, 100), 0.0, 1.3 * s, points=[s], limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
 
-    def test_mixture_integrates_to_one(self):
-        params = tt.Exp4MixtureParams(p=0.3, s1=0.5, s2=2.0)
-        total, _ = quad(lambda t: tt.exp4_mixture_pdf(t, params), 0.0, np.inf, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
 
 class TestThinTailOrdering:
     def test_survival_below_moment_matched_normal(self):
@@ -290,52 +295,18 @@ class TestThinTailOrdering:
         assert math.sqrt(m2 - m1 * m1) == pytest.approx(EXP4_SD, rel=1e-10)
 
 
-class TestMixture:
-    def test_tiny_weight_is_first_component(self):
-        params = tt.Exp4MixtureParams(p=1e-12, s1=0.7, s2=3.0)
-        for x in (0.1, 0.5, 1.0):
-            assert tt.exp4_mixture_pdf(x, params) == pytest.approx(tt.exp4_pdf(x, 0.7), rel=1e-9)
-            assert tt.exp4_mixture_cdf(x, params) == pytest.approx(tt.exp4_cdf(x, 0.7), rel=1e-9)
-
-    def test_identical_components_collapse(self):
-        params = tt.Exp4MixtureParams(p=0.42, s1=1.3, s2=1.3)
-        for x in (0.2, 1.0, 2.5):
-            assert tt.exp4_mixture_cdf(x, params) == pytest.approx(tt.exp4_cdf(x, 1.3), rel=1e-14)
-
-    def test_cdf_example_frozen(self):
-        params = tt.Exp4MixtureParams(p=0.3, s1=0.5, s2=2.0)
-        assert tt.exp4_mixture_cdf(1.0, params) == pytest.approx(MIX_CDF_EXAMPLE, rel=1e-13)
-
-    def test_sampling_empirical_cdf(self):
-        params = tt.Exp4MixtureParams(p=0.3, s1=0.5, s2=2.0)
-        n = 20_000
-        draws = np.sort(tt.exp4_mixture_sample(n, params, np.random.default_rng(3)))
-        cdf_vals = tt.exp4_mixture_cdf(draws, params)
-        d = max(
-            (np.arange(1, n + 1) / n - cdf_vals).max(),
-            (cdf_vals - np.arange(0, n) / n).max(),
-        )
-        assert d < 1.63 / math.sqrt(n)
-
-    def test_invariant_violations(self):
-        with pytest.raises(ValueError):
-            tt.Exp4MixtureParams(p=0.0, s1=1.0, s2=1.0)
-        with pytest.raises(ValueError):
-            tt.Exp4MixtureParams(p=0.5, s1=-1.0, s2=1.0)
-
-
 class TestBaselines:
     def test_pareto_cdf_at_theta(self):
         params = tt.ParetoParams(theta=2.0, alpha=1.0)
-        assert tt.baseline_cdf(2.0, params) == pytest.approx(0.5, rel=1e-14)
+        assert params.cdf(2.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_lognormal_median(self):
         params = tt.LogNormalParams(mu=0.7, sigma=1.1)
-        assert tt.baseline_cdf(math.exp(0.7), params) == pytest.approx(0.5, rel=1e-14)
+        assert params.cdf(math.exp(0.7)) == pytest.approx(0.5, rel=1e-14)
 
     def test_weibull_scale_point(self):
         params = tt.WeibullParams(tau=0.6, theta=3.0)
-        assert tt.baseline_cdf(3.0, params) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+        assert params.cdf(3.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
 
     @pytest.mark.parametrize(
         "params",
@@ -348,8 +319,8 @@ class TestBaselines:
     )
     def test_quantile_round_trip(self, params):
         for p in (0.05, 0.5, 0.95):
-            x = tt.baseline_quantile(p, params)
-            assert tt.baseline_cdf(x, params) == pytest.approx(p, abs=1e-12)
+            x = params.quantile(p)
+            assert params.cdf(x) == pytest.approx(p, abs=1e-12)
 
     @pytest.mark.parametrize(
         "params",
@@ -360,19 +331,19 @@ class TestBaselines:
         ],
     )
     def test_pdf_integrates_to_one(self, params):
-        total, _ = quad(lambda t: tt.baseline_pdf(t, params), 0.0, np.inf, limit=300)
+        total, _ = quad(lambda t: params.pdf(t), 0.0, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_pareto_quantile_closed_form(self):
         params = tt.ParetoParams(theta=2.0, alpha=1.5)
         p = 0.9
-        assert tt.baseline_quantile(p, params) == pytest.approx(
+        assert params.quantile(p) == pytest.approx(
             (1.0 - p) ** (-1.0 / 1.5) * 2.0 - 2.0, rel=1e-14
         )
 
     def test_normal_sampling_truncated(self):
         params = tt.NormalParams(mu=0.3, sigma=1.0)
-        draws = tt.baseline_sample(10_000, params, np.random.default_rng(7))
+        draws = params.sample(10_000, np.random.default_rng(7))
         assert (draws >= 0.0).all()
 
     def test_invariant_violations(self):
@@ -418,6 +389,11 @@ class TestSeverityModel:
         with pytest.raises(ValueError):
             tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=0.0)
 
+    @pytest.mark.parametrize("params", [(1.3, 4), object(), StrayRecord(1.3)], ids=["tuple", "object", "duck"])
+    def test_rejects_what_is_not_a_family_record(self, params):
+        with pytest.raises(ValueError, match="unsupported parameter record"):
+            tt.SeverityModel(params)
+
     @given(
         s=st.floats(min_value=0.1, max_value=5.0),
         x=st.floats(min_value=0.0, max_value=10.0),
@@ -426,3 +402,89 @@ class TestSeverityModel:
     def test_cdf_in_unit_interval(self, s, x):
         value = tt.exp4_cdf(x, s)
         assert 0.0 <= value <= 1.0
+
+
+FAMILY_RECORDS = {
+    "exp4": tt.Exp4Params(1.3),
+    "expn1": tt.ExpNParams(1.3, 1),
+    "expn100": tt.ExpNParams(0.9, 100),
+    "normal": tt.NormalParams(mu=1.0, sigma=0.4),
+    "lognormal": tt.LogNormalParams(mu=0.0, sigma=0.8),
+    "weibull": tt.WeibullParams(tau=0.7, theta=2.0),
+    "pareto": tt.ParetoParams(theta=1.5, alpha=3.0),
+    "pointmass": tt.PointMassParams(2.0),
+}
+
+# SHA-256 of SeverityModel(FAMILY_RECORDS[name], 37.5).sample(k, default_rng(k)) as
+# little-endian float64, for k = 1, 7, 4096, frozen from the per-family sampler as it
+# stood before the families got their own methods.  They pin each family's draws and
+# RNG call order (the truncated Normal resamples at k = 4096), on which capital being
+# bit-identical across releases rests.
+FAMILY_DRAWS_SHA256 = {
+    "exp4": ("9cb1e4f64a12f876dacef4b76d50418d06bb896d169becb5b55d76b8ab1d04ce",
+             "0a2e6a12d694a57499a8bf76ae5ac10db4770cef875315d7e0cda90e9c05f3fb",
+             "bbc92654f6062c0a3876cbd85fd87fd7fa90eeee6e03b3216418831232fb6511"),
+    "expn1": ("818e3357009466196340140634ef9c1a762faea4d822e2ed7df886dcbde8d6dc",
+              "ff2f5e4e15ad15778ce56bae982cf82a6f2f1e487b6b974017e16e86c308a8ca",
+              "0fa7d55b3482f4f3c6f7c2cdc99f66b752a801ef626f3e65cba1f1278c0dc16a"),
+    "expn100": ("487acf57d40c4b67942b3391a20d721db9c0dd046440c4756cf733c0aaa61ff8",
+                "4ddfe3d93c924239e08563e86d319a76a5ec393edb483f590ae03b3415c1a521",
+                "905640364fe9fb281eae3d6d5d8d8b891f65638a8639212a9605193b620aca98"),
+    "normal": ("ca89f7157e8d87fa314f4da271eb2dc9c2d959c59c00b6bc7ac6538a13abe523",
+               "df7c29a060cf52cf655bfa26cf1adc33ef8d3dd3f5ab01c3f39061934d74a4b5",
+               "7f5dec4454350a69aadb5104f1188e478a4ed2da48ab978ff827b9e9bb1aec2e"),
+    "lognormal": ("091d6a3829ce213079ec198638c687d2b98435488eb4ff519c07929b72d0e7bf",
+                  "9643b46602ebb860e8a51ad06e104630768863d15a9db5a36d31dab7ca29c17a",
+                  "56dfc3bbcce169f01e68a7da73bf8f9ab277b8992d80e16372e3d1f8bd108490"),
+    "weibull": ("f1c6483016fe3b3d4d7aaa072b1c34c59196e7236fbad946e6dd9c47d1537ced",
+                "fc37d6bd52fc7d2d0f8c116d901a809bd2d24a1dddd7be1b1f6ea6017b785608",
+                "5b7f20ba0675db3f6ce4c4e69e2fd1a5b27e7937ca13b738238bcf6d812289e2"),
+    "pareto": ("f134cb60ac103e2995b6b384f1153cda2fe4f59ce44621f3c33db48dc4c6e17d",
+               "1df06c3f71514f3a4ee55e6b55042b0139b8a80bfd7db5e8fa1e2c036e03b919",
+               "83ba32a213b8b8018c8e6d54780a235ad5b58df862ecfe6ce2e63be5381fbdab"),
+    "pointmass": ("4a8a7dcd543bb57baa08d932cde946d7e352b6293abc4b9459ece5ca9f37d0fc",
+                  "83d6fbc8836c6dff400d4d0bac9e2d9578adc60c708372fd268bf83bba8e14bc",
+                  "65775eaba858af30710ee91cc6a05f4606204413a60dcef5636b72dacf35dc67"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILY_RECORDS))
+class TestSeverityModelPerFamily:
+    """SeverityModel only rescales: it adds nothing to the record's own methods."""
+
+    m = 37.5
+
+    def test_pdf_cdf_quantile_descale_exactly(self, name):
+        params, m = FAMILY_RECORDS[name], self.m
+        model = tt.SeverityModel(params, scaling_mean=m)
+        xs = np.linspace(0.0, 150.0, 61)
+        ps = np.array([0.0, 1e-6, 0.1, 0.5, 0.9, 0.999])
+        assert np.array_equal(model.cdf(xs), params.cdf(xs / m))
+        assert model.cdf(45.0) == params.cdf(45.0 / m)
+        assert np.array_equal(model.quantile(ps), m * params.quantile(ps))
+        assert model.quantile(0.999) == m * params.quantile(0.999)
+        if name == "pointmass":
+            with pytest.raises(ValueError, match="no density"):
+                model.pdf(xs)
+        else:
+            assert np.array_equal(model.pdf(xs), params.pdf(xs / m) / m)
+            assert model.pdf(45.0) == params.pdf(45.0 / m) / m
+
+    @pytest.mark.parametrize("k", [1, 7, 4096])
+    def test_sample_matches_frozen_draws(self, name, k):
+        draws = tt.SeverityModel(FAMILY_RECORDS[name], scaling_mean=self.m).sample(k, np.random.default_rng(k))
+        assert draws.shape == (k,)
+        digest = hashlib.sha256(np.asarray(draws, dtype="<f8").tobytes()).hexdigest()
+        assert digest == FAMILY_DRAWS_SHA256[name][[1, 7, 4096].index(k)]
+
+
+def test_exp4_record_is_expn_with_power_four():
+    exp4, expn = tt.Exp4Params(1.3), tt.ExpNParams(1.3, 4)
+    assert exp4.n == 4 and expn_params(1.3, 4) == exp4 and expn_params(1.3, 8) == tt.ExpNParams(1.3, 8)
+    xs = np.linspace(0.0, 4.0, 81)
+    ps = np.array([0.0, 1e-9, 0.25, 0.5, 0.999, 1.0 - 1e-12])
+    assert np.array_equal(exp4.pdf(xs), expn.pdf(xs))
+    assert np.array_equal(exp4.cdf(xs), expn.cdf(xs))
+    assert np.array_equal(exp4.quantile(ps), expn.quantile(ps))
+    for k in (1, 4096):
+        assert np.array_equal(exp4.sample(k, np.random.default_rng(k)), expn.sample(k, np.random.default_rng(k)))

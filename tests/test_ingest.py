@@ -75,6 +75,13 @@ class TestParseCsv:
         records = tt.parse_csv(stream("amount,date\n1,2016-01-01\n\n2,2016-01-02\n"))
         assert len(records) == 2
 
+    def test_csv_error_is_a_diagnostic(self):
+        # A stream not opened with newline='' hands csv a lone CR inside the header line.
+        with pytest.raises(LossCsvError) as err:
+            tt.parse_csv(stream("amount,date\r1,2016-01-01"))
+        [line] = err.value.diagnostics
+        assert line.startswith("line 1: new-line character seen in unquoted field")
+
     def test_multi_error_diagnostics_pinned(self):
         text = (
             "amount,date,event_id,category\n"
