@@ -162,3 +162,49 @@ class TestFitExpN:
             tt.FitConfig(tol=0.0)
         with pytest.raises(ValueError):
             tt.FitConfig(n=0)
+
+
+def _pinned_losses(name):
+    if name == "boundary":
+        return quantile_matched(20, 1.0) * 1000.0
+    if name == "two_losses":
+        return [1.0, 3.0]
+    if name == "tied":
+        return [3.0, 3.0, 3.0, 3.0]
+    if name == "tied_mixed":
+        return [2.0, 2.0, 5.0, 5.0, 5.0, 9.0]
+    if name == "seeded12":
+        return tt.expn_sample(12, 2.5, 8, np.random.default_rng(7))
+    return tt.expn_sample(30, 1.0, 4, np.random.default_rng(101))
+
+
+# (losses, power, bracket) -> (repr(s_hat), evaluations, repr(tna.area), crossings, at_boundary),
+# recorded from the one-power-at-a-time search so that any rewrite of it is held to the
+# same floating-point results.
+PINNED_FITS = {
+    ("seeded30", 1, ()): ("0.6389909665752721", 42, "0.060563721409946314", 5, False),
+    ("seeded30", 2, ()): ("1.3258877986495077", 43, "0.03310126986235686", 5, False),
+    ("seeded30", 4, ()): ("1.7245115417930008", 44, "0.01573234894914187", 13, False),
+    ("seeded30", 100, ()): ("1.946163706122585", 44, "0.020753451401148055", 8, False),
+    ("seeded12", 8, ()): ("1.97522876508225", 44, "0.027332754624796087", 8, False),
+    ("two_losses", 4, ()): ("1.7793712431365427", 44, "0.004100662961177929", 1, False),
+    ("tied", 4, ()): ("1.8394472137697835", 44, "0.18750000000000783", 1, False),
+    ("tied_mixed", 6, ()): ("1.838040049232022", 44, "0.07043767125574375", 4, False),
+    ("boundary", 4, (0.05, 0.2)): ("0.2", 35, "0.43568849441953383", 0, True),
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("key", sorted(PINNED_FITS), ids=lambda k: f"{k[0]}-n{k[1]}")
+    def test_fit_matches_pinned_result(self, key):
+        name, power, bracket = key
+        cfg = tt.FitConfig(*bracket, n=power)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fr = tt.fit_expn(_pinned_losses(name), cfg)
+        got = (repr(fr.s_hat), fr.evaluations, repr(fr.tna.area), fr.tna.crossings, fr.at_boundary)
+        assert got == PINNED_FITS[key]
+
+    def test_evaluation_limit_raises(self):
+        with pytest.raises(RuntimeError, match="exceeded 500 objective evaluations"):
+            tt.fit_expn(_pinned_losses("seeded30"), tt.FitConfig(tol=1e-300))
