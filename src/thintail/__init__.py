@@ -25,7 +25,7 @@ from .dist import (
     expn_quantile,
     expn_sample,
 )
-from .fit import FitConfig, FitResult, fit_exp4, fit_expn, scale_losses
+from .fit import FitConfig, FitResult, fit_exp4, fit_expn, fit_expn_many, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
@@ -102,6 +102,7 @@ __all__ = [
     "scale_losses",
     "fit_exp4",
     "fit_expn",
+    "fit_expn_many",
     # lda
     "PoissonFreq",
     "NegativeBinomialFreq",

@@ -30,7 +30,11 @@ Two interchangeable samplers are provided for the power-exponential
 family: the default draws G ~ Gamma(shape=1/n, scale=1) and returns
 s * (2 G)^(1/n) (a change of variables shows this has the CDF above;
 numpy's ``standard_gamma`` is exact for shape < 1), while ``"inverse"``
-pushes uniforms through the quantile function.
+pushes uniforms through the quantile function.  A gamma draw below the
+smallest normal double has lost its digits (at n = 100 some are exactly
+0); X given such a G is uniform on the linear stretch [0, s (2 tiny)^(1/n))
+of the CDF, so it is redrawn as such from uniforms that follow the gamma
+block, and only when one occurs.
 
 Distribution parameter objects are immutable.  Sampling takes an
 explicit ``numpy.random.Generator``; callers own their streams, and
@@ -103,32 +107,63 @@ def _as_float_array(x, nonneg: bool = False) -> np.ndarray:
 # power-exponential core (ExpN)
 # ---------------------------------------------------------------------------
 
-def _check_xs(x, s: float, n: int) -> np.ndarray:
-    _require_positive("s", s)
-    check_power(n)
+def _check_xs(x, s, n) -> tuple[np.ndarray, float | np.ndarray, int | np.ndarray]:
+    """Checked ``(x, s, n)``; ``s`` may be a float array and ``n`` an integer array.
+
+    An array holding a bad scale or power raises the scalar call's message
+    for its first bad entry.
+    """
+    if np.ndim(s):
+        s = np.asarray(s, dtype=float)
+        if not (s.min() > 0.0 and s.max() < np.inf):  # also false for NaN
+            for value in s.flat:
+                _require_positive("s", value)
+    else:
+        s = _require_positive("s", s)
+    if np.ndim(n):
+        n = np.asarray(n)
+        if not (n.dtype.kind in "iu" and n.min() >= 1):
+            for value in n.flat:
+                check_power(value)
+    else:
+        check_power(n)
+        n = int(n)
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any():
         raise ValueError("x must be >= 0")
-    return arr
+    return arr, s, n
 
 
-def _expn_unit_norm(n: int) -> float:
-    """1 / f(0) for ExpN(1, n): 2^(1/n) Gamma(1 + 1/n)."""
+def _expn_unit_norm(n):
+    """1 / f(0) for ExpN(1, n): 2^(1/n) Gamma(1 + 1/n), elementwise for an array ``n``."""
+    if np.ndim(n):
+        return np.reshape([_expn_unit_norm(int(k)) for k in np.ravel(n)], np.shape(n))
     return math.exp(math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n))
 
 
-def _expn_exponent(x: np.ndarray, s: float, n: int) -> np.ndarray:
-    """x^n / (2 s^n), evaluated as (x/s)^n / 2; overflow saturates to inf."""
+def _expn_exponent(x: np.ndarray, s, n) -> np.ndarray:
+    """x^n / (2 s^n), evaluated as (x/s)^n / 2; overflow saturates to inf.
+
+    numpy squares for a lone exponent 2 but calls ``pow`` for an array of
+    exponents, which can differ in the last bit, so an array ``n`` squares
+    its entries equal to 2 to match the scalar calls.
+    """
     with np.errstate(over="ignore"):
-        return 0.5 * np.power(x / s, n)
+        if np.ndim(n) == 0:
+            return 0.5 * np.power(x / s, n)
+        q = x / s
+        p = np.power(q, n)
+        if (n == 2).any():
+            p = np.where(n == 2, np.square(q), p)
+        return 0.5 * p
 
 
 def expn_pdf(x, s, n):
     """Density of ExpN(s, n) at x >= 0."""
-    arr = _check_xs(x, s, n)
+    arr, s, n = _check_xs(x, s, n)
     log_norm = math.log(s) + math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n)
     with np.errstate(under="ignore"):
-        out = np.exp(-_expn_exponent(arr, float(s), int(n)) - log_norm)
+        out = np.exp(-_expn_exponent(arr, s, n) - log_norm)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -136,13 +171,15 @@ def expn_cdf(x, s, n):
     """CDF of ExpN(s, n): 1 - Q(1/n, x^n / (2 s^n)).
 
     Where x^n / (2 s^n) is below the smallest normal double it is x f(0).
+    ``x``, an array ``s`` and an integer array ``n`` broadcast together;
+    each entry equals the scalar call on it, bit for bit.
     """
-    arr = _check_xs(x, s, n)
-    u = _expn_exponent(arr, float(s), int(n))
+    arr, s, n = _check_xs(x, s, n)
+    u = _expn_exponent(arr, s, n)
     out = 1.0 - regularized_upper_gamma(1.0 / n, u)
     if u.min(initial=np.inf) < _TINY:
-        out = np.where(u < _TINY, (arr / float(s)) / _expn_unit_norm(n), out)
-    return float(out) if arr.ndim == 0 else out
+        out = np.where(u < _TINY, (arr / s) / _expn_unit_norm(n), out)
+    return float(out) if out.ndim == 0 else out
 
 
 def expn_quantile(p, s, n):
@@ -173,7 +210,12 @@ def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     check_power(n)
     if method == "gamma":
         g = rng.standard_gamma(1.0 / n, size=int(count))
-        return float(s) * np.power(2.0 * g, 1.0 / n)
+        out = float(s) * np.power(2.0 * g, 1.0 / n)
+        if g.min() < _TINY:
+            # X given G < tiny is uniform below s (2 tiny)^(1/n) (module docstring)
+            low = np.flatnonzero(g < _TINY)
+            out[low] = float(s) * np.power(2.0 * _TINY, 1.0 / n) * rng.random(low.size)
+        return out
     if method == "inverse":
         u = rng.random(int(count))
         return expn_quantile(u, s, n)

@@ -9,6 +9,14 @@ A derivative-free bracketed search is used deliberately: likelihood
 surfaces for this family are nearly flat, which defeats gradient
 methods, while the area statistic stays well behaved.
 
+One search runs B rows in lockstep, a row being one power fitted to
+one sample (``curve`` fits nine powers of one sample).  The pre-scan is
+one objective evaluation over all rows and grid points, and each
+golden-section step is one evaluation over the rows whose bracket is
+still wider than the tolerance.  Every row takes the same steps, in the
+same floating-point order, as a search of its own would, so
+``fit_expn`` is the B = 1 case of ``fit_expn_many``.
+
 The reported ``s_hat`` lives on the mean-scaled axis (invariant under
 rescaling all losses); ``s_hat_raw`` maps it back to loss units.
 """
@@ -22,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import SeverityModel, check_power, expn_cdf, expn_params
-from .tna import TnaResult, _area_and_crossings, empirical_from_losses, tna_test
+from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses, tna_test
 
-__all__ = ["FitConfig", "FitResult", "scale_losses", "fit_exp4", "fit_expn"]
+__all__ = ["FitConfig", "FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
@@ -86,86 +94,114 @@ def scale_losses(losses) -> tuple[np.ndarray, float]:
 
 def fit_expn(losses, cfg: FitConfig = FitConfig()) -> FitResult:
     """Fit ExpN(s, cfg.n) to mean-scaled ``losses`` by minimizing the enclosed area."""
+    return _fit(losses, [cfg])[0]
+
+
+def fit_expn_many(losses, cfgs) -> list[FitResult]:
+    """``fit_expn(losses, cfg)`` for each of ``cfgs``, in one lockstep search.
+
+    The configs may differ only in the power ``n``.
+    """
+    return _fit(losses, list(cfgs))
+
+
+def _fit(losses, cfgs: list[FitConfig]) -> list[FitResult]:
+    if not cfgs:
+        raise ValueError("need at least one fit config")
+    cfg = cfgs[0]
+    if any((c.s_lo, c.s_hi, c.tol) != (cfg.s_lo, cfg.s_hi, cfg.tol) for c in cfgs):
+        raise ValueError("fit configs in one search must share s_lo, s_hi and tol")
     scaled, mean = scale_losses(losses)
     if scaled.size < 2:
         raise ValueError("need at least 2 losses to fit")
     emp = empirical_from_losses(scaled)
-    n = int(cfg.n)
+    powers = np.array([int(c.n) for c in cfgs])
+    s_hats, evaluations = _search(emp.x, emp.y, powers, cfg)
 
-    evaluations = 0
-
-    def objective(s: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        if evaluations > _MAX_EVALUATIONS:
-            raise RuntimeError(
-                f"scale search exceeded {_MAX_EVALUATIONS} objective evaluations"
+    results = []
+    for s_hat, n, count in zip(s_hats.tolist(), powers.tolist(), evaluations.tolist()):
+        at_boundary = (s_hat - cfg.s_lo) <= cfg.tol or (cfg.s_hi - s_hat) <= cfg.tol
+        if at_boundary:
+            warnings.warn(
+                f"fitted scale {s_hat:.6g} sits at the search boundary "
+                f"[{cfg.s_lo}, {cfg.s_hi}]; no interior minimum found",
+                RuntimeWarning,
+                stacklevel=3,
             )
-        points = np.column_stack((expn_cdf(emp.x, s, n), emp.y))
-        return _area_and_crossings(points)[0]
+        result_tna = tna_test(scaled, SeverityModel(params=expn_params(s_hat, n), scaling_mean=1.0))
+        results.append(FitResult(
+            s_hat=s_hat,
+            scaling_mean=mean,
+            n=n,
+            tna=result_tna,
+            evaluations=count,
+            converged=True,
+            at_boundary=at_boundary,
+        ))
+    return results
 
-    best_s, best_f = None, math.inf
 
-    def record(s: float, f: float):
-        nonlocal best_s, best_f
-        if f < best_f:
-            best_s, best_f = s, f
+def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
+    """Pre-scan and golden-section search of the area over s, one row per power.
 
+    ``x`` holds sorted mean-scaled losses, shape (m,) for a sample shared
+    by every row or (rows, m) for a sample per row, and ``y`` the plotting
+    positions.  Returns the best scale and the evaluation count per row.
+    """
+    size = len(powers)
+    evaluations = np.zeros(size, dtype=np.int64)
+
+    def areas(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Areas at scales ``s``, shape (len(rows), k), of the given rows."""
+        evaluations[rows] += s.shape[1]
+        if evaluations[rows].max() > _MAX_EVALUATIONS:
+            raise RuntimeError(f"scale search exceeded {_MAX_EVALUATIONS} objective evaluations")
+        X = expn_cdf(x if x.ndim == 1 else x[rows, None], s[:, :, None], powers[rows, None, None])
+        return _checked_polyline_areas(X, y)[0]
+
+    def record(s, f, best_s, best_f):
+        better = f < best_f
+        return np.where(better, s, best_s), np.where(better, f, best_f)
+
+    rows = np.arange(size)
     grid = np.geomspace(cfg.s_lo, cfg.s_hi, _GRID_POINTS)
-    grid_vals = []
-    for s in grid:
-        f = objective(float(s))
-        grid_vals.append(f)
-        record(float(s), f)
-    k = int(np.argmin(grid_vals))
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, _GRID_POINTS - 1)])
+    grid_vals = areas(rows, np.broadcast_to(grid, (size, _GRID_POINTS)))
+    k = np.argmin(grid_vals, axis=1)
+    best_s, best_f = grid[k], grid_vals[rows, k]
+    a = grid[np.maximum(k - 1, 0)]
+    b = grid[np.minimum(k + 1, _GRID_POINTS - 1)]
 
-    # golden-section refinement inside the pre-scan bracket
+    # golden-section refinement inside the pre-scan bracket; a row leaves the
+    # loop, with its bracket and best point, once the bracket is within tol
     h = b - a
     c = b - _INVPHI * h
     d = a + _INVPHI * h
-    fc = objective(c)
-    fd = objective(d)
-    record(c, fc)
-    record(d, fd)
-    while h > cfg.tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = b - _INVPHI * h
-            fc = objective(c)
-            record(c, fc)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = objective(d)
-            record(d, fd)
+    fc, fd = areas(rows, np.column_stack((c, d))).T
+    best_s, best_f = record(c, fc, best_s, best_f)
+    best_s, best_f = record(d, fd, best_s, best_f)
+    final = np.empty((4, size))  # a, b, best s, best area
+    while rows.size:
+        done = ~(h > cfg.tol)
+        if done.any():
+            final[:, rows[done]] = a[done], b[done], best_s[done], best_f[done]
+            rows, a, b, c, d, fc, fd, h, best_s, best_f = (
+                v[~done] for v in (rows, a, b, c, d, fc, fd, h, best_s, best_f))
+            continue
+        # fc < fd keeps [a, d] and probes a new c; otherwise keeps [c, b] and probes a new d
+        left = fc < fd
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        probe = np.where(left, b - _INVPHI * h, a + _INVPHI * h)
+        f_probe = areas(rows, probe[:, None])[:, 0]
+        c, d = np.where(left, probe, kept), np.where(left, kept, probe)
+        fc, fd = np.where(left, f_probe, f_kept), np.where(left, f_kept, f_probe)
+        best_s, best_f = record(probe, f_probe, best_s, best_f)
 
+    a, b, best_s, best_f = final
     mid = 0.5 * (a + b)
-    record(mid, objective(mid))
-    s_hat = float(best_s)
-
-    at_boundary = (s_hat - cfg.s_lo) <= cfg.tol or (cfg.s_hi - s_hat) <= cfg.tol
-    if at_boundary:
-        warnings.warn(
-            f"fitted scale {s_hat:.6g} sits at the search boundary "
-            f"[{cfg.s_lo}, {cfg.s_hi}]; no interior minimum found",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    result_tna = tna_test(scaled, SeverityModel(params=expn_params(s_hat, n), scaling_mean=1.0))
-    return FitResult(
-        s_hat=s_hat,
-        scaling_mean=mean,
-        n=n,
-        tna=result_tna,
-        evaluations=evaluations,
-        converged=True,
-        at_boundary=at_boundary,
-    )
+    best_s, _ = record(mid, areas(np.arange(size), mid[:, None])[:, 0], best_s, best_f)
+    return best_s, evaluations
 
 
 def fit_exp4(losses, cfg: FitConfig = FitConfig()) -> FitResult:

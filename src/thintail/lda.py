@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import NormalParams, SeverityModel
-from .fit import FitConfig, FitResult, fit_expn, scale_losses
+from .fit import FitConfig, FitResult, fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
 __all__ = [
@@ -348,8 +348,7 @@ def percentile_vs_n(
     freq = PoissonFreq(lam)
 
     rows: list[tuple[int, float, float]] = []
-    for n in values:
-        fr = fit_expn(arr, FitConfig(n=n))
+    for n, fr in zip(values, fit_expn_many(arr, [FitConfig(n=n) for n in values])):
         model = fr.model
         q999 = float(model.quantile(0.999))
         capital = (

@@ -108,13 +108,19 @@ def _area_and_crossings(points: np.ndarray) -> tuple[float, int]:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise ValueError("need at least 1 point of shape (n, 2)")
-    if (pts < 0.0).any() or (pts > 1.0).any() or not np.isfinite(pts).all():
-        raise ValueError("points must lie inside the unit square")
-    if (np.diff(pts[:, 0]) < 0.0).any():
-        raise ValueError("X coordinates must be nondecreasing")
-
-    area, crossings = _polyline_areas(pts[:, 0], pts[:, 1])
+    area, crossings = _checked_polyline_areas(pts[:, 0], pts[:, 1])
     return float(area), int(crossings)
+
+
+def _checked_polyline_areas(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_polyline_areas`` after checking that every point is finite and inside the
+    unit square, and that ``X`` is nondecreasing along its last axis."""
+    for coords in (X, Y):
+        if not (coords.min() >= 0.0 and coords.max() <= 1.0):  # also false for NaN
+            raise ValueError("points must lie inside the unit square")
+    if (X[..., 1:] < X[..., :-1]).any():
+        raise ValueError("X coordinates must be nondecreasing")
+    return _polyline_areas(X, Y)
 
 
 def _polyline_areas(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +135,7 @@ def _polyline_areas(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ys = np.empty_like(xs)
     ys[..., 0], ys[..., 1:-1], ys[..., -1] = 0.0, Y, 1.0
     d = ys - xs
-    w = np.diff(xs, axis=-1)
+    w = xs[..., 1:] - xs[..., :-1]
     d1, d2 = d[..., :-1], d[..., 1:]
 
     crossing = d1 * d2 < 0.0

@@ -10,6 +10,7 @@ under test.
 
 import hashlib
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -244,6 +245,41 @@ class TestExpN:
             assert vec.shape == ps.shape
             assert [tt.expn_quantile(float(p), 3.0, n) for p in ps] == list(vec)
 
+    def test_cdf_broadcasts_scales_and_powers_like_scalar_calls(self):
+        # x down to the linear lower-tail branch at n = 100 (below about 8e-4 s)
+        xs = np.r_[0.0, 1e-6, 4e-4, np.linspace(0.01, 3.0, 150), 40.0]
+        ss = np.array([0.05, 0.9, 1.7, 10.0])
+        ns = np.array([1, 2, 3, 4, 12, 100])
+        got = tt.expn_cdf(xs, ss[:, None, None], ns[:, None])
+        assert got.shape == (4, 6, 154)
+        want = [[[tt.expn_cdf(float(x), float(s), int(n)) for x in xs] for n in ns] for s in ss]
+        assert got.tolist() == want
+        assert (got[:, -1, 1:3] > 0.0).all()  # the lower-tail branch was taken
+        assert tt.expn_cdf(0.7, ss, 4).tolist() == [tt.expn_cdf(0.7, float(s), 4) for s in ss]
+
+    @pytest.mark.parametrize("ss, ns, scalar_s, scalar_n", [
+        ([1.0, -2.0, 0.0], [4, 6, 8], -2.0, 4),
+        ([1.0, np.nan, 2.0], [4, 6, 8], np.nan, 4),
+        ([1.0, 2.0, 3.0], [4, 0, 8], 1.0, np.int64(0)),
+        ([1.0, 2.0, 3.0], [4.0, 6.5, 8.0], 1.0, np.float64(4.0)),
+    ])
+    def test_cdf_array_with_bad_entry_raises_scalar_message(self, ss, ns, scalar_s, scalar_n):
+        with pytest.raises(ValueError) as scalar:
+            tt.expn_cdf(0.5, scalar_s, scalar_n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            tt.expn_cdf(0.5, np.array(ss), np.array(ns))
+
+    def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
+        # At n = 100, G ~ Gamma(1/100) falls below the smallest normal double for
+        # about 8e-4 of draws, where X < 8.4e-4 s; numpy returns many of them as 0.
+        s, k = 2.0, 2_000_000
+        draws = tt.expn_sample(k, s, 100, np.random.default_rng(20))
+        assert (draws > 0.0).all()
+        for r in (2e-4, 5e-4, 1e-3):
+            p = tt.expn_cdf(r * s, s, 100)
+            band = 5.0 * math.sqrt(k * p * (1.0 - p))
+            assert abs(np.count_nonzero(draws < r * s) - k * p) < band
+
     def test_scale_family_exact(self):
         xs = np.linspace(0.0, 8.0, 100)
         for n in (1, 4, 12):
@@ -419,7 +455,8 @@ FAMILY_RECORDS = {
 # little-endian float64, for k = 1, 7, 4096, frozen from the per-family sampler as it
 # stood before the families got their own methods.  They pin each family's draws and
 # RNG call order (the truncated Normal resamples at k = 4096), on which capital being
-# bit-identical across releases rests.
+# bit-identical across releases rests.  expn100 at k = 4096 was frozen again when draws
+# with G below the smallest normal double got the linear lower tail: 3 of its draws.
 FAMILY_DRAWS_SHA256 = {
     "exp4": ("9cb1e4f64a12f876dacef4b76d50418d06bb896d169becb5b55d76b8ab1d04ce",
              "0a2e6a12d694a57499a8bf76ae5ac10db4770cef875315d7e0cda90e9c05f3fb",
@@ -429,7 +466,7 @@ FAMILY_DRAWS_SHA256 = {
               "0fa7d55b3482f4f3c6f7c2cdc99f66b752a801ef626f3e65cba1f1278c0dc16a"),
     "expn100": ("487acf57d40c4b67942b3391a20d721db9c0dd046440c4756cf733c0aaa61ff8",
                 "4ddfe3d93c924239e08563e86d319a76a5ec393edb483f590ae03b3415c1a521",
-                "905640364fe9fb281eae3d6d5d8d8b891f65638a8639212a9605193b620aca98"),
+                "f863c5adc9d519d3e4af312e46af46e607680db9c6cea06ef9c170bd22d72797"),
     "normal": ("ca89f7157e8d87fa314f4da271eb2dc9c2d959c59c00b6bc7ac6538a13abe523",
                "df7c29a060cf52cf655bfa26cf1adc33ef8d3dd3f5ab01c3f39061934d74a4b5",
                "7f5dec4454350a69aadb5104f1188e478a4ed2da48ab978ff827b9e9bb1aec2e"),

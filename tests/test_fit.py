@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thintail as tt
+from thintail import fit
 from thintail.dist import expn_cdf
 from thintail.tna import _area_and_crossings
 
@@ -208,3 +211,46 @@ class TestPinnedFits:
     def test_evaluation_limit_raises(self):
         with pytest.raises(RuntimeError, match="exceeded 500 objective evaluations"):
             tt.fit_expn(_pinned_losses("seeded30"), tt.FitConfig(tol=1e-300))
+
+
+class TestLockstepSearch:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(2, 40),
+        powers=st.lists(st.integers(1, 8) | st.integers(9, 120), min_size=1, max_size=6),
+        tol=st.sampled_from([1e-5, 1e-3, 0.1]),
+    )
+    @example(seed=0, size=30, powers=[2, 4, 100], tol=1e-5)
+    @settings(max_examples=40, deadline=None)
+    def test_each_row_equals_its_own_fit(self, seed, size, powers, tol):
+        rng = np.random.default_rng(seed)
+        losses = np.round(rng.lognormal(0.0, 1.0, size), int(rng.integers(0, 4))) + 0.01
+        cfgs = [tt.FitConfig(tol=tol, n=n) for n in powers]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert tt.fit_expn_many(losses, cfgs) == [tt.fit_expn(losses, cfg) for cfg in cfgs]
+
+    def test_rows_may_hold_their_own_samples(self):
+        rng = np.random.default_rng(5)
+        samples = [tt.exp4_sample(25, s, rng) for s in (0.5, 1.0, 3.0)]
+        scaled = [tt.scale_losses(x)[0] for x in samples]
+        emps = [tt.empirical_from_losses(x) for x in scaled]
+        powers = np.array([4, 8, 100])
+        s_hats, evaluations = fit._search(np.stack([e.x for e in emps]), emps[0].y, powers, tt.FitConfig())
+        singles = [tt.fit_expn(x, tt.FitConfig(n=int(n))) for x, n in zip(samples, powers)]
+        assert s_hats.tolist() == [fr.s_hat for fr in singles]
+        assert evaluations.tolist() == [fr.evaluations for fr in singles]
+
+    def test_one_boundary_row_warns_for_itself_only(self):
+        losses = quantile_matched(20, 1.0)
+        cfgs = [tt.FitConfig(s_lo=0.05, s_hi=1.0, n=n) for n in (1, 4)]
+        with pytest.warns(RuntimeWarning, match="search boundary") as caught:
+            results = tt.fit_expn_many(losses, cfgs)
+        assert [fr.at_boundary for fr in results] == [False, True]
+        assert len(caught) == 1
+
+    def test_configs_must_share_the_bracket(self):
+        with pytest.raises(ValueError, match="share"):
+            tt.fit_expn_many([1.0, 2.0], [tt.FitConfig(n=4), tt.FitConfig(s_hi=5.0, n=6)])
+        with pytest.raises(ValueError, match="at least one"):
+            tt.fit_expn_many([1.0, 2.0], [])
