@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="99.9th percentile of fitted ExpN vs power")
     add_common(p_curve)
     add_sim(p_curve)
-    p_curve.add_argument("--powers", type=_powers_arg, default="4..20",
+    p_curve.add_argument("--powers", type=_powers_arg, default="4,6,8,10,12,14,16,18,20",
                          help="range '4..20' or comma list of even powers")
     p_curve.add_argument("--with-capital", action="store_true",
                          help="add a simulated capital column")

@@ -314,11 +314,13 @@ class NormalParams(SeverityParams):
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = rng.normal(self.mu, self.sigma, size=count)
+        neg = np.flatnonzero(out < 0.0)
         for _ in range(10_000):
-            neg = out < 0.0
-            if not neg.any():
+            if neg.size == 0:
                 return out
-            out[neg] = rng.normal(self.mu, self.sigma, size=int(neg.sum()))
+            redraw = rng.normal(self.mu, self.sigma, size=neg.size)
+            out[neg] = redraw
+            neg = neg[redraw < 0.0]
         raise RuntimeError("truncated-Normal resampling failed to terminate; mu is far below 0")
 
 

@@ -7,10 +7,11 @@ capital is the percentile of the simulated annual losses, estimated by
 linear interpolation between order statistics.
 
 Reproducibility contract: trials are partitioned into fixed-size
-chunks, each driven by its own counter-based Philox stream derived
-from (seed, chunk index).  The annual-loss array therefore depends
-only on (seed, trials) — never on the worker count or scheduling — and
-the capital is bit-identical for 1 or many workers.
+chunks, each driven by its own SFC64 stream seeded from
+``SeedSequence(seed, spawn_key=(chunk,))``, numpy's independent
+parallel streams.  The annual-loss array therefore depends only on
+(seed, trials) — never on the worker count or scheduling — and the
+capital is bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 ``batch`` consecutive blocks, the percentile is taken per block, and
@@ -124,7 +125,7 @@ class LdaConfig:
             raise ValueError(f"percentile must lie in (0, 1), got {self.percentile}")
         if self.batch < 2:
             raise ValueError(f"batch must be >= 2, got {self.batch}")
-        if not 0 <= self.seed < 2**128:  # the Philox key range
+        if not 0 <= self.seed < 2**128:  # the seed range the CLI documents
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
@@ -151,8 +152,8 @@ def annual_frequency(loss_count: int, years: float) -> float:
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    # each chunk owns a disjoint 2^128 slice of the Philox counter space
-    return np.random.Generator(np.random.Philox(key=seed, counter=chunk << 128))
+    # spawn key (chunk,) gives each chunk the stream SeedSequence.spawn would hand it
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 def _simulate_chunk(severity: SeverityModel, freq, seed: int, chunk: int, size: int) -> np.ndarray:

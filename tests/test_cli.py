@@ -210,6 +210,16 @@ class TestCurveCommand:
         qs = [float(r[1]) for r in rows[1:]]
         assert qs[0] > qs[1] > qs[2]
 
+    def test_default_powers_are_even_and_silent(self, pre_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--out-dir", out])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "curve_data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [int(r[0]) for r in rows[1:]] == list(range(4, 21, 2))
+
     def test_odd_powers_skipped_with_warning(self, pre_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",

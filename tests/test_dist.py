@@ -382,6 +382,22 @@ class TestBaselines:
         draws = params.sample(10_000, np.random.default_rng(7))
         assert (draws >= 0.0).all()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 7, 4096, 100_000])
+    def test_normal_redraw_matches_full_mask_loop(self, k, seed):
+        # about 46% of first draws are negative at mu = 0.1, so the redraw runs many rounds
+        params = tt.NormalParams(mu=0.1, sigma=1.0)
+        rng = np.random.default_rng(seed)
+        expected = rng.normal(params.mu, params.sigma, size=k)
+        while (neg := expected < 0.0).any():
+            expected[neg] = rng.normal(params.mu, params.sigma, size=int(neg.sum()))
+        draws = params.sample(k, np.random.default_rng(seed))
+        assert draws.tobytes() == expected.tobytes()
+
+    def test_normal_sampling_far_below_zero_raises(self):
+        with pytest.raises(RuntimeError, match="mu is far below 0"):
+            tt.NormalParams(mu=-50.0, sigma=1.0).sample(1, np.random.default_rng(0))
+
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
             tt.NormalParams(mu=0.0, sigma=0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thintail as tt
-from thintail.lda import parse_model_spec
+from thintail.lda import _chunk_rng, parse_model_spec
 
 
 def poisson_quantile_by_summation(lam: float, p: float) -> int:
@@ -89,6 +89,33 @@ class TestLdaConfig:
         sev = tt.SeverityModel(tt.Exp4Params(1.0))
         for seed in (0, 2**128 - 1):
             assert tt.run_lda(sev, tt.PoissonFreq(2.0), tt.LdaConfig(trials=1_000, seed=seed)).seed == seed
+
+
+class TestChunkStreams:
+    def test_first_draws_distinct_across_chunks_and_seeds(self):
+        firsts = [
+            _chunk_rng(seed, chunk).random()
+            for seed in (0, 1, 2, 2**128 - 1)
+            for chunk in range(6)
+        ]
+        assert len(set(firsts)) == len(firsts)
+
+
+# 99.9% quantiles of a Poisson(lam) sum of ExpN(0.9, n) severities, computed once with
+# bench/workloads.py: compound_poisson_quantile(lam, 0.9, n, 0.999, points=2**18).
+FFT_CAPITAL = {
+    (4, 6.0): 8.990882756979868,
+    (4, 60.0): 47.492897830007365,
+    (100, 6.0): 7.522581303123858,
+    (100, 60.0): 40.4258063600955,
+}
+
+
+@pytest.mark.parametrize("power, lam", list(FFT_CAPITAL))
+def test_capital_agrees_with_fft_compound_quantile(power, lam):
+    sev = tt.SeverityModel(tt.ExpNParams(0.9, power))
+    res = tt.run_lda(sev, tt.PoissonFreq(lam), tt.LdaConfig(trials=200_000, seed=7))
+    assert abs(res.capital - FFT_CAPITAL[power, lam]) <= 5.0 * res.stderr_estimate
 
 
 class TestRunLda:
