@@ -27,14 +27,18 @@ is linear to double precision, F(x) = x f(0) (1 - x^n/(2 s^n)/(n+1)
 + ...), so the CDF returns x f(0) and the quantile p / f(0).
 
 Two interchangeable samplers are provided for the power-exponential
-family: the default draws G ~ Gamma(shape=1/n, scale=1) and returns
-s * (2 G)^(1/n) (a change of variables shows this has the CDF above;
-numpy's ``standard_gamma`` is exact for shape < 1), while ``"inverse"``
-pushes uniforms through the quantile function.  A gamma draw below the
-smallest normal double has lost its digits (at n = 100 some are exactly
-0); X given such a G is uniform on the linear stretch [0, s (2 tiny)^(1/n))
-of the CDF, so it is redrawn as such from uniforms that follow the gamma
-block, and only when one occurs.
+family.  The default is X = s * (2 G)^(1/n) with G ~ Gamma(1/n, 1) (a
+change of variables shows this has the CDF above).  G is drawn as
+G1 * U^n with G1 ~ Gamma(1 + 1/n, 1) and U ~ Uniform[0, 1) independent
+(Stuart, Biometrika 1962), so X = s * (2 G1)^(1/n) * U:
+- numpy draws a gamma of shape >= 1 by Marsaglia-Tsang, about one normal
+  and one uniform per draw, where shape < 1 takes a slower rejection loop;
+- U carries the far lower tail at the resolution of a uniform double,
+  where a Gamma(1/n) draw would fall below the smallest normal double
+  and lose its digits (at n = 100 some would be exactly 0).
+The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then one
+``random(count)`` block.  ``"inverse"`` pushes uniforms through the
+quantile function.
 
 Distribution parameter objects are immutable.  Sampling takes an
 explicit ``numpy.random.Generator``; callers own their streams, and
@@ -201,7 +205,8 @@ def expn_quantile(p, s, n):
 def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     """Draw ``count`` ExpN(s, n) variates from ``rng``.
 
-    method "gamma": s * (2 G)^(1/n) with G ~ Gamma(1/n, 1).
+    method "gamma": s * (2 G1)^(1/n) * U with G1 ~ Gamma(1 + 1/n, 1), drawn
+    first as one block, and U ~ Uniform[0, 1), drawn second.
     method "inverse": quantile function applied to uniforms.
     """
     if count < 1:
@@ -209,12 +214,12 @@ def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     _require_positive("s", s)
     check_power(n)
     if method == "gamma":
-        g = rng.standard_gamma(1.0 / n, size=int(count))
-        out = float(s) * np.power(2.0 * g, 1.0 / n)
-        if g.min() < _TINY:
-            # X given G < tiny is uniform below s (2 tiny)^(1/n) (module docstring)
-            low = np.flatnonzero(g < _TINY)
-            out[low] = float(s) * np.power(2.0 * _TINY, 1.0 / n) * rng.random(low.size)
+        out = rng.standard_gamma(1.0 + 1.0 / n, size=int(count))
+        u = rng.random(int(count))
+        out *= 2.0
+        np.power(out, 1.0 / n, out=out)
+        out *= u
+        out *= float(s)
         return out
     if method == "inverse":
         u = rng.random(int(count))
@@ -495,4 +500,6 @@ class SeverityModel:
             raise ValueError("count must be >= 0")
         if count == 0:
             return np.empty(0, dtype=float)
-        return self.scaling_mean * self.params.sample(count, rng)
+        out = self.params.sample(count, rng)
+        out *= self.scaling_mean
+        return out

@@ -61,7 +61,10 @@ class FitResult:
     """Estimated scale with goodness-of-fit and search diagnostics.
 
     ``s_hat`` is the scale on the mean-scaled axis; multiply by
-    ``scaling_mean`` (property ``s_hat_raw``) for loss units.
+    ``scaling_mean`` (property ``s_hat_raw``) for loss units.  The search
+    stops only once its bracket is narrower than ``tol``, so ``converged``
+    is false exactly when ``s_hat`` lies within ``tol`` of an end of the
+    search bracket (``at_boundary``): no interior minimum was found.
     """
 
     s_hat: float
@@ -135,7 +138,7 @@ def _fit(losses, cfgs: list[FitConfig]) -> list[FitResult]:
             n=n,
             tna=result_tna,
             evaluations=count,
-            converged=True,
+            converged=not at_boundary,
             at_boundary=at_boundary,
         ))
     return results

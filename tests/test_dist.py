@@ -270,8 +270,9 @@ class TestExpN:
             tt.expn_cdf(0.5, np.array(ss), np.array(ns))
 
     def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
-        # At n = 100, G ~ Gamma(1/100) falls below the smallest normal double for
-        # about 8e-4 of draws, where X < 8.4e-4 s; numpy returns many of them as 0.
+        # At n = 100, X < 8.4e-4 s for about 8e-4 of draws, where G ~ Gamma(1/100) would
+        # fall below the smallest normal double (a direct Gamma(1/100) draw returns many
+        # of them as 0).  The uniform factor U of s (2 G1)^(1/n) U carries this tail.
         s, k = 2.0, 2_000_000
         draws = tt.expn_sample(k, s, 100, np.random.default_rng(20))
         assert (draws > 0.0).all()
@@ -279,6 +280,21 @@ class TestExpN:
             p = tt.expn_cdf(r * s, s, 100)
             band = 5.0 * math.sqrt(k * p * (1.0 - p))
             assert abs(np.count_nonzero(draws < r * s) - k * p) < band
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 20, 100])
+    def test_gamma_sampler_ks(self, n):
+        k, s = 200_000, 1.7
+        draws = np.sort(tt.expn_sample(k, s, n, np.random.default_rng(n)))
+        assert draws[0] > 0.0
+        cdf_vals = tt.expn_cdf(draws, s, n)
+        d_plus = (np.arange(1, k + 1) / k - cdf_vals).max()
+        d_minus = (cdf_vals - np.arange(0, k) / k).max()
+        assert max(d_plus, d_minus) < 1.63 / math.sqrt(k)  # 1% asymptotic KS
+
+    def test_gamma_sampler_scale_family_exact(self):
+        a = tt.expn_sample(1000, 1.0, 100, np.random.default_rng(9))
+        b = tt.expn_sample(1000, 2.0, 100, np.random.default_rng(9))
+        assert np.array_equal(2.0 * a, b)
 
     def test_scale_family_exact(self):
         xs = np.linspace(0.0, 8.0, 100)
@@ -471,18 +487,18 @@ FAMILY_RECORDS = {
 # little-endian float64, for k = 1, 7, 4096, frozen from the per-family sampler as it
 # stood before the families got their own methods.  They pin each family's draws and
 # RNG call order (the truncated Normal resamples at k = 4096), on which capital being
-# bit-identical across releases rests.  expn100 at k = 4096 was frozen again when draws
-# with G below the smallest normal double got the linear lower tail: 3 of its draws.
+# bit-identical across releases rests.  exp4, expn1 and expn100 were frozen again when
+# the ExpN sampler moved to s (2 G1)^(1/n) U with G1 ~ Gamma(1 + 1/n).
 FAMILY_DRAWS_SHA256 = {
-    "exp4": ("9cb1e4f64a12f876dacef4b76d50418d06bb896d169becb5b55d76b8ab1d04ce",
-             "0a2e6a12d694a57499a8bf76ae5ac10db4770cef875315d7e0cda90e9c05f3fb",
-             "bbc92654f6062c0a3876cbd85fd87fd7fa90eeee6e03b3216418831232fb6511"),
-    "expn1": ("818e3357009466196340140634ef9c1a762faea4d822e2ed7df886dcbde8d6dc",
-              "ff2f5e4e15ad15778ce56bae982cf82a6f2f1e487b6b974017e16e86c308a8ca",
-              "0fa7d55b3482f4f3c6f7c2cdc99f66b752a801ef626f3e65cba1f1278c0dc16a"),
-    "expn100": ("487acf57d40c4b67942b3391a20d721db9c0dd046440c4756cf733c0aaa61ff8",
-                "4ddfe3d93c924239e08563e86d319a76a5ec393edb483f590ae03b3415c1a521",
-                "f863c5adc9d519d3e4af312e46af46e607680db9c6cea06ef9c170bd22d72797"),
+    "exp4": ("4d71693ef849990becb34762b73c0ddaea64a1d598a10e572b2a9d1008c3e1f8",
+             "de50a8f4dd01dafa34acc4b378c26d1b48715f8257501ae73c3b3041a62994ed",
+             "995479c56832d605fb8739c5ee9a517537bd8d584df7b75788b7aabd5fd9add9"),
+    "expn1": ("6e427aa4bb9b3f0bf2763524399d05b6e7f5b1773dcd9b94e1c3a3e1ba9ffa37",
+              "df5d27a625457b18849b3177e11246953043d57aba79cfb09f3056e55a789080",
+              "27b7c5a68772f8332844c11e3c4c602aa7e47da1140d9594b56f8e10e9011cb1"),
+    "expn100": ("8eac37f8cd12672c7036934c34fcef1efa5d89a5ad6d315fc1f3a32612ffd737",
+                "ee039c2ededa47cb7590bfc2dfed63bed8b252040f4b36467e0f2d4b83a5ff5b",
+                "3d7ee64b5161d853293af2b3a954c715d5eed4a8d53024a9ab87df4e2d77046f"),
     "normal": ("ca89f7157e8d87fa314f4da271eb2dc9c2d959c59c00b6bc7ac6538a13abe523",
                "df7c29a060cf52cf655bfa26cf1adc33ef8d3dd3f5ab01c3f39061934d74a4b5",
                "7f5dec4454350a69aadb5104f1188e478a4ed2da48ab978ff827b9e9bb1aec2e"),

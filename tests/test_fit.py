@@ -229,6 +229,14 @@ class TestPinnedFits:
         got = (repr(fr.s_hat), fr.evaluations, repr(fr.tna.area), fr.tna.crossings, fr.at_boundary)
         assert got == PINNED_FITS[key]
 
+    @pytest.mark.parametrize("name, bracket, converged", [("seeded30", (), True), ("boundary", (0.05, 0.2), False)])
+    def test_converged_means_an_interior_minimum(self, name, bracket, converged):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fr = tt.fit_expn(_pinned_losses(name), tt.FitConfig(*bracket, n=4))
+        assert fr.converged is converged
+        assert fr.at_boundary is not converged
+
     def test_evaluation_limit_raises(self):
         with pytest.raises(RuntimeError, match="exceeded 500 objective evaluations"):
             tt.fit_expn(_pinned_losses("seeded30"), tt.FitConfig(tol=1e-300))
