@@ -341,6 +341,85 @@ class TestManifests:
         assert len(rows) == 2 and len(rows[0]) == len(rows[1])
 
 
+# Every command's report, table or density file (SHA-256) and exact stdout on both fixtures,
+# with the output directory printed as <out>.  Any change to a figure, a format or a
+# summary line moves one of these.
+PINNED_ARGS = {
+    "fit": ([], "fit_report.json"),
+    "gof": (["--scale", "1.7"], "gof_report.json"),
+    "capital": (["--trials", "2000", "--seed", "7"], "capital_report.json"),
+    "compare": (["--trials", "2000", "--seed", "7"], "compare_table.csv"),
+    "curve": (["--with-capital", "--powers", "4,8", "--trials", "2000", "--seed", "7"], "curve_data.csv"),
+    "density": ([], "density_data.csv"),
+}
+PINNED_MODES = {"pre_file": ["--mode", "pre", "--span-years", "5"], "event_file": ["--mode", "event"]}
+PINNED_OUTPUTS = {
+    ("pre_file", "fit"): (
+        "27e5b0c401244d2a899ac7a4bf907cb5c385bac5392d4f17c99084ad617dc71e",
+        'fit [losses] power=4: s_hat=1.72351 (raw 80.0001 mEUR), scaling_mean=46.4169, area=0.0000, attained=0.0000\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
+    ),
+    ("pre_file", "gof"): (
+        "5a62146ab1b4b20980215da02c9ba0132d1f4b2a16e962285f67ad6625be81ac",
+        'gof [losses] power=4 scale=1.7: area=0.0052, attained=0.0019\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
+    ),
+    ("pre_file", "capital"): (
+        "9bc4756a7e824c1642ffa834745fc6077175b446905d76b4f1419cda8e1a296f",
+        'capital [losses]: count=30 sum=1392.5 capital=826.6 tna=0.000 (lambda=6, trials=2000, converged=False)\n',
+    ),
+    ("pre_file", "compare"): (
+        "1da39af7bcbffff86fe575b0f51c913ae764e29cfe6e2043e3ca3c5db6c47000",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nlosses,30,1392.5055381354548,826.6300383673253,2.414762976462164e-07,840.2512914561119,719.4653161815455\n',
+    ),
+    ("pre_file", "curve"): (
+        "afc3601d301cd2c50b3d089cac95f1f754e12df80f05b103ff6dade236b4ea94",
+        'n=  4 q999=137.6031 capital=826.63\nn=  8 q999=109.8408 capital=776.17\n',
+    ),
+    ("pre_file", "density"): (
+        "15b082888ed3b898441c2310f86d4ecb2c9681132f0c056939ec262437812a8e",
+        'density [losses]: wrote 201 grid rows to <out>/density_data.csv\n',
+    ),
+    ("event_file", "fit"): (
+        "aae7870928ed1bcd9426586633fcbbedf2cccaa9f47a2c26c7a1d631104a29a0",
+        'fit [events] power=4: s_hat=1.58084 (raw 78.5994 mEUR), scaling_mean=49.7201, area=0.1008, attained=0.0376\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
+    ),
+    ("event_file", "gof"): (
+        "572404f5781dfd9b0a15b2ed8e60d624f49bb904cea39e052956e9901e295e81",
+        'gof [events] power=4 scale=1.7: area=0.1039, attained=0.0389\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
+    ),
+    ("event_file", "capital"): (
+        "9a949d2809fd2b2ada364d385c43a8b5552156e1f5817e9f0e0e2700294529a1",
+        'capital [events]: count=12 sum=596.6 capital=497.9 tna=0.101 (lambda=2.49, trials=2000, converged=False)\n',
+    ),
+    ("event_file", "compare"): (
+        "464a93f8da5b0c348e8af06ded46944a906cdaf79c2f296538ab1759a7b7e7b1",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nevents,12,596.6413,497.92911067568656,0.10079530399721998,455.1296026349199,491.46255964318476\n',
+    ),
+    ("event_file", "curve"): (
+        "40de6d171ae82fe98cd089444ad6b02f87ad69b2c5f53ddf47913fb08cadfe99",
+        'n=  4 q999=135.1940 capital=497.93\nn=  8 q999=109.3865 capital=429.51\n',
+    ),
+    ("event_file", "density"): (
+        "f9d1d3c8b8f49f8cbc53fb0e24c01e2b260da3f285e38dced94a17fb316ad3b1",
+        'density [events]: wrote 201 grid rows to <out>/density_data.csv\n',
+    ),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("fixture,command", list(PINNED_OUTPUTS))
+    def test_output_digest_and_stdout(self, fixture, command, request, tmp_path, capsys):
+        extra, report = PINNED_ARGS[command]
+        out = tmp_path / "out"
+        code = run([command, "--input", request.getfixturevalue(fixture), *PINNED_MODES[fixture],
+                    "--out-dir", out, *extra])
+        assert code == 0
+        captured = capsys.readouterr()
+        digest, stdout = PINNED_OUTPUTS[fixture, command]
+        assert captured.out.replace(str(out), "<out>") == stdout
+        assert captured.err == ""
+        assert hashlib.sha256((out / report).read_bytes()).hexdigest() == digest
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
