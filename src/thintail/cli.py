@@ -1,11 +1,17 @@
 """Command-line front end: fit, gof, capital, compare, curve, density.
 
-Every command writes a machine-readable result (JSON for reports, CSV
-for tables and plot data) plus a run manifest recording the command,
-inputs and the input file's SHA-256, configuration, tool, Python, numpy
-and scipy versions, and timestamp, so any output can be reproduced from
-its manifest.  Reports themselves carry no timestamps: identical inputs
-and flags give byte-identical files.
+Each command is one entry of ``_COMMANDS``: a compute function that
+loads the losses, does the command's work and returns the output file
+name, a JSON payload (reports) or CSV rows (tables and plot data), and
+the summary lines.  ``_run`` does the rest for every command: it creates
+``--out-dir`` only once the compute function has succeeded, so a failed
+command leaves no directory behind; writes the payload or rows; writes
+the run manifest; and prints the lines.
+
+The manifest records the command, inputs and the input file's SHA-256,
+configuration, tool, Python, numpy and scipy versions, and timestamp,
+so any output can be reproduced from it.  Reports themselves carry no
+timestamps: identical inputs and flags give byte-identical files.
 
 No plotting happens here; ``curve`` and ``density`` emit plot-ready
 CSV for external tools.  THINTAIL_THREADS caps simulation workers.
@@ -20,6 +26,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,7 +55,7 @@ from .lda import (
     percentile_vs_n,
     run_lda,
 )
-from .tna import DEFAULT_LEVELS, decisions_for_area, invert_significance, tna_test
+from .tna import TnaResult, invert_significance, tna_test
 
 _MODES = ("pre", "event", "period:month", "period:quarter", "period:year")
 
@@ -64,6 +71,23 @@ def _model_arg(value: str) -> tuple[str, int | None]:
         return parse_model_spec(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _density_model_arg(value: str) -> tuple[str, int | None]:
+    spec = _model_arg(value)
+    if spec[0] == "normal":
+        raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
+    return spec
+
+
+def _grid_points_arg(value: str) -> int:
+    try:
+        points = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if points < 2:  # the grid spans [0, 1.2 * max scaled loss]
+        raise argparse.ArgumentTypeError(f"grid points must be >= 2, got {points}")
+    return points
 
 
 def _models_arg(value: str) -> list[tuple[str, int | None]]:
@@ -171,9 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="fitted vs empirical density overlay data")
     add_common(p_den)
-    p_den.add_argument("--model", type=_model_arg, default=("exp4", None),
+    p_den.add_argument("--model", type=_density_model_arg, default=("exp4", None),
                        help="exp4 or expn:<power>")
-    p_den.add_argument("--grid-points", type=int, default=201)
+    p_den.add_argument("--grid-points", type=_grid_points_arg, default=201,
+                       help="grid size, at least 2")
 
     return parser
 
@@ -184,30 +209,24 @@ def _load_losses(args) -> AggregatedLossSet:
     if args.mode == "pre":
         if args.span_years is None:
             raise ValueError("--mode pre requires --span-years")
-        amounts = parse_pre_aggregated(path)
-        return AggregatedLossSet(
-            losses=tuple(amounts),
-            span_years=float(args.span_years),
-            label=label,
-            aggregation_mode="pre-aggregated",
-        )
+        losses = tuple(parse_pre_aggregated(path))
+        return AggregatedLossSet(losses, float(args.span_years), label, "pre-aggregated")
     table = parse_csv(path, permissive=args.permissive)
     loss_set = aggregate(table, mode=args.mode, label=label)
     if args.span_years is not None:
-        loss_set = AggregatedLossSet(
-            losses=loss_set.losses,
-            span_years=float(args.span_years),
-            label=label,
-            aggregation_mode=loss_set.aggregation_mode,
-        )
+        loss_set = replace(loss_set, span_years=float(args.span_years))
     return loss_set
 
 
 def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_csv(path: Path, rows: list[list]):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def _sha256(path: Path) -> str:
@@ -219,12 +238,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, argv: list[str], command: str, out_dir: Path):
-    config = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in {"command"} and not key.startswith("_")
-    }
+def _write_manifest(args, argv: list[str], out_dir: Path):
     manifest = {
         "schema_version": 1,
         "tool": "thintail",
@@ -232,30 +246,34 @@ def _write_manifest(args, argv: list[str], command: str, out_dir: Path):
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "command": command,
+        "command": args.command,
         "inputs": [str(Path(args.input).resolve())],
         "input_sha256": _sha256(Path(args.input)),
-        "config": {k: _jsonable(v) for k, v in config.items()},
+        "config": {key: value for key, value in vars(args).items() if key != "command"},
         "argv": argv,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _write_json(out_dir / f"{command}_manifest.json", manifest)
+    _write_json(out_dir / f"{args.command}_manifest.json", manifest)
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
+def _tna_fields(tna: TnaResult) -> dict:
+    """Area, attained significance, and the decisions ``tna_test`` took keyed '1%', '5%', '10%'."""
+    return {
+        "tna_area": tna.area,
+        "attained_significance": invert_significance(min(tna.area, 0.5)),
+        "reject": {f"{level:g}%": rejected for level, rejected in tna.reject.items()},
+    }
 
 
-def _decisions(area: float) -> dict[str, bool]:
-    return {f"{level:g}%": rejected for level, rejected in decisions_for_area(area, DEFAULT_LEVELS).items()}
+def _reject_lines(payload: dict) -> list[str]:
+    return [
+        f"  {level} two-tailed: {'reject' if rejected else 'accept'}"
+        for level, rejected in payload["reject"].items()
+    ]
 
 
-def _attained_significance(area: float) -> float:
-    return invert_significance(min(area, 0.5))
+def _sim_config(args) -> LdaConfig:
+    return LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
 
 
 def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]:
@@ -270,9 +288,7 @@ def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]
         "s_hat": result.s_hat,
         "s_hat_raw": result.s_hat_raw,
         "scaling_mean": result.scaling_mean,
-        "tna_area": result.tna.area,
-        "attained_significance": _attained_significance(result.tna.area),
-        "reject": _decisions(result.tna.area),
+        **_tna_fields(result.tna),
         "evaluations": result.evaluations,
         "converged": result.converged,
         "at_boundary": result.at_boundary,
@@ -280,49 +296,35 @@ def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]
     return payload, result
 
 
-def _cmd_fit(args, argv) -> int:
-    loss_set = _load_losses(args)
-    payload, _ = _fit_payload(loss_set, args.power)
-    out_dir = Path(args.out_dir)
-    _write_json(out_dir / "fit_report.json", payload)
-    _write_manifest(args, argv, "fit", out_dir)
-    print(
+def _fit(args):
+    payload, _ = _fit_payload(_load_losses(args), args.power)
+    summary_line = (
         f"fit [{payload['label']}] power={args.power}: "
         f"s_hat={payload['s_hat']:.6g} (raw {payload['s_hat_raw']:.6g} mEUR), "
         f"scaling_mean={payload['scaling_mean']:.6g}, area={payload['tna_area']:.4f}, "
         f"attained={payload['attained_significance']:.4f}"
     )
-    for level, rejected in payload["reject"].items():
-        print(f"  {level} two-tailed: {'reject' if rejected else 'accept'}")
-    return 0
+    return "fit_report.json", payload, [summary_line, *_reject_lines(payload)]
 
 
-def _cmd_gof(args, argv) -> int:
+def _gof(args):
     loss_set = _load_losses(args)
     scaled, mean = scale_losses(np.asarray(loss_set.losses))
-    model = SeverityModel(ExpNParams(args.scale, args.power), scaling_mean=1.0)
-    result = tna_test(scaled, model)
+    result = tna_test(scaled, SeverityModel(ExpNParams(args.scale, args.power), scaling_mean=1.0))
     payload = {
         "label": loss_set.label,
         "power": args.power,
         "scale": args.scale,
         "scaling_mean": mean,
         "count": result.n_points,
-        "tna_area": result.area,
         "crossings": result.crossings,
-        "attained_significance": _attained_significance(result.area),
-        "reject": _decisions(result.area),
+        **_tna_fields(result),
     }
-    out_dir = Path(args.out_dir)
-    _write_json(out_dir / "gof_report.json", payload)
-    _write_manifest(args, argv, "gof", out_dir)
-    print(
+    summary_line = (
         f"gof [{payload['label']}] power={args.power} scale={args.scale:.6g}: "
         f"area={result.area:.4f}, attained={payload['attained_significance']:.4f}"
     )
-    for level, rejected in payload["reject"].items():
-        print(f"  {level} two-tailed: {'reject' if rejected else 'accept'}")
-    return 0
+    return "gof_report.json", payload, [summary_line, *_reject_lines(payload)]
 
 
 def _frequency_model(spec, lam: float):
@@ -334,14 +336,12 @@ def _frequency_model(spec, lam: float):
     return NegativeBinomialFreq(mean=lam, dispersion=dispersion)
 
 
-def _cmd_capital(args, argv) -> int:
+def _capital(args):
     loss_set = _load_losses(args)
-    losses = np.asarray(loss_set.losses)
-    cfg = LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
+    cfg = _sim_config(args)
     fit_payload, fit_result = _fit_payload(loss_set, args.power)
-    lam = annual_frequency(losses.size, loss_set.span_years)
-    freq = _frequency_model(args.freq, lam)
-    capital = run_lda(fit_result.model, freq, cfg)
+    lam = annual_frequency(len(loss_set.losses), loss_set.span_years)
+    capital = run_lda(fit_result.model, _frequency_model(args.freq, lam), cfg)
     payload = {
         "label": loss_set.label,
         "count": fit_payload["count"],
@@ -359,99 +359,55 @@ def _cmd_capital(args, argv) -> int:
         "s_hat": fit_payload["s_hat"],
         "scaling_mean": fit_payload["scaling_mean"],
     }
-    out_dir = Path(args.out_dir)
-    _write_json(out_dir / "capital_report.json", payload)
-    _write_manifest(args, argv, "capital", out_dir)
-    print(
+    summary_line = (
         f"capital [{payload['label']}]: count={payload['count']} sum={payload['sum']:.1f} "
         f"capital={payload['capital']:.1f} tna={payload['tna_area']:.3f} "
         f"(lambda={payload['lambda']:.3g}, trials={payload['trials']}, "
         f"converged={payload['converged']})"
     )
-    return 0
+    return "capital_report.json", payload, [summary_line]
 
 
-def _cmd_compare(args, argv) -> int:
+def _compare(args):
     loss_set = _load_losses(args)
-    cfg = LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
     row = compare_models(
-        np.asarray(loss_set.losses),
-        loss_set.span_years,
-        args.models,
-        cfg,
+        np.asarray(loss_set.losses), loss_set.span_years, args.models, _sim_config(args),
         label=loss_set.label,
     )
-    header = ["dataset", "count", "sum"]
-    values: list = [row.label, row.count, f"{row.total!r}"]
-    for i, entry in enumerate(row.entries):
-        if i == 0:
-            header += ["capital", "tna"]
-            values += [f"{entry.capital!r}", f"{entry.tna_area!r}"]
-        else:
-            header.append(f"{entry.name}_capital")
-            values.append(f"{entry.capital!r}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "compare_table.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerow(values)
-    _write_manifest(args, argv, "compare", out_dir)
-    print(",".join(header))
-    print(",".join(str(v) for v in values))
-    return 0
+    first, *rest = row.entries
+    header = ["dataset", "count", "sum", "capital", "tna", *(f"{e.name}_capital" for e in rest)]
+    values = [row.label, row.count, repr(row.total), repr(first.capital), repr(first.tna_area),
+              *(repr(e.capital) for e in rest)]
+    lines = [",".join(header), ",".join(str(v) for v in values)]
+    return "compare_table.csv", [header, values], lines
 
 
-def _cmd_curve(args, argv) -> int:
-    powers = []
+def _curve(args):
     for n in args.powers:
         if n % 2 != 0:
             print(f"warning: skipping odd power {n} (only even powers are defined)", file=sys.stderr)
-            continue
-        powers.append(n)
+    powers = [n for n in args.powers if n % 2 == 0]
     if not powers:
         raise ValueError("no even powers left in --powers")
     loss_set = _load_losses(args)
-    cfg = LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
     rows = percentile_vs_n(
-        np.asarray(loss_set.losses),
-        loss_set.span_years,
-        powers,
-        cfg,
+        np.asarray(loss_set.losses), loss_set.span_years, powers, _sim_config(args),
         with_capital=args.with_capital,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "curve_data.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if args.with_capital:
-            writer.writerow(["n", "q999", "capital"])
-            for n, q999, capital in rows:
-                writer.writerow([n, repr(q999), repr(capital)])
-        else:
-            writer.writerow(["n", "q999"])
-            for n, q999, _ in rows:
-                writer.writerow([n, repr(q999)])
-    _write_manifest(args, argv, "curve", out_dir)
-    for n, q999, capital in rows:
-        extra = f" capital={capital:.2f}" if args.with_capital else ""
-        print(f"n={n:3d} q999={q999:.4f}{extra}")
-    return 0
+    header = ["n", "q999", "capital"] if args.with_capital else ["n", "q999"]
+    table = [header] + [[n, repr(q999), repr(capital)][: len(header)] for n, q999, capital in rows]
+    lines = [
+        f"n={n:3d} q999={q999:.4f}" + (f" capital={capital:.2f}" if args.with_capital else "")
+        for n, q999, capital in rows
+    ]
+    return "curve_data.csv", table, lines
 
 
-def _silverman_bandwidth(data: np.ndarray) -> float:
-    sd = float(np.std(data, ddof=1))
-    return 0.9 * sd * len(data) ** (-0.2) if sd > 0 else 0.1
-
-
-def _cmd_density(args, argv) -> int:
+def _density(args):
     loss_set = _load_losses(args)
     losses = np.asarray(loss_set.losses)
     family, power = args.model
-    n = 4 if family == "exp4" else power
-    result = fit_expn(losses, FitConfig(n=n))
+    result = fit_expn(losses, FitConfig(n=4 if family == "exp4" else power))
     scaled, _ = scale_losses(losses)
 
     grid = np.linspace(0.0, 1.2 * float(scaled.max()), args.grid_points)
@@ -459,44 +415,47 @@ def _cmd_density(args, argv) -> int:
 
     from scipy.stats import gaussian_kde
 
-    if scaled.size > 1 and np.std(scaled) > 0:
-        kde = gaussian_kde(scaled, bw_method="silverman")
-        empirical = kde(grid)
-    else:
-        bw = _silverman_bandwidth(scaled)
+    if np.std(scaled) > 0:
+        empirical = gaussian_kde(scaled, bw_method="silverman")(grid)
+    else:  # every loss equal: a Normal bump of width 0.1 at the one scaled value
+        bw = 0.1
         empirical = np.exp(-0.5 * ((grid - scaled.mean()) / bw) ** 2) / (
             bw * math.sqrt(2 * math.pi)
         )
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "density_data.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "fit", "empirical"])
-        for x, f, e in zip(grid, fitted, empirical):
-            writer.writerow([repr(float(x)), repr(float(f)), repr(float(e))])
-    _write_manifest(args, argv, "density", out_dir)
-    print(f"density [{loss_set.label}]: wrote {args.grid_points} grid rows to {out_path}")
-    return 0
+    name = "density_data.csv"
+    table = [["x", "fit", "empirical"]] + [
+        [repr(float(x)), repr(float(f)), repr(float(e))] for x, f, e in zip(grid, fitted, empirical)
+    ]
+    lines = [f"density [{loss_set.label}]: wrote {args.grid_points} grid rows to {Path(args.out_dir) / name}"]
+    return name, table, lines
 
 
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "gof": _cmd_gof,
-    "capital": _cmd_capital,
-    "compare": _cmd_compare,
-    "curve": _cmd_curve,
-    "density": _cmd_density,
+    "fit": _fit,
+    "gof": _gof,
+    "capital": _capital,
+    "compare": _compare,
+    "curve": _curve,
+    "density": _density,
 }
+
+
+def _run(args, argv: list[str]) -> int:
+    name, output, lines = _COMMANDS[args.command](args)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (_write_json if isinstance(output, dict) else _write_csv)(out_dir / name, output)
+    _write_manifest(args, argv, out_dir)
+    print(*lines, sep="\n")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, argv)
+        return _run(args, argv)
     except (ValueError, RuntimeError, LossCsvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

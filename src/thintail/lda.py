@@ -14,7 +14,7 @@ parallel streams.  The annual-loss array therefore depends only on
 capital is bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
-``batch`` consecutive blocks, the percentile is taken per block, and
+20 consecutive blocks, the percentile is taken per block, and
 the run is flagged converged when the 95% half-width of the block
 percentiles is below 1% of the capital.
 """
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _TRIAL_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on workers
+_BATCHES = 20  # batch-means blocks behind stderr_estimate and converged
 
 
 @dataclass(frozen=True)
@@ -111,20 +112,17 @@ FrequencyModel = PoissonFreq | NegativeBinomialFreq | NormalApproxFreq
 
 @dataclass(frozen=True)
 class LdaConfig:
-    """Simulation size, target percentile, seed, and batch-means blocks."""
+    """Simulation size, target percentile and seed."""
 
     trials: int = 100_000
     percentile: float = 0.999
     seed: int = 0
-    batch: int = 20
 
     def __post_init__(self):
         if self.trials < 1000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not (0.0 < self.percentile < 1.0):
             raise ValueError(f"percentile must lie in (0, 1), got {self.percentile}")
-        if self.batch < 2:
-            raise ValueError(f"batch must be >= 2, got {self.batch}")
         if not 0 <= self.seed < 2**128:  # the seed range the CLI documents
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
@@ -211,7 +209,7 @@ def run_lda(
 
     block_pcts = [
         float(np.quantile(block, cfg.percentile))
-        for block in np.array_split(annual, cfg.batch)
+        for block in np.array_split(annual, _BATCHES)
     ]
     stderr = float(np.std(block_pcts, ddof=1) / math.sqrt(len(block_pcts)))
     half_width = 1.96 * stderr
@@ -279,7 +277,6 @@ def compare_models(
     models,
     cfg: LdaConfig = LdaConfig(),
     label: str = "",
-    workers: int | None = None,
 ) -> ComparisonRow:
     """Fit each requested model and put its capital beside count and sum.
 
@@ -312,7 +309,7 @@ def compare_models(
             name = "normal"
         else:
             raise ValueError(f"unknown model family {family!r}")
-        capital = run_lda(model, freq, cfg, workers=workers).capital
+        capital = run_lda(model, freq, cfg).capital
         entries.append(
             ModelComparison(name=name, capital=capital, tna_area=area, model=model, fit=fr)
         )
@@ -331,7 +328,6 @@ def percentile_vs_n(
     n_values,
     cfg: LdaConfig = LdaConfig(),
     with_capital: bool = True,
-    workers: int | None = None,
 ) -> list[tuple[int, float, float]]:
     """Severity 99.9th percentile (and capital) of the fitted ExpN per power n.
 
@@ -352,8 +348,6 @@ def percentile_vs_n(
     for n, fr in zip(values, fit_expn_many(arr, [FitConfig(n=n) for n in values])):
         model = fr.model
         q999 = float(model.quantile(0.999))
-        capital = (
-            run_lda(model, freq, cfg, workers=workers).capital if with_capital else float("nan")
-        )
+        capital = run_lda(model, freq, cfg).capital if with_capital else float("nan")
         rows.append((n, q999, capital))
     return rows

@@ -238,15 +238,16 @@ def _null_quantile(level: float, n: int) -> float:
     return float(np.quantile(areas, 1.0 - level / 100.0))
 
 
-def tna_test(losses, model: SeverityModel, levels=DEFAULT_LEVELS) -> TnaResult:
+def tna_test(losses, model: SeverityModel) -> TnaResult:
     """Run the enclosed-area test of ``losses`` against ``model``.
 
-    Decisions are two-tailed; the null survives a statistic exactly
+    Decisions are two-tailed at ``DEFAULT_LEVELS`` (1%, 5% and 10%), the
+    levels every report prints; the null survives a statistic exactly
     equal to the critical value.
     """
     emp = empirical_from_losses(losses)
     points = to_probability_space(emp, model)
     area, crossings = _area_and_crossings(points)
     return TnaResult(
-        area=area, n_points=emp.n, crossings=crossings, reject=decisions_for_area(area, levels)
+        area=area, n_points=emp.n, crossings=crossings, reject=decisions_for_area(area)
     )

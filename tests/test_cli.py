@@ -293,6 +293,34 @@ class TestDensityCommand:
         assert peak_count(emp) >= 2
         assert peak_count(fit) <= 1
 
+    def test_normal_model_is_usage_error(self, pre_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                 "--model", "normal", "--out-dir", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "exp4" in err and "expn:<power>" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["-3", "0", "1"])
+    def test_grid_points_below_two_is_usage_error(self, pre_file, tmp_path, capsys, points):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                 "--grid-points", points, "--out-dir", out])
+        assert exc.value.code == 2
+        assert "--grid-points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_grid_points_span_zero_to_past_the_largest_loss(self, pre_file, tmp_path):
+        out = tmp_path / "out"
+        assert run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--grid-points", "2", "--out-dir", out]) == 0
+        with open(out / "density_data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3 and float(rows[1][0]) == 0.0 and float(rows[2][0]) > 0.0
+
 
 class TestManifests:
     def test_every_command_writes_manifest(self, pre_file, tmp_path):
