@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -49,6 +50,7 @@ from .lda import (
     NegativeBinomialFreq,
     NormalApproxFreq,
     PoissonFreq,
+    UnknownModelError,
     annual_frequency,
     compare_models,
     parse_model_spec,
@@ -66,18 +68,14 @@ def _mode_arg(value: str) -> str:
     return value
 
 
-def _model_arg(value: str) -> tuple[str, int | None]:
+def _density_model_arg(value: str) -> str:
     try:
-        return parse_model_spec(value)
+        if parse_model_spec(value)[1] is not None:
+            return value
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _density_model_arg(value: str) -> tuple[str, int | None]:
-    spec = _model_arg(value)
-    if spec[0] == "normal":
-        raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
-    return spec
+        if not isinstance(exc, UnknownModelError):  # an ExpN spec whose power is refused
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
 
 
 def _grid_points_arg(value: str) -> int:
@@ -90,11 +88,16 @@ def _grid_points_arg(value: str) -> int:
     return points
 
 
-def _models_arg(value: str) -> list[tuple[str, int | None]]:
+def _models_arg(value: str) -> list[str]:
     names = [part for part in value.split(",") if part.strip()]
     if not names:
         raise argparse.ArgumentTypeError("model list must not be empty")
-    return [_model_arg(name) for name in names]
+    try:
+        for name in names:
+            parse_model_spec(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return names
 
 
 def _powers_arg(value: str) -> list[int]:
@@ -195,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="fitted vs empirical density overlay data")
     add_common(p_den)
-    p_den.add_argument("--model", type=_density_model_arg, default=("exp4", None),
+    p_den.add_argument("--model", type=_density_model_arg, default="exp4",
                        help="exp4 or expn:<power>")
     p_den.add_argument("--grid-points", type=_grid_points_arg, default=201,
                        help="grid size, at least 2")
@@ -378,8 +381,10 @@ def _compare(args):
     header = ["dataset", "count", "sum", "capital", "tna", *(f"{e.name}_capital" for e in rest)]
     values = [row.label, row.count, repr(row.total), repr(first.capital), repr(first.tna_area),
               *(repr(e.capital) for e in rest)]
-    lines = [",".join(header), ",".join(str(v) for v in values)]
-    return "compare_table.csv", [header, values], lines
+    text = io.StringIO()
+    csv.writer(text).writerows([header, values])
+    # print the table's rows with LF ends; the header holds no line break, so the first CRLF ends it
+    return "compare_table.csv", [header, values], text.getvalue()[:-2].split("\r\n", 1)
 
 
 def _curve(args):
@@ -406,8 +411,7 @@ def _curve(args):
 def _density(args):
     loss_set = _load_losses(args)
     losses = np.asarray(loss_set.losses)
-    family, power = args.model
-    result = fit_expn(losses, FitConfig(n=4 if family == "exp4" else power))
+    result = fit_expn(losses, FitConfig(n=parse_model_spec(args.model)[1]))
     scaled, _ = scale_losses(losses)
 
     grid = np.linspace(0.0, 1.2 * float(scaled.max()), args.grid_points)

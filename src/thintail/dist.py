@@ -163,7 +163,10 @@ def _expn_exponent(x: np.ndarray, s, n) -> np.ndarray:
 
 
 def expn_pdf(x, s, n):
-    """Density of ExpN(s, n) at x >= 0."""
+    """Density of ExpN(s, n) at x >= 0; ``s`` and ``n`` are scalars."""
+    for name, value in (("s", s), ("n", n)):
+        if np.ndim(value):
+            raise ValueError(f"{name} must be a scalar in expn_pdf, got shape {np.shape(value)}")
     arr, s, n = _check_xs(x, s, n)
     log_norm = math.log(s) + math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n)
     with np.errstate(under="ignore"):

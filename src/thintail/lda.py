@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import NormalParams, SeverityModel
-from .fit import FitConfig, FitResult, fit_expn, fit_expn_many, scale_losses
+from .fit import FitConfig, fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
 __all__ = [
@@ -229,11 +229,21 @@ def run_lda(
 # model comparison (count / sum / capital / area table)
 # ---------------------------------------------------------------------------
 
+class UnknownModelError(ValueError):
+    """A model spec whose name is none of exp4, normal and expn:<power>."""
+
+
+def _even_power(n: int) -> int:
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"ExpN power must be a positive even integer, got {n}")
+    return n
+
+
 def parse_model_spec(spec: str) -> tuple[str, int | None]:
-    """Parse a model spec: 'exp4', 'normal', or 'expn:<power>'."""
+    """(report name, ExpN power) of 'exp4' (power 4), 'expn:<even power>' or 'normal' (None)."""
     text = spec.strip().lower()
     if text == "exp4":
-        return ("exp4", None)
+        return ("exp4", 4)
     if text == "normal":
         return ("normal", None)
     if text.startswith("expn:"):
@@ -241,10 +251,8 @@ def parse_model_spec(spec: str) -> tuple[str, int | None]:
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad power in model spec {spec!r}") from None
-        if n < 1 or n % 2 != 0:
-            raise ValueError(f"ExpN power must be a positive even integer, got {n}")
-        return ("expn", n)
-    raise ValueError(f"unknown model name {spec!r} (expected exp4, normal, or expn:<power>)")
+        return ("expn", _even_power(n))
+    raise UnknownModelError(f"unknown model name {spec!r} (expected exp4, normal, or expn:<power>)")
 
 
 @dataclass(frozen=True)
@@ -252,8 +260,6 @@ class ModelComparison:
     name: str
     capital: float
     tna_area: float
-    model: SeverityModel
-    fit: FitResult | None
 
 
 @dataclass(frozen=True)
@@ -264,11 +270,12 @@ class ComparisonRow:
     entries: list[ModelComparison]
 
 
-def _fit_normal(losses) -> SeverityModel:
-    """Moment-matched Normal on the mean-scaled axis (sample sd, ddof=1)."""
+def _fit_normal(losses) -> tuple[SeverityModel, float]:
+    """Moment-matched Normal on the mean-scaled axis (sample sd, ddof=1) and its TN-A area."""
     scaled, mean = scale_losses(losses)
-    sigma = float(np.std(scaled, ddof=1))
-    return SeverityModel(params=NormalParams(mu=1.0, sigma=sigma), scaling_mean=mean)
+    params = NormalParams(mu=1.0, sigma=float(np.std(scaled, ddof=1)))
+    area = tna_test(scaled, SeverityModel(params, 1.0)).area
+    return SeverityModel(params=params, scaling_mean=mean), area
 
 
 def compare_models(
@@ -278,41 +285,32 @@ def compare_models(
     cfg: LdaConfig = LdaConfig(),
     label: str = "",
 ) -> ComparisonRow:
-    """Fit each requested model and put its capital beside count and sum.
+    """Fit each ``parse_model_spec`` spec in ``models``; put its capital beside count and sum.
 
-    Exp4/ExpN scales come from the enclosed-area fit; the Normal
-    baseline is moment matched.  All models run the same seed, so
-    capitals are directly comparable.
+    ExpN scales (exp4 is power 4) come from the enclosed-area fit; the
+    Normal baseline is moment matched.  Two or more expn:<power> entries
+    are named 'expn<power>'.  All models run the same seed, so capitals
+    are directly comparable.
     """
     arr = np.asarray(losses, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least 2 losses to compare models")
-    specs = [parse_model_spec(m) if isinstance(m, str) else m for m in models]
+    specs = [parse_model_spec(m) for m in models]
     if not specs:
         raise ValueError("model list must not be empty")
 
-    lam = annual_frequency(arr.size, years)
-    freq = PoissonFreq(lam)
-    expn_count = sum(1 for family, _ in specs if family == "expn")
+    freq = PoissonFreq(annual_frequency(arr.size, years))
+    expn_count = sum(1 for name, _ in specs if name == "expn")
     entries: list[ModelComparison] = []
-    for family, power in specs:
-        if family in ("exp4", "expn"):
-            fr = fit_expn(arr, FitConfig(n=4 if family == "exp4" else power))
-            model = fr.model
-            area = fr.tna.area
-            name = f"expn{power}" if family == "expn" and expn_count > 1 else family
-        elif family == "normal":
-            fr = None
-            model = _fit_normal(arr)
-            scaled, _ = scale_losses(arr)
-            area = tna_test(scaled, SeverityModel(model.params, 1.0)).area
-            name = "normal"
+    for name, power in specs:
+        if power is None:
+            model, area = _fit_normal(arr)
         else:
-            raise ValueError(f"unknown model family {family!r}")
-        capital = run_lda(model, freq, cfg).capital
-        entries.append(
-            ModelComparison(name=name, capital=capital, tna_area=area, model=model, fit=fr)
-        )
+            fr = fit_expn(arr, FitConfig(n=power))
+            model, area = fr.model, fr.tna.area
+            if name == "expn" and expn_count > 1:
+                name = f"expn{power}"
+        entries.append(ModelComparison(name, run_lda(model, freq, cfg).capital, area))
 
     return ComparisonRow(
         label=label,
@@ -334,15 +332,11 @@ def percentile_vs_n(
     Returns (n, q999, capital) tuples ordered by n; capital is NaN when
     ``with_capital`` is off.  Powers must be even and >= 2.
     """
-    values = sorted(int(n) for n in n_values)
+    values = [_even_power(n) for n in sorted(int(n) for n in n_values)]
     if not values:
         raise ValueError("n_values must not be empty")
-    for n in values:
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"powers must be even integers >= 2, got {n}")
     arr = np.asarray(losses, dtype=float)
-    lam = annual_frequency(arr.size, years)
-    freq = PoissonFreq(lam)
+    freq = PoissonFreq(annual_frequency(arr.size, years))
 
     rows: list[tuple[int, float, float]] = []
     for n, fr in zip(values, fit_expn_many(arr, [FitConfig(n=n) for n in values])):

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import platform
@@ -196,6 +197,19 @@ class TestCompareCommand:
                  "--models", "exp4,cauchy"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("label", ["a,b", "two\r\nlines"])
+    def test_stdout_rows_are_the_table_rows(self, pre_file, tmp_path, capsys, label):
+        out = tmp_path / "out"
+        assert run(["compare", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--trials", "2000", "--models", "exp4,normal", "--label", label,
+                    "--out-dir", out]) == 0
+        with open(out / "compare_table.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[1][0] == label
+        stdout = capsys.readouterr().out
+        assert not stdout.endswith("\r\n")
+        assert list(csv.reader(io.StringIO(stdout, newline=""))) == table
+
 
 class TestCurveCommand:
     def test_rows_ordered_by_n(self, pre_file, tmp_path):
@@ -293,15 +307,28 @@ class TestDensityCommand:
         assert peak_count(emp) >= 2
         assert peak_count(fit) <= 1
 
-    def test_normal_model_is_usage_error(self, pre_file, tmp_path, capsys):
+    @pytest.mark.parametrize("model", ["normal", "cauchy"])
+    def test_normal_model_is_usage_error(self, pre_file, tmp_path, capsys, model):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                 "--model", "normal", "--out-dir", out])
+                 "--model", model, "--out-dir", out])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--model" in err and "exp4" in err and "expn:<power>" in err
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.endswith(f"argument --model: density model must be exp4 or expn:<power>, got {model!r}")
+        assert "normal" not in line.removesuffix(f"got {model!r}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, reason", [
+        ("expn:3", "ExpN power must be a positive even integer, got 3"),
+        ("expn:abc", "bad power in model spec 'expn:abc'"),
+    ], ids=["expn:3", "expn:abc"])
+    def test_refused_power_says_why(self, pre_file, tmp_path, capsys, model, reason):
+        with pytest.raises(SystemExit) as exc:
+            run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                 "--model", model, "--out-dir", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --model: {reason}")
 
     @pytest.mark.parametrize("points", ["-3", "0", "1"])
     def test_grid_points_below_two_is_usage_error(self, pre_file, tmp_path, capsys, points):

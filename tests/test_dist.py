@@ -269,6 +269,15 @@ class TestExpN:
         with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
             tt.expn_cdf(0.5, np.array(ss), np.array(ns))
 
+    @pytest.mark.parametrize("name, s, n", [
+        ("s", np.array([1.0, 2.0]), 4),
+        ("n", 1.0, np.array([4, 6])),
+        ("s", [1.0], 4),
+    ], ids=["s-array", "n-array", "s-list"])
+    def test_pdf_with_array_scale_or_power_raises_naming_it(self, name, s, n):
+        with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
+            tt.expn_pdf(0.5, s, n)
+
     def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
         # At n = 100, X < 8.4e-4 s for about 8e-4 of draws, where G ~ Gamma(1/100) would
         # fall below the smallest normal double (a direct Gamma(1/100) draw returns many

@@ -189,11 +189,12 @@ class TestRunLda:
 
 class TestParseModelSpec:
     def test_known_specs(self):
-        assert parse_model_spec("exp4") == ("exp4", None)
+        assert parse_model_spec("exp4") == ("exp4", 4)
         assert parse_model_spec("normal") == ("normal", None)
         assert parse_model_spec("expn:100") == ("expn", 100)
 
-    @pytest.mark.parametrize("bad", ["gamma", "expn:", "expn:3", "expn:abc", ""])
+    @pytest.mark.parametrize("bad", ["gamma", "expn:", "expn:3", "expn:abc", "", "expn:0", "expn:-2",
+                                     "normal:3"])
     def test_bad_specs(self, bad):
         with pytest.raises(ValueError):
             parse_model_spec(bad)
@@ -226,6 +227,13 @@ class TestCompareModels:
         cfg = tt.LdaConfig(trials=5_000, seed=1)
         row = tt.compare_models(compare_losses, 5.0, ["expn:12", "expn:100"], cfg)
         assert [e.name for e in row.entries] == ["expn12", "expn100"]
+
+    def test_exp4_is_expn_power_four(self, compare_losses):
+        cfg = tt.LdaConfig(trials=5_000, seed=1)
+        row = tt.compare_models(compare_losses, 5.0, ["exp4", "expn:4"], cfg)
+        assert [e.name for e in row.entries] == ["exp4", "expn"]
+        exp4, expn4 = row.entries
+        assert (exp4.capital, exp4.tna_area) == (expn4.capital, expn4.tna_area)
 
     def test_empty_model_list_rejected(self, compare_losses):
         with pytest.raises(ValueError):
