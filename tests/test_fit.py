@@ -189,8 +189,10 @@ SEEDED30 = [
 
 
 def _pinned_losses(name):
-    if name == "boundary":
-        return quantile_matched(20, 1.0) * 1000.0
+    if name == "boundary":  # one loss far above the rest: the area is least at the lower end
+        return [0.001] * 29 + [1000.0]
+    if name == "upper":  # three such losses: power 100 is least at the upper end
+        return [0.001] * 27 + [1000.0] * 3
     if name == "two_losses":
         return [1.0, 3.0]
     if name == "tied":
@@ -214,7 +216,8 @@ PINNED_FITS = {
     ("two_losses", 4, ()): ("1.7793712431365427", 44, "0.004100662961177929", 1, False),
     ("tied", 4, ()): ("1.8394472137697835", 44, "0.18750000000000783", 1, False),
     ("tied_mixed", 6, ()): ("1.838040049232022", 44, "0.07043767125574375", 4, False),
-    ("boundary", 4, (0.05, 0.2)): ("0.2", 35, "0.43568849441953383", 0, True),
+    ("boundary", 4, ()): ("0.05", 35, "0.46642059945166703", 1, True),
+    ("upper", 100, ()): ("10.0", 46, "0.4068244171020171", 1, True),
 }
 
 
@@ -229,7 +232,7 @@ class TestPinnedFits:
         got = (repr(fr.s_hat), fr.evaluations, repr(fr.tna.area), fr.tna.crossings, fr.at_boundary)
         assert got == PINNED_FITS[key]
 
-    @pytest.mark.parametrize("name, bracket, converged", [("seeded30", (), True), ("boundary", (0.05, 0.2), False)])
+    @pytest.mark.parametrize("name, bracket, converged", [("seeded30", (), True), ("boundary", (), False)])
     def test_converged_means_an_interior_minimum(self, name, bracket, converged):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
