@@ -25,7 +25,7 @@ from .dist import (
     expn_quantile,
     expn_sample,
 )
-from .fit import FitConfig, FitResult, fit_exp4, fit_expn, fit_expn_many, scale_losses
+from .fit import FitResult, fit_exp4, fit_expn, fit_expn_many, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
@@ -97,7 +97,6 @@ __all__ = [
     "null_critical_value",
     "tna_test",
     # fit
-    "FitConfig",
     "FitResult",
     "scale_losses",
     "fit_exp4",

@@ -36,7 +36,7 @@ import scipy
 
 from . import __version__
 from .dist import ExpNParams, SeverityModel
-from .fit import FitConfig, fit_expn, scale_losses
+from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
@@ -280,7 +280,7 @@ def _sim_config(args) -> LdaConfig:
 
 
 def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]:
-    result = fit_expn(np.asarray(loss_set.losses), FitConfig(n=power))
+    result = fit_expn(np.asarray(loss_set.losses), power)
     stats = summary(loss_set)
     payload = {
         "label": loss_set.label,
@@ -411,7 +411,7 @@ def _curve(args):
 def _density(args):
     loss_set = _load_losses(args)
     losses = np.asarray(loss_set.losses)
-    result = fit_expn(losses, FitConfig(n=parse_model_spec(args.model)[1]))
+    result = fit_expn(losses, parse_model_spec(args.model)[1])
     scaled, _ = scale_losses(losses)
 
     grid = np.linspace(0.0, 1.2 * float(scaled.max()), args.grid_points)

@@ -9,13 +9,22 @@ A derivative-free bracketed search is used deliberately: likelihood
 surfaces for this family are nearly flat, which defeats gradient
 methods, while the area statistic stays well behaved.
 
+The bracket is fixed at [0.05, 10] and the tolerance at 1e-5.  The
+widest pre-scan bracket, two grid steps at the top of the grid, is
+5.07 wide, and golden-section search shrinks it below 1e-5 in 28
+steps, so a fit makes at most 16 + 2 + 28 + 1 = 47 objective
+evaluations.
+
 One search runs B rows in lockstep, a row being one power fitted to
 one sample (``curve`` fits nine powers of one sample).  The pre-scan is
 one objective evaluation over all rows and grid points, and each
 golden-section step is one evaluation over the rows whose bracket is
 still wider than the tolerance.  Every row takes the same steps, in the
 same floating-point order, as a search of its own would, so
-``fit_expn`` is the B = 1 case of ``fit_expn_many``.
+``fit_expn`` is the B = 1 case of ``fit_expn_many``.  Each row's TN-A
+result (area, crossings, decisions) comes from one more evaluation of
+all rows at their fitted scales, bit for bit what ``tna_test`` gives;
+it is not counted in ``evaluations``.
 
 The reported ``s_hat`` lives on the mean-scaled axis (invariant under
 rescaling all losses); ``s_hat_raw`` maps it back to loss units.
@@ -30,30 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import SeverityModel, check_power, expn_cdf, expn_params
-from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses, tna_test
+from .tna import TnaResult, _checked_polyline_areas, decisions_for_area, empirical_from_losses
 
-__all__ = ["FitConfig", "FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
+__all__ = ["FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
-_MAX_EVALUATIONS = 500
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Search bracket and termination tolerance for the scale search."""
-
-    s_lo: float = 0.05
-    s_hi: float = 10.0
-    tol: float = 1e-5
-    n: int = 4
-
-    def __post_init__(self):
-        if not (0.0 < self.s_lo < self.s_hi):
-            raise ValueError(f"need 0 < s_lo < s_hi, got ({self.s_lo}, {self.s_hi})")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        check_power(self.n)
+_S_LO, _S_HI = 0.05, 10.0  # search bracket on the mean-scaled axis
+_TOL = 1e-5  # the search stops once a bracket is narrower than this
 
 
 @dataclass(frozen=True)
@@ -62,9 +55,10 @@ class FitResult:
 
     ``s_hat`` is the scale on the mean-scaled axis; multiply by
     ``scaling_mean`` (property ``s_hat_raw``) for loss units.  The search
-    stops only once its bracket is narrower than ``tol``, so ``converged``
-    is false exactly when ``s_hat`` lies within ``tol`` of an end of the
-    search bracket (``at_boundary``): no interior minimum was found.
+    stops only once its bracket is narrower than the tolerance, so
+    ``converged`` is false exactly when ``s_hat`` lies within the
+    tolerance of an end of the search bracket (``at_boundary``): no
+    interior minimum was found.
     """
 
     s_hat: float
@@ -72,8 +66,11 @@ class FitResult:
     n: int
     tna: TnaResult
     evaluations: int
-    converged: bool
     at_boundary: bool
+
+    @property
+    def converged(self) -> bool:
+        return not self.at_boundary
 
     @property
     def s_hat_raw(self) -> float:
@@ -95,56 +92,58 @@ def scale_losses(losses) -> tuple[np.ndarray, float]:
     return arr / mean, mean
 
 
-def fit_expn(losses, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit ExpN(s, cfg.n) to mean-scaled ``losses`` by minimizing the enclosed area."""
-    return _fit(losses, [cfg])[0]
+def fit_expn(losses, n: int = 4) -> FitResult:
+    """Fit ExpN(s, n) to mean-scaled ``losses`` by minimizing the enclosed area."""
+    return _fit(losses, [n])[0]
 
 
-def fit_expn_many(losses, cfgs) -> list[FitResult]:
-    """``fit_expn(losses, cfg)`` for each of ``cfgs``, in one lockstep search.
-
-    The configs may differ only in the power ``n``.
-    """
-    return _fit(losses, list(cfgs))
+def fit_expn_many(losses, powers) -> list[FitResult]:
+    """``fit_expn(losses, n)`` for each power ``n`` of ``powers``, in one lockstep search."""
+    return _fit(losses, list(powers))
 
 
-def _fit(losses, cfgs: list[FitConfig]) -> list[FitResult]:
-    if not cfgs:
-        raise ValueError("need at least one fit config")
-    cfg = cfgs[0]
-    if any((c.s_lo, c.s_hi, c.tol) != (cfg.s_lo, cfg.s_hi, cfg.tol) for c in cfgs):
-        raise ValueError("fit configs in one search must share s_lo, s_hi and tol")
+def fit_exp4(losses) -> FitResult:
+    """Fit the Exp4 scale; identical to ``fit_expn`` with power 4."""
+    return _fit(losses, [4])[0]
+
+
+def _fit(losses, powers: list) -> list[FitResult]:
+    if not powers:
+        raise ValueError("need at least one power")
+    for n in powers:
+        check_power(n)
     scaled, mean = scale_losses(losses)
     if scaled.size < 2:
         raise ValueError("need at least 2 losses to fit")
     emp = empirical_from_losses(scaled)
-    powers = np.array([int(c.n) for c in cfgs])
-    s_hats, evaluations = _search(emp.x, emp.y, powers, cfg)
+    powers = np.array([int(n) for n in powers])
+    s_hats, evaluations = _search(emp.x, emp.y, powers)
+    areas, crossings = _checked_polyline_areas(expn_cdf(emp.x, s_hats[:, None], powers[:, None]), emp.y)
 
     results = []
-    for s_hat, n, count in zip(s_hats.tolist(), powers.tolist(), evaluations.tolist()):
-        at_boundary = (s_hat - cfg.s_lo) <= cfg.tol or (cfg.s_hi - s_hat) <= cfg.tol
+    for s_hat, n, count, area, crossed in zip(
+        s_hats.tolist(), powers.tolist(), evaluations.tolist(), areas.tolist(), crossings.tolist()
+    ):
+        at_boundary = (s_hat - _S_LO) <= _TOL or (_S_HI - s_hat) <= _TOL
         if at_boundary:
             warnings.warn(
                 f"fitted scale {s_hat:.6g} sits at the search boundary "
-                f"[{cfg.s_lo}, {cfg.s_hi}]; no interior minimum found",
+                f"[{_S_LO}, {_S_HI}]; no interior minimum found",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        result_tna = tna_test(scaled, SeverityModel(params=expn_params(s_hat, n), scaling_mean=1.0))
         results.append(FitResult(
             s_hat=s_hat,
             scaling_mean=mean,
             n=n,
-            tna=result_tna,
+            tna=TnaResult(area=area, n_points=emp.n, crossings=crossed, reject=decisions_for_area(area)),
             evaluations=count,
-            converged=not at_boundary,
             at_boundary=at_boundary,
         ))
     return results
 
 
-def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
+def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray):
     """Pre-scan and golden-section search of the area over s, one row per power.
 
     ``x`` holds sorted mean-scaled losses, shape (m,) for a sample shared
@@ -157,8 +156,6 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
     def areas(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Areas at scales ``s``, shape (len(rows), k), of the given rows."""
         evaluations[rows] += s.shape[1]
-        if evaluations[rows].max() > _MAX_EVALUATIONS:
-            raise RuntimeError(f"scale search exceeded {_MAX_EVALUATIONS} objective evaluations")
         X = expn_cdf(x if x.ndim == 1 else x[rows, None], s[:, :, None], powers[rows, None, None])
         return _checked_polyline_areas(X, y)[0]
 
@@ -167,7 +164,7 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
         return np.where(better, s, best_s), np.where(better, f, best_f)
 
     rows = np.arange(size)
-    grid = np.geomspace(cfg.s_lo, cfg.s_hi, _GRID_POINTS)
+    grid = np.geomspace(_S_LO, _S_HI, _GRID_POINTS)
     grid_vals = areas(rows, np.broadcast_to(grid, (size, _GRID_POINTS)))
     k = np.argmin(grid_vals, axis=1)
     best_s, best_f = grid[k], grid_vals[rows, k]
@@ -184,7 +181,7 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
     best_s, best_f = record(d, fd, best_s, best_f)
     final = np.empty((4, size))  # a, b, best s, best area
     while rows.size:
-        done = ~(h > cfg.tol)
+        done = ~(h > _TOL)
         if done.any():
             final[:, rows[done]] = a[done], b[done], best_s[done], best_f[done]
             rows, a, b, c, d, fc, fd, h, best_s, best_f = (
@@ -205,10 +202,3 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray, cfg: FitConfig):
     mid = 0.5 * (a + b)
     best_s, _ = record(mid, areas(np.arange(size), mid[:, None])[:, 0], best_s, best_f)
     return best_s, evaluations
-
-
-def fit_exp4(losses, cfg: FitConfig = FitConfig()) -> FitResult:
-    """Fit the Exp4 scale; identical to ``fit_expn`` with power 4."""
-    if cfg.n != 4:
-        raise ValueError(f"fit_exp4 requires cfg.n == 4, got {cfg.n}")
-    return fit_expn(losses, cfg)

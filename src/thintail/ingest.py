@@ -336,7 +336,7 @@ def parse_csv(source, permissive: bool = False) -> LossTable:
 
 
 def parse_pre_aggregated(source) -> list[float]:
-    """Read a one-column 'amount' CSV of already-aggregated losses."""
+    """Read a one-column 'amount' CSV of already-aggregated losses, one field per row."""
     with _text(source) as handle:
         reader = csv.reader(handle)
         header = _header(reader)
@@ -346,6 +346,9 @@ def parse_pre_aggregated(source) -> list[float]:
         problems: list[str] = []
         for lineno, row in _rows(reader, problems):
             if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) > 1:
+                problems.append(f"line {lineno}: expected 1 field (amount), got {len(row)}")
                 continue
             try:
                 value = float(row[0])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import NormalParams, SeverityModel
-from .fit import FitConfig, fit_expn, fit_expn_many, scale_losses
+from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
 __all__ = [
@@ -168,7 +168,11 @@ def _simulate_chunk(severity: SeverityModel, freq, seed: int, chunk: int, size: 
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get("THINTAIL_THREADS", "1"))
+        text = os.environ.get("THINTAIL_THREADS", "1")
+        try:
+            workers = int(text)
+        except ValueError:
+            raise ValueError(f"THINTAIL_THREADS must be an integer, got {text!r}") from None
     return max(1, workers)
 
 
@@ -306,7 +310,7 @@ def compare_models(
         if power is None:
             model, area = _fit_normal(arr)
         else:
-            fr = fit_expn(arr, FitConfig(n=power))
+            fr = fit_expn(arr, power)
             model, area = fr.model, fr.tna.area
             if name == "expn" and expn_count > 1:
                 name = f"expn{power}"
@@ -339,7 +343,7 @@ def percentile_vs_n(
     freq = PoissonFreq(annual_frequency(arr.size, years))
 
     rows: list[tuple[int, float, float]] = []
-    for n, fr in zip(values, fit_expn_many(arr, [FitConfig(n=n) for n in values])):
+    for n, fr in zip(values, fit_expn_many(arr, values)):
         model = fr.model
         q999 = float(model.quantile(0.999))
         capital = run_lda(model, freq, cfg).capital if with_capital else float("nan")

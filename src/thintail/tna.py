@@ -191,14 +191,15 @@ def invert_significance(area: float) -> float:
     return (1.0 - math.sqrt(1.0 - 2.0 * area)) / (2.0 * _SQRT2)
 
 
-def decisions_for_area(area: float, levels=DEFAULT_LEVELS) -> dict[float, bool]:
+def decisions_for_area(area: float) -> dict[float, bool]:
     """Two-tailed reject decisions; the null survives area == critical value.
 
-    Decisions use the paper's sample-size-free ``critical_value``, whose
-    actual size depends on n (see the module docstring);
-    ``null_critical_value`` is the calibrated threshold for n points.
+    Decisions are taken at ``DEFAULT_LEVELS`` with the paper's
+    sample-size-free ``critical_value``, whose actual size depends on n
+    (see the module docstring); ``null_critical_value`` is the calibrated
+    threshold for n points.
     """
-    return {level: bool(area > critical_value(level, tails=2)) for level in levels}
+    return {level: bool(area > critical_value(level, tails=2)) for level in DEFAULT_LEVELS}
 
 
 _NULL_KEY = 0x7468696E7461696C  # fixed Philox key ("thintail"): no caller stream is touched

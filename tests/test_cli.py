@@ -168,6 +168,13 @@ class TestCapitalCommand:
         cap_b = json.loads((out_b / "capital_report.json").read_text())["capital"]
         assert cap_a == cap_b
 
+    def test_bad_threads_env_names_itself(self, pre_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("THINTAIL_THREADS", "abc")
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--trials", "2000", "--out-dir", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: THINTAIL_THREADS must be an integer, got 'abc'\n"
+
 
 class TestCompareCommand:
     def test_table_two_column_layout(self, pre_file, tmp_path):

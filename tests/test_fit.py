@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import thintail as tt
 from thintail import fit
-from thintail.dist import expn_cdf
+from thintail.dist import expn_cdf, expn_params
 from thintail.tna import _area_and_crossings
 
 # population mean of ExpN(1, n): 2^(1/n) * Gamma(2/n) / Gamma(1/n); for n=4
@@ -110,21 +110,25 @@ class TestFitExp4:
         assert not fr.at_boundary
 
     def test_boundary_warning_when_minimum_outside_bracket(self):
-        # true scale far above the bracket top: the search pins to s_hi
-        losses = quantile_matched(20, 1.0) * 1000.0  # scaled data wants s ~ 1.7
-        cfg = tt.FitConfig(s_lo=0.05, s_hi=0.2)
+        # one loss 1e6 times the rest: the area keeps falling below the bracket bottom
         with pytest.warns(RuntimeWarning):
-            fr = tt.fit_exp4(losses, cfg)
+            fr = tt.fit_exp4([0.001] * 29 + [1000.0])
         assert fr.at_boundary
-        assert fr.s_hat <= 0.2
+        assert fr.s_hat == 0.05
+
+    @pytest.mark.parametrize("entry", [
+        lambda x: tt.fit_exp4(x),
+        lambda x: tt.fit_expn(x, 4),
+        lambda x: tt.fit_expn_many(x, [4]),
+    ], ids=["fit_exp4", "fit_expn", "fit_expn_many"])
+    def test_boundary_warning_points_at_the_caller(self, entry):
+        with pytest.warns(RuntimeWarning, match="search boundary") as caught:
+            entry([0.001] * 29 + [1000.0])
+        assert [w.filename for w in caught] == [__file__]
 
     def test_requires_two_losses(self):
         with pytest.raises(ValueError):
             tt.fit_exp4([5.0])
-
-    def test_rejects_wrong_power_config(self):
-        with pytest.raises(ValueError):
-            tt.fit_exp4([1.0, 2.0], tt.FitConfig(n=6))
 
     def test_result_model_roundtrip(self):
         fr = tt.fit_exp4(quantile_matched(30, 2.0))
@@ -141,10 +145,10 @@ class TestFitExp4:
 class TestFitExpN:
     def test_n4_matches_fit_exp4_exactly(self):
         losses = tt.exp4_sample(30, 1.0, np.random.default_rng(4))
-        assert tt.fit_expn(losses, tt.FitConfig(n=4)) == tt.fit_exp4(losses)
+        assert tt.fit_expn(losses, 4) == tt.fit_expn(losses) == tt.fit_exp4(losses)
 
     def test_quantile_matched_n12_recovery(self):
-        fr = tt.fit_expn(quantile_matched(30, 1.0, power=12), tt.FitConfig(n=12))
+        fr = tt.fit_expn(quantile_matched(30, 1.0, power=12), 12)
         assert fr.s_hat_raw == pytest.approx(1.0, abs=0.01)
 
     def test_n100_on_exp4_data_fits_worse(self):
@@ -154,17 +158,13 @@ class TestFitExpN:
         # of cases there).
         losses = quantile_matched(30, 1.0)
         area4 = tt.fit_exp4(losses).tna.area
-        fr100 = tt.fit_expn(losses, tt.FitConfig(n=100))
+        fr100 = tt.fit_expn(losses, 100)
         assert fr100.converged
         assert fr100.tna.area > area4
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            tt.FitConfig(s_lo=1.0, s_hi=0.5)
-        with pytest.raises(ValueError):
-            tt.FitConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            tt.FitConfig(n=0)
+        with pytest.raises(ValueError, match="n must be an integer >= 1, got 0"):
+            tt.fit_expn([1.0, 2.0], 0)
 
 
 # Samples the pinned fits run on, written out so that the pins hold the fit, not the
@@ -204,45 +204,40 @@ def _pinned_losses(name):
     return np.array(SEEDED30)
 
 
-# (losses, power, bracket) -> (repr(s_hat), evaluations, repr(tna.area), crossings, at_boundary),
+# (losses, power) -> (repr(s_hat), evaluations, repr(tna.area), crossings, at_boundary),
 # recorded from the one-power-at-a-time search so that any rewrite of it is held to the
 # same floating-point results.
 PINNED_FITS = {
-    ("seeded30", 1, ()): ("0.6389909665752721", 42, "0.060563721409946314", 5, False),
-    ("seeded30", 2, ()): ("1.3258877986495077", 43, "0.03310126986235686", 5, False),
-    ("seeded30", 4, ()): ("1.7245115417930008", 44, "0.01573234894914187", 13, False),
-    ("seeded30", 100, ()): ("1.946163706122585", 44, "0.020753451401148055", 8, False),
-    ("seeded12", 8, ()): ("1.97522876508225", 44, "0.027332754624796087", 8, False),
-    ("two_losses", 4, ()): ("1.7793712431365427", 44, "0.004100662961177929", 1, False),
-    ("tied", 4, ()): ("1.8394472137697835", 44, "0.18750000000000783", 1, False),
-    ("tied_mixed", 6, ()): ("1.838040049232022", 44, "0.07043767125574375", 4, False),
-    ("boundary", 4, ()): ("0.05", 35, "0.46642059945166703", 1, True),
-    ("upper", 100, ()): ("10.0", 46, "0.4068244171020171", 1, True),
+    ("seeded30", 1): ("0.6389909665752721", 42, "0.060563721409946314", 5, False),
+    ("seeded30", 2): ("1.3258877986495077", 43, "0.03310126986235686", 5, False),
+    ("seeded30", 4): ("1.7245115417930008", 44, "0.01573234894914187", 13, False),
+    ("seeded30", 100): ("1.946163706122585", 44, "0.020753451401148055", 8, False),
+    ("seeded12", 8): ("1.97522876508225", 44, "0.027332754624796087", 8, False),
+    ("two_losses", 4): ("1.7793712431365427", 44, "0.004100662961177929", 1, False),
+    ("tied", 4): ("1.8394472137697835", 44, "0.18750000000000783", 1, False),
+    ("tied_mixed", 6): ("1.838040049232022", 44, "0.07043767125574375", 4, False),
+    ("boundary", 4): ("0.05", 35, "0.46642059945166703", 1, True),
+    ("upper", 100): ("10.0", 46, "0.4068244171020171", 1, True),
 }
 
 
 class TestPinnedFits:
     @pytest.mark.parametrize("key", sorted(PINNED_FITS), ids=lambda k: f"{k[0]}-n{k[1]}")
     def test_fit_matches_pinned_result(self, key):
-        name, power, bracket = key
-        cfg = tt.FitConfig(*bracket, n=power)
+        name, power = key
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fr = tt.fit_expn(_pinned_losses(name), cfg)
+            fr = tt.fit_expn(_pinned_losses(name), power)
         got = (repr(fr.s_hat), fr.evaluations, repr(fr.tna.area), fr.tna.crossings, fr.at_boundary)
         assert got == PINNED_FITS[key]
 
-    @pytest.mark.parametrize("name, bracket, converged", [("seeded30", (), True), ("boundary", (), False)])
-    def test_converged_means_an_interior_minimum(self, name, bracket, converged):
+    @pytest.mark.parametrize("name, converged", [("seeded30", True), ("boundary", False)])
+    def test_converged_means_an_interior_minimum(self, name, converged):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fr = tt.fit_expn(_pinned_losses(name), tt.FitConfig(*bracket, n=4))
+            fr = tt.fit_expn(_pinned_losses(name), 4)
         assert fr.converged is converged
         assert fr.at_boundary is not converged
-
-    def test_evaluation_limit_raises(self):
-        with pytest.raises(RuntimeError, match="exceeded 500 objective evaluations"):
-            tt.fit_expn(_pinned_losses("seeded30"), tt.FitConfig(tol=1e-300))
 
 
 class TestLockstepSearch:
@@ -250,17 +245,21 @@ class TestLockstepSearch:
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(2, 40),
         powers=st.lists(st.integers(1, 8) | st.integers(9, 120), min_size=1, max_size=6),
-        tol=st.sampled_from([1e-5, 1e-3, 0.1]),
     )
-    @example(seed=0, size=30, powers=[2, 4, 100], tol=1e-5)
+    @example(seed=0, size=30, powers=[2, 4, 100])
     @settings(max_examples=40, deadline=None)
-    def test_each_row_equals_its_own_fit(self, seed, size, powers, tol):
+    def test_each_row_equals_its_own_fit(self, seed, size, powers):
         rng = np.random.default_rng(seed)
         losses = np.round(rng.lognormal(0.0, 1.0, size), int(rng.integers(0, 4))) + 0.01
-        cfgs = [tt.FitConfig(tol=tol, n=n) for n in powers]
+        scaled, _ = tt.scale_losses(losses)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            assert tt.fit_expn_many(losses, cfgs) == [tt.fit_expn(losses, cfg) for cfg in cfgs]
+            results = tt.fit_expn_many(losses, powers)
+            assert results == [tt.fit_expn(losses, n) for n in powers]
+        for fr, n in zip(results, powers):
+            # the batched TN-A evaluation gives the bits of a test of its own
+            assert fr.tna == tt.tna_test(scaled, tt.SeverityModel(expn_params(fr.s_hat, n)))
+            assert fr.evaluations <= 47  # 16 grid points, 2 probes, 28 golden steps, 1 midpoint
 
     def test_rows_may_hold_their_own_samples(self):
         rng = np.random.default_rng(5)
@@ -268,21 +267,18 @@ class TestLockstepSearch:
         scaled = [tt.scale_losses(x)[0] for x in samples]
         emps = [tt.empirical_from_losses(x) for x in scaled]
         powers = np.array([4, 8, 100])
-        s_hats, evaluations = fit._search(np.stack([e.x for e in emps]), emps[0].y, powers, tt.FitConfig())
-        singles = [tt.fit_expn(x, tt.FitConfig(n=int(n))) for x, n in zip(samples, powers)]
+        s_hats, evaluations = fit._search(np.stack([e.x for e in emps]), emps[0].y, powers)
+        singles = [tt.fit_expn(x, int(n)) for x, n in zip(samples, powers)]
         assert s_hats.tolist() == [fr.s_hat for fr in singles]
         assert evaluations.tolist() == [fr.evaluations for fr in singles]
 
     def test_one_boundary_row_warns_for_itself_only(self):
-        losses = quantile_matched(20, 1.0)
-        cfgs = [tt.FitConfig(s_lo=0.05, s_hi=1.0, n=n) for n in (1, 4)]
+        # two losses far above the rest: power 1 has an interior minimum, power 4 does not
         with pytest.warns(RuntimeWarning, match="search boundary") as caught:
-            results = tt.fit_expn_many(losses, cfgs)
+            results = tt.fit_expn_many([0.001] * 28 + [1000.0] * 2, [1, 4])
         assert [fr.at_boundary for fr in results] == [False, True]
         assert len(caught) == 1
 
-    def test_configs_must_share_the_bracket(self):
-        with pytest.raises(ValueError, match="share"):
-            tt.fit_expn_many([1.0, 2.0], [tt.FitConfig(n=4), tt.FitConfig(s_hi=5.0, n=6)])
+    def test_needs_at_least_one_power(self):
         with pytest.raises(ValueError, match="at least one"):
             tt.fit_expn_many([1.0, 2.0], [])

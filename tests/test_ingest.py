@@ -155,6 +155,15 @@ class TestParsePreAggregated:
         with pytest.raises(LossCsvError):
             tt.parse_pre_aggregated(stream("amount\n0\n"))
 
+    def test_row_with_extra_fields_is_refused(self):
+        # a decimal-comma amount must not be read as its integer part
+        with pytest.raises(LossCsvError) as err:
+            tt.parse_pre_aggregated(stream("amount\n1.5\n2.0,7\n3.25\n,\n0.8\n4,1,9\n"))
+        assert err.value.diagnostics == [
+            "line 3: expected 1 field (amount), got 2",
+            "line 7: expected 1 field (amount), got 3",
+        ]
+
 
 class TestAggregate:
     def records(self):

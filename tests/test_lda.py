@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import thintail as tt
-from thintail.lda import _chunk_rng, parse_model_spec
+from thintail.lda import _chunk_rng, _resolve_workers, parse_model_spec
 
 
 def poisson_quantile_by_summation(lam: float, p: float) -> int:
@@ -139,6 +139,11 @@ class TestRunLda:
             for workers in (1, 2, 8)
         }
         assert capitals[1] == capitals[2] == capitals[8]
+
+    @pytest.mark.parametrize("threads, workers", [("0", 1), ("-3", 1), ("2", 2)])
+    def test_threads_env_below_one_is_one_worker(self, monkeypatch, threads, workers):
+        monkeypatch.setenv("THINTAIL_THREADS", threads)
+        assert _resolve_workers(None) == workers
 
     def test_seed_changes_result(self):
         sev = tt.SeverityModel(tt.Exp4Params(1.2))
