@@ -1,12 +1,14 @@
 """Command-line front end: fit, gof, capital, compare, curve, density.
 
 Each command is one entry of ``_COMMANDS``: a compute function that
-loads the losses, does the command's work and returns the output file
-name, a JSON payload (reports) or CSV rows (tables and plot data), and
-the summary lines.  ``_run`` does the rest for every command: it creates
-``--out-dir`` only once the compute function has succeeded, so a failed
-command leaves no directory behind; writes the payload or rows; writes
-the run manifest; and prints the lines.
+checks the values it derives from options, then loads the losses (so a
+bad option is reported before a large input is parsed), does the
+command's work and returns the output file name, a JSON payload
+(reports) or CSV rows (tables and plot data), and the summary lines.
+``_run`` does the rest for every command: it creates ``--out-dir`` only
+once the compute function has succeeded, so a failed command leaves no
+directory behind; writes the payload or rows; writes the run manifest;
+and prints the lines.
 
 The manifest records the command, inputs and the input file's SHA-256,
 configuration, tool, Python, numpy and scipy versions, and timestamp,
@@ -24,7 +26,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import platform
 import sys
 from dataclasses import replace
@@ -35,12 +36,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dist import ExpNParams, SeverityModel
+from .dist import ExpNParams, NormalParams, SeverityModel, check_even_power, check_power
 from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
     aggregate,
+    check_span_years,
     parse_csv,
     parse_pre_aggregated,
     summary,
@@ -51,6 +53,7 @@ from .lda import (
     NormalApproxFreq,
     PoissonFreq,
     UnknownModelError,
+    _resolve_workers,
     annual_frequency,
     compare_models,
     parse_model_spec,
@@ -101,22 +104,24 @@ def _models_arg(value: str) -> list[str]:
 
 
 def _powers_arg(value: str) -> list[int]:
-    """Accept '4..20' ranges or comma lists like '4,6,8'."""
+    """Even powers from a range '4..20' (stepping by 2) or a comma list like '4,6,8'."""
     text = value.strip()
+    lo, is_range, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError
-            powers = list(range(lo, hi + 1))
-        else:
+        if not is_range:
             powers = [int(part) for part in text.split(",") if part.strip()]
+        elif int(lo) <= int(hi):
+            powers = list(range(int(lo), int(hi) + 1, 2))
+        else:
+            raise ValueError
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad power list {value!r}") from None
     if not powers:
         raise argparse.ArgumentTypeError("power list must not be empty")
-    return powers
+    try:
+        return [check_even_power(n) for n in powers]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _freq_arg(value: str):
@@ -192,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_curve)
     add_sim(p_curve)
     p_curve.add_argument("--powers", type=_powers_arg, default="4,6,8,10,12,14,16,18,20",
-                         help="range '4..20' or comma list of even powers")
+                         help="even powers: comma list, or range '4..20' stepping by 2")
     p_curve.add_argument("--with-capital", action="store_true",
                          help="add a simulated capital column")
 
@@ -209,16 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_losses(args) -> AggregatedLossSet:
     path = Path(args.input)
     label = args.label if args.label is not None else path.stem
+    span = None if args.span_years is None else check_span_years(float(args.span_years))
     if args.mode == "pre":
-        if args.span_years is None:
+        if span is None:
             raise ValueError("--mode pre requires --span-years")
-        losses = tuple(parse_pre_aggregated(path))
-        return AggregatedLossSet(losses, float(args.span_years), label, "pre-aggregated")
-    table = parse_csv(path, permissive=args.permissive)
-    loss_set = aggregate(table, mode=args.mode, label=label)
-    if args.span_years is not None:
-        loss_set = replace(loss_set, span_years=float(args.span_years))
-    return loss_set
+        return AggregatedLossSet(tuple(parse_pre_aggregated(path)), span, label, "pre-aggregated")
+    loss_set = aggregate(parse_csv(path, permissive=args.permissive), mode=args.mode, label=label)
+    return loss_set if span is None else replace(loss_set, span_years=span)
 
 
 def _write_json(path: Path, payload: dict):
@@ -300,6 +302,7 @@ def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]
 
 
 def _fit(args):
+    check_power(args.power)
     payload, _ = _fit_payload(_load_losses(args), args.power)
     summary_line = (
         f"fit [{payload['label']}] power={args.power}: "
@@ -311,9 +314,10 @@ def _fit(args):
 
 
 def _gof(args):
+    params = ExpNParams(args.scale, args.power)
     loss_set = _load_losses(args)
     scaled, mean = scale_losses(np.asarray(loss_set.losses))
-    result = tna_test(scaled, SeverityModel(ExpNParams(args.scale, args.power), scaling_mean=1.0))
+    result = tna_test(scaled, SeverityModel(params, scaling_mean=1.0))
     payload = {
         "label": loss_set.label,
         "power": args.power,
@@ -340,11 +344,13 @@ def _frequency_model(spec, lam: float):
 
 
 def _capital(args):
-    loss_set = _load_losses(args)
     cfg = _sim_config(args)
+    check_power(args.power)
+    workers = _resolve_workers(None)
+    loss_set = _load_losses(args)
     fit_payload, fit_result = _fit_payload(loss_set, args.power)
     lam = annual_frequency(len(loss_set.losses), loss_set.span_years)
-    capital = run_lda(fit_result.model, _frequency_model(args.freq, lam), cfg)
+    capital = run_lda(fit_result.model, _frequency_model(args.freq, lam), cfg, workers)
     payload = {
         "label": loss_set.label,
         "count": fit_payload["count"],
@@ -372,10 +378,11 @@ def _capital(args):
 
 
 def _compare(args):
+    cfg = _sim_config(args)
+    _resolve_workers(None)  # compare_models reads THINTAIL_THREADS again when it simulates
     loss_set = _load_losses(args)
     row = compare_models(
-        np.asarray(loss_set.losses), loss_set.span_years, args.models, _sim_config(args),
-        label=loss_set.label,
+        np.asarray(loss_set.losses), loss_set.span_years, args.models, cfg, label=loss_set.label
     )
     first, *rest = row.entries
     header = ["dataset", "count", "sum", "capital", "tna", *(f"{e.name}_capital" for e in rest)]
@@ -388,15 +395,12 @@ def _compare(args):
 
 
 def _curve(args):
-    for n in args.powers:
-        if n % 2 != 0:
-            print(f"warning: skipping odd power {n} (only even powers are defined)", file=sys.stderr)
-    powers = [n for n in args.powers if n % 2 == 0]
-    if not powers:
-        raise ValueError("no even powers left in --powers")
+    cfg = _sim_config(args)
+    if args.with_capital:
+        _resolve_workers(None)  # percentile_vs_n reads THINTAIL_THREADS again when it simulates
     loss_set = _load_losses(args)
     rows = percentile_vs_n(
-        np.asarray(loss_set.losses), loss_set.span_years, powers, _sim_config(args),
+        np.asarray(loss_set.losses), loss_set.span_years, args.powers, cfg,
         with_capital=args.with_capital,
     )
     header = ["n", "q999", "capital"] if args.with_capital else ["n", "q999"]
@@ -422,10 +426,7 @@ def _density(args):
     if np.std(scaled) > 0:
         empirical = gaussian_kde(scaled, bw_method="silverman")(grid)
     else:  # every loss equal: a Normal bump of width 0.1 at the one scaled value
-        bw = 0.1
-        empirical = np.exp(-0.5 * ((grid - scaled.mean()) / bw) ** 2) / (
-            bw * math.sqrt(2 * math.pi)
-        )
+        empirical = NormalParams(float(scaled.mean()), 0.1).pdf(grid)
 
     name = "density_data.csv"
     table = [["x", "fit", "empirical"]] + [

@@ -2,10 +2,13 @@
 (``Exp4`` and its power-n generalization ``ExpN``) and the Normal /
 LogNormal / Weibull / Pareto baselines.
 
-Each family is a frozen parameter record with its own ``pdf``, ``cdf``,
+Each family is a frozen parameter record with ``pdf``, ``cdf``,
 ``quantile`` and ``sample(count, rng)`` on the mean-scaled axis, and
-``SeverityModel`` maps them to loss units.  The power-exponential
-density on x > 0 is
+``SeverityModel`` maps them to loss units.  Caller input has one front
+door, ``SeverityParams``: it checks x or p and calls the family's
+array-only ``_pdf``, ``_cdf`` or ``_quantile``.  ``ExpNParams`` uses
+``expn_pdf``, ``expn_cdf`` and ``expn_quantile``, which check x the
+same way.  The power-exponential density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
@@ -90,6 +93,13 @@ def check_power(n) -> None:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
 
 
+def check_even_power(n: int) -> int:
+    """``n`` if it is a positive even integer, the powers ``compare`` and ``curve`` accept."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"ExpN power must be a positive even integer, got {n}")
+    return n
+
+
 def _check_p(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if np.isnan(arr).any() or (arr < 0.0).any() or (arr >= 1.0).any():
@@ -103,7 +113,7 @@ def _as_float_array(x, nonneg: bool = False) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError("x must not contain NaN")
     if nonneg and (arr < 0.0).any():
-        raise ValueError("x must be >= 0 for this family")
+        raise ValueError("x must be >= 0")
     return arr
 
 
@@ -132,10 +142,7 @@ def _check_xs(x, s, n) -> tuple[np.ndarray, float | np.ndarray, int | np.ndarray
     else:
         check_power(n)
         n = int(n)
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any() or (arr < 0.0).any():
-        raise ValueError("x must be >= 0")
-    return arr, s, n
+    return _as_float_array(x, nonneg=True), s, n
 
 
 def _expn_unit_norm(n):
@@ -252,10 +259,29 @@ def exp4_sample(count, s, rng: np.random.Generator, method: str = "gamma"):
 # parameter records, one per family
 # ---------------------------------------------------------------------------
 
+def _scalar_or_array(method, arr: np.ndarray):
+    """``method(arr)``, as a float when ``arr`` is 0-d."""
+    out = method(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
 class SeverityParams:
-    """Base of the per-family parameter records: ``pdf``, ``cdf``, ``quantile`` (scalar or
-    array in, the same out) and ``sample(count, rng)`` (count >= 1), on the mean-scaled axis.
+    """Base of the per-family parameter records, on the mean-scaled axis.  Its ``pdf``, ``cdf``
+    and ``quantile`` (scalar or array in, the same out) are the records' front door: they check
+    x (NaN; x < 0 where the family sets ``_nonneg``) or p, then call the family's array-only
+    ``_pdf``, ``_cdf`` or ``_quantile``.  Each family also has ``sample(count, rng)`` (count >= 1).
     """
+
+    _nonneg = False  # True: the family refuses x < 0
+
+    def pdf(self, x):
+        return _scalar_or_array(self._pdf, _as_float_array(x, self._nonneg))
+
+    def cdf(self, x):
+        return _scalar_or_array(self._cdf, _as_float_array(x, self._nonneg))
+
+    def quantile(self, p):
+        return _scalar_or_array(self._quantile, _check_p(p))
 
 
 @dataclass(frozen=True)
@@ -304,21 +330,15 @@ class NormalParams(SeverityParams):
     def __post_init__(self):
         _require_positive("sigma", self.sigma)
 
-    def pdf(self, x):
-        arr = _as_float_array(x)
-        z = (arr - self.mu) / self.sigma
-        out = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return float(out) if arr.ndim == 0 else out
+    def _pdf(self, x):
+        z = (x - self.mu) / self.sigma
+        return np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
 
-    def cdf(self, x):
-        arr = _as_float_array(x)
-        out = ndtr((arr - self.mu) / self.sigma)
-        return float(out) if arr.ndim == 0 else out
+    def _cdf(self, x):
+        return ndtr((x - self.mu) / self.sigma)
 
-    def quantile(self, p):
-        arr = _check_p(p)
-        out = self.mu + self.sigma * ndtri(arr)
-        return float(out) if arr.ndim == 0 else out
+    def _quantile(self, p):
+        return self.mu + self.sigma * ndtri(p)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         out = rng.normal(self.mu, self.sigma, size=count)
@@ -340,29 +360,22 @@ class LogNormalParams(SeverityParams):
     def __post_init__(self):
         _require_positive("sigma", self.sigma)
 
-    def pdf(self, x):
-        arr = _as_float_array(x)
-        out = np.zeros(np.atleast_1d(arr).shape, dtype=float)
-        pos = np.atleast_1d(arr) > 0.0
-        xp = np.atleast_1d(arr)[pos]
+    def _pdf(self, x):
+        out = np.zeros(x.shape)
+        pos = x > 0.0
+        xp = x[pos]
         z = (np.log(xp) - self.mu) / self.sigma
         out[pos] = np.exp(-0.5 * z * z) / (xp * self.sigma * math.sqrt(2.0 * math.pi))
-        out = out.reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        return out
 
-    def cdf(self, x):
-        arr = _as_float_array(x)
-        flat = np.atleast_1d(arr)
-        out = np.zeros(flat.shape, dtype=float)
-        pos = flat > 0.0
-        out[pos] = ndtr((np.log(flat[pos]) - self.mu) / self.sigma)
-        out = out.reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+    def _cdf(self, x):
+        out = np.zeros(x.shape)
+        pos = x > 0.0
+        out[pos] = ndtr((np.log(x[pos]) - self.mu) / self.sigma)
+        return out
 
-    def quantile(self, p):
-        arr = _check_p(p)
-        out = np.exp(self.mu + self.sigma * ndtri(arr))
-        return float(out) if arr.ndim == 0 else out
+    def _quantile(self, p):
+        return np.exp(self.mu + self.sigma * ndtri(p))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=count)
@@ -374,36 +387,28 @@ class WeibullParams(SeverityParams):
 
     tau: float
     theta: float
+    _nonneg = True
 
     def __post_init__(self):
         if not (0.0 < self.tau <= 1.0):
             raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
         _require_positive("theta", self.theta)
 
-    def pdf(self, x):
-        arr = _as_float_array(x, nonneg=True)
-        r = np.atleast_1d(arr) / self.theta
+    def _pdf(self, x):
+        r = x / self.theta
         out = np.zeros_like(r)
         pos = r > 0.0
         with np.errstate(under="ignore"):
             out[pos] = (self.tau / self.theta) * r[pos] ** (self.tau - 1.0) * np.exp(-r[pos] ** self.tau)
-        if self.tau == 1.0:
-            out[~pos] = 1.0 / self.theta
-        else:
-            out[~pos] = np.inf  # shape < 1 density diverges at the origin
-        out = out.reshape(arr.shape)
-        return float(out) if arr.ndim == 0 else out
+        out[~pos] = 1.0 / self.theta if self.tau == 1.0 else np.inf  # tau < 1 diverges at 0
+        return out
 
-    def cdf(self, x):
-        arr = _as_float_array(x, nonneg=True)
+    def _cdf(self, x):
         with np.errstate(under="ignore"):
-            out = -np.expm1(-np.power(arr / self.theta, self.tau))
-        return float(out) if arr.ndim == 0 else out
+            return -np.expm1(-np.power(x / self.theta, self.tau))
 
-    def quantile(self, p):
-        arr = _check_p(p)
-        out = self.theta * np.power(-np.log1p(-arr), 1.0 / self.tau)
-        return float(out) if arr.ndim == 0 else out
+    def _quantile(self, p):
+        return self.theta * np.power(-np.log1p(-p), 1.0 / self.tau)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return self.theta * rng.weibull(self.tau, size=count)
@@ -413,28 +418,23 @@ class WeibullParams(SeverityParams):
 class ParetoParams(SeverityParams):
     theta: float
     alpha: float
+    _nonneg = True
 
     def __post_init__(self):
         _require_positive("theta", self.theta)
         _require_positive("alpha", self.alpha)
 
-    def pdf(self, x):
-        arr = _as_float_array(x, nonneg=True)
-        out = (self.alpha / self.theta) * np.power(1.0 + arr / self.theta, -self.alpha - 1.0)
-        return float(out) if arr.ndim == 0 else out
+    def _pdf(self, x):
+        return (self.alpha / self.theta) * np.power(1.0 + x / self.theta, -self.alpha - 1.0)
 
-    def cdf(self, x):
-        arr = _as_float_array(x, nonneg=True)
-        out = 1.0 - np.power(1.0 + arr / self.theta, -self.alpha)
-        return float(out) if arr.ndim == 0 else out
+    def _cdf(self, x):
+        return 1.0 - np.power(1.0 + x / self.theta, -self.alpha)
 
-    def quantile(self, p):
-        arr = _check_p(p)
-        out = self.theta * (np.power(1.0 - arr, -1.0 / self.alpha) - 1.0)
-        return float(out) if arr.ndim == 0 else out
+    def _quantile(self, p):
+        return self.theta * (np.power(1.0 - p, -1.0 / self.alpha) - 1.0)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.quantile(rng.random(count))
+        return self._quantile(rng.random(count))
 
 
 @dataclass(frozen=True)
@@ -449,14 +449,11 @@ class PointMassParams(SeverityParams):
     def pdf(self, x):
         raise ValueError("point-mass severity has no density")
 
-    def cdf(self, x):
-        out = np.where(np.asarray(x, dtype=float) >= self.value, 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+    def _cdf(self, x):
+        return np.where(x >= self.value, 1.0, 0.0)
 
-    def quantile(self, p):
-        arr = _check_p(p)
-        out = np.full(arr.shape, self.value)
-        return float(out) if arr.ndim == 0 else out
+    def _quantile(self, p):
+        return np.full(p.shape, self.value)
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(count, self.value)

@@ -161,8 +161,14 @@ class AggregatedLossSet:
     def __post_init__(self):
         if len(self.losses) == 0:
             raise ValueError("aggregated loss set must not be empty")
-        if not (math.isfinite(self.span_years) and self.span_years > 0.0):
-            raise ValueError(f"span_years must be > 0, got {self.span_years!r}")
+        check_span_years(self.span_years)
+
+
+def check_span_years(span_years: float) -> float:
+    """``span_years`` if it is finite and > 0."""
+    if not (math.isfinite(span_years) and span_years > 0.0):
+        raise ValueError(f"span_years must be > 0, got {span_years!r}")
+    return span_years
 
 
 @contextmanager

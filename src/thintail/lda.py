@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NormalParams, SeverityModel
+from .dist import NormalParams, SeverityModel, check_even_power
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -237,12 +237,6 @@ class UnknownModelError(ValueError):
     """A model spec whose name is none of exp4, normal and expn:<power>."""
 
 
-def _even_power(n: int) -> int:
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"ExpN power must be a positive even integer, got {n}")
-    return n
-
-
 def parse_model_spec(spec: str) -> tuple[str, int | None]:
     """(report name, ExpN power) of 'exp4' (power 4), 'expn:<even power>' or 'normal' (None)."""
     text = spec.strip().lower()
@@ -255,7 +249,7 @@ def parse_model_spec(spec: str) -> tuple[str, int | None]:
             n = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad power in model spec {spec!r}") from None
-        return ("expn", _even_power(n))
+        return ("expn", check_even_power(n))
     raise UnknownModelError(f"unknown model name {spec!r} (expected exp4, normal, or expn:<power>)")
 
 
@@ -336,7 +330,7 @@ def percentile_vs_n(
     Returns (n, q999, capital) tuples ordered by n; capital is NaN when
     ``with_capital`` is off.  Powers must be even and >= 2.
     """
-    values = [_even_power(n) for n in sorted(int(n) for n in n_values)]
+    values = [check_even_power(n) for n in sorted(int(n) for n in n_values)]
     if not values:
         raise ValueError("n_values must not be empty")
     arr = np.asarray(losses, dtype=float)

@@ -156,6 +156,21 @@ class TestCapitalCommand:
                  "--freq", "binomial"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", [["--freq", "negbin:x"], ["--freq", "negbin:0"], ["--mode", "bogus"]],
+                             ids=" ".join)
+    def test_bad_option_value_is_usage_error(self, pre_file, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5", *option])
+        assert exc.value.code == 2
+        assert f"argument {option[0]}:" in capsys.readouterr().err
+
+    def test_span_years_overrides_event_dates(self, event_file, tmp_path):
+        out = tmp_path / "out"
+        assert run(["capital", "--input", event_file, "--mode", "event", "--span-years", "4",
+                    "--trials", "2000", "--out-dir", out]) == 0
+        report = json.loads((out / "capital_report.json").read_text())
+        assert report["count"] == 12 and report["lambda"] == 12 / 4
+
     def test_threads_env_does_not_change_result(self, pre_file, tmp_path, monkeypatch):
         args = ["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
                 "--trials", "5000", "--seed", "3"]
@@ -241,22 +256,33 @@ class TestCurveCommand:
             rows = list(csv.reader(fh))
         assert [int(r[0]) for r in rows[1:]] == list(range(4, 21, 2))
 
-    def test_odd_powers_skipped_with_warning(self, pre_file, tmp_path, capsys):
+    def test_range_steps_by_two_and_is_silent(self, pre_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",
                     "--powers", "4..7", "--out-dir", out])
         assert code == 0
-        err = capsys.readouterr().err
-        assert "skipping odd power 5" in err and "skipping odd power 7" in err
+        assert capsys.readouterr().err == ""
         with open(out / "curve_data.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert [int(r[0]) for r in rows[1:]] == [4, 6]
 
-    def test_all_odd_powers_is_error(self, pre_file, capsys):
-        code = run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                    "--powers", "3,5"])
-        assert code == 1
-        assert "no even powers" in capsys.readouterr().err
+    @pytest.mark.parametrize("powers, reason", [
+        ("4,5,6", "ExpN power must be a positive even integer, got 5"),
+        ("5", "ExpN power must be a positive even integer, got 5"),
+        ("3,5", "ExpN power must be a positive even integer, got 3"),
+        ("0", "ExpN power must be a positive even integer, got 0"),
+        ("3..9", "ExpN power must be a positive even integer, got 3"),
+        ("9..4", "bad power list '9..4'"),
+        ("x", "bad power list 'x'"),
+    ], ids=["4,5,6", "5", "3,5", "0", "3..9", "9..4", "x"])
+    def test_refused_powers_are_usage_errors(self, tmp_path, capsys, powers, reason):
+        # the input does not exist: a refused power is reported before it would be read
+        with pytest.raises(SystemExit) as exc:
+            run(["curve", "--input", tmp_path / "missing.csv", "--mode", "pre", "--span-years", "5",
+                 "--powers", powers, "--out-dir", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --powers: {reason}")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_powers_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:
@@ -347,6 +373,18 @@ class TestDensityCommand:
         assert "--grid-points" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_equal_losses_give_a_normal_bump(self, tmp_path):
+        path = tmp_path / "equal.csv"
+        path.write_text("amount\n" + "7.5\n" * 6)
+        out = tmp_path / "out"
+        assert run(["density", "--input", path, "--mode", "pre", "--span-years", "5",
+                    "--out-dir", out]) == 0
+        with open(out / "density_data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 201
+        x = np.array([float(r[0]) for r in rows])
+        assert np.array_equal([float(r[2]) for r in rows], tt.NormalParams(1.0, 0.1).pdf(x))
+
     def test_two_grid_points_span_zero_to_past_the_largest_loss(self, pre_file, tmp_path):
         out = tmp_path / "out"
         assert run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
@@ -354,6 +392,36 @@ class TestDensityCommand:
         with open(out / "density_data.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3 and float(rows[1][0]) == 0.0 and float(rows[2][0]) > 0.0
+
+
+# Each bad option value, on a file whose line 3 is refused: the option is reported, not the line.
+COMMA_FILE_OPTION_ERRORS = [
+    (["capital", "--trials", "10"], {}, "trials must be >= 1000, got 10"),
+    (["capital", "--percentile", "1.5"], {}, "percentile must lie in (0, 1), got 1.5"),
+    (["capital", "--power", "0"], {}, "n must be an integer >= 1, got 0"),
+    (["compare", "--seed", "-1"], {}, "seed must lie in [0, 2**128), got -1"),
+    (["gof", "--scale", "0"], {}, "s must be finite and > 0, got 0.0"),
+    (["fit", "--power", "0"], {}, "n must be an integer >= 1, got 0"),
+    (["fit", "--span-years", "-1"], {}, "span_years must be > 0, got -1.0"),
+    (["capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["compare"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("argv, env, message", COMMA_FILE_OPTION_ERRORS,
+                         ids=[" ".join([*argv, *env]) for argv, env, _ in COMMA_FILE_OPTION_ERRORS])
+def test_option_errors_come_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, env, message):
+    path = tmp_path / "comma.csv"
+    path.write_text("amount\n1.5\n2.0,7\n3.25\n0.8\n4.1\n")
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    command, *options = argv
+    out = tmp_path / "out"
+    assert run([command, "--input", path, "--mode", "pre", "--span-years", "5", *options,
+                "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestManifests:

@@ -423,6 +423,9 @@ class TestBaselines:
         with pytest.raises(RuntimeError, match="mu is far below 0"):
             tt.NormalParams(mu=-50.0, sigma=1.0).sample(1, np.random.default_rng(0))
 
+    def test_exponential_weibull_density_at_zero(self):
+        assert tt.WeibullParams(tau=1.0, theta=2.5).pdf(0.0) == 1.0 / 2.5
+
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
             tt.NormalParams(mu=0.0, sigma=0.0)
@@ -548,12 +551,35 @@ class TestSeverityModelPerFamily:
             assert np.array_equal(model.pdf(xs), params.pdf(xs / m) / m)
             assert model.pdf(45.0) == params.pdf(45.0 / m) / m
 
+    @pytest.mark.parametrize("x", [float("nan"), np.array([1.0, np.nan])], ids=["scalar", "array"])
+    def test_nan_x_is_refused(self, name, x):
+        params = FAMILY_RECORDS[name]
+        methods = [params.cdf] if name == "pointmass" else [params.pdf, params.cdf]
+        for method in methods:
+            with pytest.raises(ValueError, match="^x must not contain NaN$"):
+                method(x)
+
     @pytest.mark.parametrize("k", [1, 7, 4096])
     def test_sample_matches_frozen_draws(self, name, k):
         draws = tt.SeverityModel(FAMILY_RECORDS[name], scaling_mean=self.m).sample(k, np.random.default_rng(k))
         assert draws.shape == (k,)
         digest = hashlib.sha256(np.asarray(draws, dtype="<f8").tobytes()).hexdigest()
         assert digest == FAMILY_DRAWS_SHA256[name][[1, 7, 4096].index(k)]
+
+
+@pytest.mark.parametrize("name", ["exp4", "expn1", "expn100", "weibull", "pareto"])
+@pytest.mark.parametrize("x", [-0.5, np.array([0.5, -1e-300])], ids=["scalar", "array"])
+def test_negative_x_is_refused_where_the_support_starts_at_zero(name, x):
+    params = FAMILY_RECORDS[name]
+    for method in (params.pdf, params.cdf):
+        with pytest.raises(ValueError, match="^x must be >= 0$"):
+            method(x)
+
+
+@pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan])], ids=["scalar", "array"])
+def test_expn_cdf_refuses_nan_x(x):
+    with pytest.raises(ValueError, match="^x must not contain NaN$"):
+        tt.expn_cdf(x, 1.0, 4)
 
 
 def test_exp4_record_is_expn_with_power_four():

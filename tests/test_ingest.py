@@ -143,6 +143,17 @@ class TestParseCsv:
         assert path.read_text() == path2.read_text()
 
 
+@pytest.mark.parametrize("amount, category, message", [
+    (0.0, None, "amount must be finite and > 0, got 0.0"),
+    (-2.5, "CPBP", "amount must be finite and > 0, got -2.5"),
+    (5.0, "XYZ", "unknown Basel category 'XYZ'"),
+])
+def test_loss_record_refuses(amount, category, message):
+    with pytest.raises(ValueError) as err:
+        tt.LossRecord(amount, date(2016, 3, 1), "EV1", category)
+    assert str(err.value) == message
+
+
 class TestParsePreAggregated:
     def test_reads_amount_column(self):
         assert tt.parse_pre_aggregated(stream("amount\n5.5\n7\n")) == [5.5, 7.0]
@@ -154,6 +165,11 @@ class TestParsePreAggregated:
     def test_rejects_nonpositive(self):
         with pytest.raises(LossCsvError):
             tt.parse_pre_aggregated(stream("amount\n0\n"))
+
+    def test_bad_amount_reports_line(self):
+        with pytest.raises(LossCsvError) as err:
+            tt.parse_pre_aggregated(stream("amount\n5.5\nabc\n"))
+        assert err.value.diagnostics == ["line 3: bad amount 'abc'"]
 
     def test_row_with_extra_fields_is_refused(self):
         # a decimal-comma amount must not be read as its integer part
@@ -205,6 +221,10 @@ class TestAggregate:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tt.aggregate(self.records(), mode="weekly")
+
+    def test_unknown_period_granularity(self):
+        with pytest.raises(ValueError, match="granularity must be month, quarter, or year"):
+            tt.aggregate(self.records(), mode="period:week")
 
     def test_span_years_from_dates(self):
         agg = tt.aggregate(self.records(), mode="event")

@@ -64,6 +64,15 @@ class TestFrequencyModels:
         assert (draws >= 0).all()
         assert draws.mean() == pytest.approx(2.0, rel=0.05)
 
+    @pytest.mark.parametrize("make", [
+        lambda mean: tt.NegativeBinomialFreq(mean=mean, dispersion=3.0),
+        tt.NormalApproxFreq,
+    ], ids=["negbin", "normal"])
+    @pytest.mark.parametrize("mean", [0.0, -1.0])
+    def test_nonpositive_mean_rejected(self, make, mean):
+        with pytest.raises(ValueError, match="must be > 0"):
+            make(mean)
+
     def test_invariants(self):
         with pytest.raises(ValueError):
             tt.PoissonFreq(0.0)
