@@ -16,7 +16,8 @@ so any output can be reproduced from it.  Reports themselves carry no
 timestamps: identical inputs and flags give byte-identical files.
 
 No plotting happens here; ``curve`` and ``density`` emit plot-ready
-CSV for external tools.  THINTAIL_THREADS caps simulation workers.
+CSV for external tools.  ``_sim_config`` builds the simulation settings
+(defaults from ``LdaConfig``) and checks THINTAIL_THREADS, the worker count.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ def _freq_arg(value: str):
             dispersion = float(text.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad dispersion in {value!r}") from None
-        if dispersion <= 0:
-            raise argparse.ArgumentTypeError("dispersion must be > 0")
+        if not 0.0 < dispersion < float("inf"):
+            raise argparse.ArgumentTypeError("dispersion must be finite and > 0")
         return ("negbin", dispersion)
     raise argparse.ArgumentTypeError(
         f"frequency must be poisson, normal, or negbin:<dispersion>, got {value!r}"
@@ -166,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="ignore unknown CSV columns")
 
     def add_sim(p: argparse.ArgumentParser):
-        p.add_argument("--trials", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--percentile", type=float, default=0.999)
+        p.add_argument("--trials", type=int, default=LdaConfig.trials)
+        p.add_argument("--seed", type=int, default=LdaConfig.seed)
+        p.add_argument("--percentile", type=float, default=LdaConfig.percentile)
 
     p_fit = sub.add_parser("fit", help="fit the ExpN scale and report goodness of fit")
     add_common(p_fit)
@@ -278,6 +279,8 @@ def _reject_lines(payload: dict) -> list[str]:
 
 
 def _sim_config(args) -> LdaConfig:
+    """The simulation settings; a bad THINTAIL_THREADS fails here, before the input is read."""
+    _resolve_workers(None)
     return LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
 
 
@@ -346,11 +349,10 @@ def _frequency_model(spec, lam: float):
 def _capital(args):
     cfg = _sim_config(args)
     check_power(args.power)
-    workers = _resolve_workers(None)
     loss_set = _load_losses(args)
     fit_payload, fit_result = _fit_payload(loss_set, args.power)
     lam = annual_frequency(len(loss_set.losses), loss_set.span_years)
-    capital = run_lda(fit_result.model, _frequency_model(args.freq, lam), cfg, workers)
+    capital = run_lda(fit_result.model, _frequency_model(args.freq, lam), cfg)
     payload = {
         "label": loss_set.label,
         "count": fit_payload["count"],
@@ -379,7 +381,6 @@ def _capital(args):
 
 def _compare(args):
     cfg = _sim_config(args)
-    _resolve_workers(None)  # compare_models reads THINTAIL_THREADS again when it simulates
     loss_set = _load_losses(args)
     row = compare_models(
         np.asarray(loss_set.losses), loss_set.span_years, args.models, cfg, label=loss_set.label
@@ -396,8 +397,6 @@ def _compare(args):
 
 def _curve(args):
     cfg = _sim_config(args)
-    if args.with_capital:
-        _resolve_workers(None)  # percentile_vs_n reads THINTAIL_THREADS again when it simulates
     loss_set = _load_losses(args)
     rows = percentile_vs_n(
         np.asarray(loss_set.losses), loss_set.span_years, args.powers, cfg,

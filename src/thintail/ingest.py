@@ -4,6 +4,7 @@ accounting period, and summary statistics.
 Input schema (UTF-8 CSV): header ``amount,date,event_id,category`` with
 the last two columns optional; dates are ISO-8601; amounts are mEUR and
 must be positive.  Unknown columns are rejected unless ``permissive``.
+Fields past the header's schema columns are ignored.
 Pre-aggregated inputs are a one-column ``amount`` CSV plus an explicit
 observation span in years.
 
@@ -21,9 +22,8 @@ producer of :class:`LossCsvError` diagnostics, so their messages and
 line numbers (the CSV record number, header = line 1) do not depend on
 the tokenizer.  It is also the general path for rows the schema allows
 but the tokenizer refuses: blank rows of delimiters such as ``,,,``,
-whitespace-only lines, and rows with fewer (or, under a header of two or
-three columns, more) fields than the header.  A text stream that cannot
-seek back is read by the row loop alone.
+whitespace-only lines, and rows with fewer fields than the header.  A
+text stream that cannot seek back is read by the row loop alone.
 
 :func:`aggregate` groups a table by integer keys (event-id rank, or a
 month/quarter/year index derived from the day ordinals) with one stable
@@ -252,10 +252,7 @@ def _header_width(reader, permissive: bool) -> int:
 def _tokenized(handle, width: int) -> LossTable:
     """Rows after the header through numpy's C tokenizer; ``ValueError`` on any row it refuses.
 
-    With four schema columns, columns past the fourth are ignored, as
-    the row loop ignores them.  With fewer, every row must have exactly
-    that many fields: the row loop would read a longer row's extra
-    fields as event id and category.
+    Fields past the ``width`` schema columns are ignored, as the row loop ignores them.
     """
     events, categories = _Codes(), _Codes(BASEL_CATEGORIES)
     # float, not numpy's own parser, which also strips \x1c-\x1f: amounts parse exactly as in the row loop.
@@ -268,7 +265,7 @@ def _tokenized(handle, width: int) -> LossTable:
             delimiter=",",
             quotechar='"',
             comments=None,
-            usecols=range(4) if width == 4 else None,
+            usecols=range(width),
             converters={k: converters[k] for k in range(width)},
             ndmin=1,
         )
@@ -286,7 +283,7 @@ def _tokenized(handle, width: int) -> LossTable:
     )
 
 
-def _row_loop(reader) -> LossTable:
+def _row_loop(reader, width: int) -> LossTable:
     """Rows after the header, one ``csv.reader`` row at a time, collecting every bad line."""
     days_of, events, categories = _Days(), _Codes(), _Codes(BASEL_CATEGORIES)
     amounts: list[float] = []
@@ -297,7 +294,7 @@ def _row_loop(reader) -> LossTable:
     for lineno, row in _rows(reader, problems):
         if not row or all(not cell.strip() for cell in row):
             continue
-        row = row + [""] * (4 - len(row)) if len(row) < 4 else row
+        row = (row[:width] + [""] * 4)[:4]
         try:
             amount = float(row[0])
         except ValueError:
@@ -338,7 +335,7 @@ def parse_csv(source, permissive: bool = False) -> LossTable:
                 handle.seek(start)
                 reader = csv.reader(handle)
                 next(reader)
-        return _row_loop(reader)
+        return _row_loop(reader, width)
 
 
 def parse_pre_aggregated(source) -> list[float]:

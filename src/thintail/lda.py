@@ -9,9 +9,10 @@ linear interpolation between order statistics.
 Reproducibility contract: trials are partitioned into fixed-size
 chunks, each driven by its own SFC64 stream seeded from
 ``SeedSequence(seed, spawn_key=(chunk,))``, numpy's independent
-parallel streams.  The annual-loss array therefore depends only on
-(seed, trials) — never on the worker count or scheduling — and the
-capital is bit-identical for 1 or many workers.
+parallel streams; one thread pool fills them, whatever the worker
+count.  The annual-loss array therefore depends only on (seed, trials)
+— never on the worker count or scheduling — and the capital is
+bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
@@ -184,8 +185,8 @@ def run_lda(
 ) -> CapitalResult:
     """Simulate annual aggregate losses and return the capital percentile.
 
-    ``workers`` threads split the fixed chunk grid; results are
-    bit-identical for any worker count (default from THINTAIL_THREADS).
+    A pool of ``workers`` threads (default THINTAIL_THREADS, at least 1)
+    fills the fixed chunk grid; results are bit-identical for any count.
     """
     trials = int(cfg.trials)
     n_chunks = (trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK
@@ -198,13 +199,8 @@ def run_lda(
             severity, freq, cfg.seed, chunk, sizes[chunk]
         )
 
-    n_workers = _resolve_workers(workers)
-    if n_workers == 1:
-        for chunk in range(n_chunks):
-            fill(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=_resolve_workers(workers)) as pool:
+        list(pool.map(fill, range(n_chunks)))
 
     if not np.isfinite(annual).all():
         raise RuntimeError("annual loss sums overflowed; check severity parameters")
@@ -327,10 +323,10 @@ def percentile_vs_n(
 ) -> list[tuple[int, float, float]]:
     """Severity 99.9th percentile (and capital) of the fitted ExpN per power n.
 
-    Returns (n, q999, capital) tuples ordered by n; capital is NaN when
-    ``with_capital`` is off.  Powers must be even and >= 2.
+    Returns one (n, q999, capital) tuple per distinct n, ordered by n;
+    capital is NaN when ``with_capital`` is off.  Powers must be even and >= 2.
     """
-    values = [check_even_power(n) for n in sorted(int(n) for n in n_values)]
+    values = [check_even_power(n) for n in sorted({int(n) for n in n_values})]
     if not values:
         raise ValueError("n_values must not be empty")
     arr = np.asarray(losses, dtype=float)

@@ -90,6 +90,14 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: line 2: field larger than field limit (131072)\n"
 
+    def test_field_past_the_header_is_not_an_event_id(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text("amount,date\n1.5,2016-01-01,EV1\n2.5,2016-02-01,EV2\n")
+        assert run(["fit", "--input", path, "--mode", "event", "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            "error: event aggregation requires event_id on every record; missing on 2 record(s)\n"
+        )
+
 
 class TestGofCommand:
     def test_reports_area_for_given_scale(self, pre_file, tmp_path):
@@ -156,7 +164,8 @@ class TestCapitalCommand:
                  "--freq", "binomial"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("option", [["--freq", "negbin:x"], ["--freq", "negbin:0"], ["--mode", "bogus"]],
+    @pytest.mark.parametrize("option", [["--freq", "negbin:x"], ["--freq", "negbin:0"], ["--freq", "negbin:nan"],
+                                        ["--freq", "negbin:inf"], ["--mode", "bogus"]],
                              ids=" ".join)
     def test_bad_option_value_is_usage_error(self, pre_file, capsys, option):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +254,11 @@ class TestCurveCommand:
         assert [int(r[0]) for r in rows[1:]] == [4, 6, 8]
         qs = [float(r[1]) for r in rows[1:]]
         assert qs[0] > qs[1] > qs[2]
+        # a repeated power gives one row
+        assert run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--powers", "4,4,6", "--out-dir", out]) == 0
+        with open(out / "curve_data.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == rows[:3]
 
     def test_default_powers_are_even_and_silent(self, pre_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -406,6 +420,7 @@ COMMA_FILE_OPTION_ERRORS = [
     (["capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["compare"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["curve"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
 ]
 
 

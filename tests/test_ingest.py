@@ -104,7 +104,7 @@ class TestParseCsv:
         ]
 
     def test_clean_input_never_reaches_the_row_loop(self, monkeypatch):
-        def refuse(reader):
+        def refuse(reader, width):
             raise AssertionError("row loop ran on input the tokenizer accepts")
 
         monkeypatch.setattr(ingest, "_row_loop", refuse)
@@ -119,6 +119,9 @@ class TestParseCsv:
             tt.LossRecord(3.0, date(2016, 3, 3), 'EV"3', "EF"),
         ])
         assert len(tt.parse_csv(io.StringIO("amount,date\r1,2016-01-01\r2,2016-01-02", newline=""))) == 2
+        # fields past the header's schema columns are ignored, whatever they hold
+        table = tt.parse_csv(io.StringIO("amount,date\n1.5,2016-01-01,EV1\n2.5,2016-02-01,EV2\n"))
+        assert table.event_codes.tolist() == [-1, -1] and table.event_ids == ()
 
     def test_refused_rows_fall_back_to_the_row_loop(self):
         text = "amount,date,event_id,category\n1_0,2016-01-01,EV1,CPBP\n,,,\n   \n2,2016-01-02,EV2\n"
@@ -288,8 +291,8 @@ def row_loop_outcome(path, permissive):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            ingest._header_width(reader, permissive)
-            return ingest._row_loop(reader)
+            width = ingest._header_width(reader, permissive)
+            return ingest._row_loop(reader, width)
         except LossCsvError as exc:
             return exc.diagnostics
 
@@ -352,6 +355,13 @@ def loss_csv_texts(draw):
     return newline.join([header] + rows) + draw(st.sampled_from([newline, ""]))
 
 
+class UnseekableStream(io.StringIO):
+    """A text stream that cannot seek back, so parse_csv reads it by the row loop alone."""
+
+    def seekable(self):
+        return False
+
+
 class TestTokenizerEquivalence:
     @settings(max_examples=500, deadline=None)
     @given(text=loss_csv_texts(), permissive=st.booleans())
@@ -365,6 +375,7 @@ class TestTokenizerEquivalence:
             assert tokenized == expected
         assert parse_outcome(path, permissive) == expected
         assert parse_outcome(io.StringIO(text, newline=""), permissive) == expected
+        assert parse_outcome(UnseekableStream(text, newline=""), permissive) == expected
 
 
 def reference_aggregate(records, mode):
