@@ -49,7 +49,6 @@ from .lda import (
     run_lda,
 )
 from .tna import (
-    EmpiricalDistribution,
     TnaResult,
     critical_value,
     decisions_for_area,
@@ -59,7 +58,6 @@ from .tna import (
     null_critical_value,
     significance_area,
     tna_test,
-    to_probability_space,
 )
 
 __version__ = "0.1.0"
@@ -85,10 +83,8 @@ __all__ = [
     "expn_quantile",
     "expn_sample",
     # tna
-    "EmpiricalDistribution",
     "TnaResult",
     "empirical_from_losses",
-    "to_probability_space",
     "enclosed_area",
     "significance_area",
     "critical_value",

@@ -37,7 +37,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dist import ExpNParams, NormalParams, SeverityModel, check_even_power, check_power
+from .dist import ExpNParams, NormalParams, check_even_power, check_power
 from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
@@ -320,7 +320,7 @@ def _gof(args):
     params = ExpNParams(args.scale, args.power)
     loss_set = _load_losses(args)
     scaled, mean = scale_losses(np.asarray(loss_set.losses))
-    result = tna_test(scaled, SeverityModel(params, scaling_mean=1.0))
+    result = tna_test(scaled, params)
     payload = {
         "label": loss_set.label,
         "power": args.power,

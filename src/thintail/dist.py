@@ -87,10 +87,11 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-def check_power(n) -> None:
-    """Reject a power-exponential power that is not an integer >= 1."""
+def check_power(n):
+    """``n`` if it is an integer >= 1, the powers a power-exponential fit accepts."""
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    return n
 
 
 def check_even_power(n: int) -> int:

@@ -22,9 +22,9 @@ golden-section step is one evaluation over the rows whose bracket is
 still wider than the tolerance.  Every row takes the same steps, in the
 same floating-point order, as a search of its own would, so
 ``fit_expn`` is the B = 1 case of ``fit_expn_many``.  Each row's TN-A
-result (area, crossings, decisions) comes from one more evaluation of
-all rows at their fitted scales, bit for bit what ``tna_test`` gives;
-it is not counted in ``evaluations``.
+area and crossings come from one more evaluation of all rows at their
+fitted scales, and its ``TnaResult`` is bit for bit what ``tna_test``
+gives; that evaluation is not counted in ``evaluations``.
 
 The reported ``s_hat`` lives on the mean-scaled axis (invariant under
 rescaling all losses); ``s_hat_raw`` maps it back to loss units.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import SeverityModel, check_power, expn_cdf, expn_params
-from .tna import TnaResult, _checked_polyline_areas, decisions_for_area, empirical_from_losses
+from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
 __all__ = ["FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
 
@@ -113,12 +113,10 @@ def _fit(losses, powers: list) -> list[FitResult]:
     for n in powers:
         check_power(n)
     scaled, mean = scale_losses(losses)
-    if scaled.size < 2:
-        raise ValueError("need at least 2 losses to fit")
-    emp = empirical_from_losses(scaled)
+    x, y = empirical_from_losses(scaled)
     powers = np.array([int(n) for n in powers])
-    s_hats, evaluations = _search(emp.x, emp.y, powers)
-    areas, crossings = _checked_polyline_areas(expn_cdf(emp.x, s_hats[:, None], powers[:, None]), emp.y)
+    s_hats, evaluations = _search(x, y, powers)
+    areas, crossings = _checked_polyline_areas(expn_cdf(x, s_hats[:, None], powers[:, None]), y)
 
     results = []
     for s_hat, n, count, area, crossed in zip(
@@ -136,7 +134,7 @@ def _fit(losses, powers: list) -> list[FitResult]:
             s_hat=s_hat,
             scaling_mean=mean,
             n=n,
-            tna=TnaResult(area=area, n_points=emp.n, crossings=crossed, reject=decisions_for_area(area)),
+            tna=TnaResult(area, x.size, crossed),
             evaluations=count,
             at_boundary=at_boundary,
         ))

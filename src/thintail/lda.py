@@ -23,13 +23,14 @@ percentiles is below 1% of the capital.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NormalParams, SeverityModel, check_even_power
+from .dist import NormalParams, SeverityModel, check_even_power, check_power
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -120,6 +121,11 @@ class LdaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.trials < 1000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not (0.0 < self.percentile < 1.0):
@@ -268,7 +274,7 @@ def _fit_normal(losses) -> tuple[SeverityModel, float]:
     """Moment-matched Normal on the mean-scaled axis (sample sd, ddof=1) and its TN-A area."""
     scaled, mean = scale_losses(losses)
     params = NormalParams(mu=1.0, sigma=float(np.std(scaled, ddof=1)))
-    area = tna_test(scaled, SeverityModel(params, 1.0)).area
+    area = tna_test(scaled, params).area
     return SeverityModel(params=params, scaling_mean=mean), area
 
 
@@ -282,14 +288,14 @@ def compare_models(
     """Fit each ``parse_model_spec`` spec in ``models``; put its capital beside count and sum.
 
     ExpN scales (exp4 is power 4) come from the enclosed-area fit; the
-    Normal baseline is moment matched.  Two or more expn:<power> entries
-    are named 'expn<power>'.  All models run the same seed, so capitals
-    are directly comparable.
+    Normal baseline is moment matched.  A repeated spec runs once, where
+    it first appears; two or more expn:<power> entries are named
+    'expn<power>'.  Every model runs the same seed, so capitals are comparable.
     """
     arr = np.asarray(losses, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least 2 losses to compare models")
-    specs = [parse_model_spec(m) for m in models]
+    specs = list(dict.fromkeys(parse_model_spec(m) for m in models))
     if not specs:
         raise ValueError("model list must not be empty")
 
@@ -324,9 +330,9 @@ def percentile_vs_n(
     """Severity 99.9th percentile (and capital) of the fitted ExpN per power n.
 
     Returns one (n, q999, capital) tuple per distinct n, ordered by n;
-    capital is NaN when ``with_capital`` is off.  Powers must be even and >= 2.
+    capital is NaN when ``with_capital`` is off.  Powers must be even integers >= 2.
     """
-    values = [check_even_power(n) for n in sorted({int(n) for n in n_values})]
+    values = [check_even_power(n) for n in sorted({int(check_power(n)) for n in n_values})]
     if not values:
         raise ValueError("n_values must not be empty")
     arr = np.asarray(losses, dtype=float)

@@ -35,14 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SeverityModel
-
 __all__ = [
-    "EmpiricalDistribution",
     "TnaResult",
     "DEFAULT_LEVELS",
     "empirical_from_losses",
-    "to_probability_space",
     "enclosed_area",
     "significance_area",
     "critical_value",
@@ -57,18 +53,6 @@ DEFAULT_LEVELS = (1.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted losses with plotting positions y_i = (i - 0.5)/n."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
 class TnaResult:
     """Enclosed-area statistic with the standard accept/reject decisions.
 
@@ -79,37 +63,27 @@ class TnaResult:
     area: float
     n_points: int
     crossings: int
-    reject: dict[float, bool]
+
+    @property
+    def reject(self) -> dict[float, bool]:
+        return decisions_for_area(self.area)
 
     def rejected_at(self, level_percent: float) -> bool:
         return self.reject[level_percent]
 
 
-def empirical_from_losses(losses) -> EmpiricalDistribution:
-    """Sort losses ascending and attach plotting positions."""
+def empirical_from_losses(losses) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted losses ``x`` and their plotting positions y_i = (i - 0.5)/n."""
     arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    if arr.ndim != 1:
+        raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
+    if arr.size < 2:
         raise ValueError(f"need at least 2 losses, got {arr.size}")
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError("losses must be finite and > 0")
-    xs = np.sort(arr)
-    n = xs.size
-    ys = (np.arange(1, n + 1) - 0.5) / n
-    return EmpiricalDistribution(x=xs, y=ys)
-
-
-def to_probability_space(emp: EmpiricalDistribution, model: SeverityModel) -> np.ndarray:
-    """Map each (x_i, y_i) to (F(x_i), y_i); returns an (n, 2) array."""
-    X = np.asarray(model.cdf(emp.x), dtype=float)
-    return np.column_stack((X, emp.y))
-
-
-def _area_and_crossings(points: np.ndarray) -> tuple[float, int]:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError("need at least 1 point of shape (n, 2)")
-    area, crossings = _checked_polyline_areas(pts[:, 0], pts[:, 1])
-    return float(area), int(crossings)
+    x = np.sort(arr)
+    y = (np.arange(1, x.size + 1) - 0.5) / x.size
+    return x, y
 
 
 def _checked_polyline_areas(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +127,10 @@ def enclosed_area(points) -> float:
     The polyline is augmented with the endpoints (0, 0) and (1, 1);
     vertical (zero-width) segments contribute zero.
     """
-    return _area_and_crossings(points)[0]
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError("need at least 1 point of shape (n, 2)")
+    return float(_checked_polyline_areas(pts[:, 0], pts[:, 1])[0])
 
 
 def significance_area(p: float) -> float:
@@ -239,16 +216,13 @@ def _null_quantile(level: float, n: int) -> float:
     return float(np.quantile(areas, 1.0 - level / 100.0))
 
 
-def tna_test(losses, model: SeverityModel) -> TnaResult:
-    """Run the enclosed-area test of ``losses`` against ``model``.
+def tna_test(losses, model) -> TnaResult:
+    """Run the enclosed-area test of ``losses`` against anything with a ``cdf`` on their axis.
 
     Decisions are two-tailed at ``DEFAULT_LEVELS`` (1%, 5% and 10%), the
     levels every report prints; the null survives a statistic exactly
     equal to the critical value.
     """
-    emp = empirical_from_losses(losses)
-    points = to_probability_space(emp, model)
-    area, crossings = _area_and_crossings(points)
-    return TnaResult(
-        area=area, n_points=emp.n, crossings=crossings, reject=decisions_for_area(area)
-    )
+    x, y = empirical_from_losses(losses)
+    area, crossings = _checked_polyline_areas(np.asarray(model.cdf(x), dtype=float), y)
+    return TnaResult(float(area), x.size, int(crossings))

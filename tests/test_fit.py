@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import thintail as tt
 from thintail import fit
-from thintail.dist import expn_cdf, expn_params
-from thintail.tna import _area_and_crossings
+from thintail.dist import expn_params
 
 # population mean of ExpN(1, n): 2^(1/n) * Gamma(2/n) / Gamma(1/n); for n=4
 # this is the quadrature-checked constant below, so the scale of the
@@ -70,11 +69,8 @@ class TestFitExp4:
         losses = tt.exp4_sample(25, 1.0, np.random.default_rng(3))
         fr = tt.fit_exp4(losses)
         scaled, _ = tt.scale_losses(losses)
-        emp = tt.empirical_from_losses(scaled)
         for s in np.geomspace(0.05, 10.0, 16):
-            grid_area = _area_and_crossings(
-                np.column_stack((expn_cdf(emp.x, float(s), 4), emp.y))
-            )[0]
+            grid_area = tt.tna_test(scaled, expn_params(float(s), 4)).area
             assert fr.tna.area <= grid_area + 1e-15
 
     def test_determinism_bit_identical(self):
@@ -265,9 +261,9 @@ class TestLockstepSearch:
         rng = np.random.default_rng(5)
         samples = [tt.exp4_sample(25, s, rng) for s in (0.5, 1.0, 3.0)]
         scaled = [tt.scale_losses(x)[0] for x in samples]
-        emps = [tt.empirical_from_losses(x) for x in scaled]
+        xs, ys = zip(*(tt.empirical_from_losses(x) for x in scaled))
         powers = np.array([4, 8, 100])
-        s_hats, evaluations = fit._search(np.stack([e.x for e in emps]), emps[0].y, powers)
+        s_hats, evaluations = fit._search(np.stack(xs), ys[0], powers)
         singles = [tt.fit_expn(x, int(n)) for x, n in zip(samples, powers)]
         assert s_hats.tolist() == [fr.s_hat for fr in singles]
         assert evaluations.tolist() == [fr.evaluations for fr in singles]

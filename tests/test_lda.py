@@ -94,6 +94,15 @@ class TestLdaConfig:
         with pytest.raises(ValueError, match="seed"):
             tt.LdaConfig(seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("trials", 1500.7), ("trials", 2000.0), ("seed", 1.5)])
+    def test_non_integer_trials_or_seed_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tt.LdaConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = tt.LdaConfig(trials=np.int64(2_000), seed=np.uint64(3))
+        assert (cfg.trials, cfg.seed) == (2_000, 3)
+
     def test_seed_key_range_ends_accepted(self):
         sev = tt.SeverityModel(tt.Exp4Params(1.0))
         for seed in (0, 2**128 - 1):
@@ -249,6 +258,14 @@ class TestCompareModels:
         exp4, expn4 = row.entries
         assert (exp4.capital, exp4.tna_area) == (expn4.capital, expn4.tna_area)
 
+    def test_repeated_specs_fitted_once(self, compare_losses):
+        cfg = tt.LdaConfig(trials=5_000, seed=1)
+        row = tt.compare_models(
+            compare_losses, 5.0, ["exp4", "normal", "normal", "expn:8", "expn:8", "exp4"], cfg
+        )
+        assert row == tt.compare_models(compare_losses, 5.0, ["exp4", "normal", "expn:8"], cfg)
+        assert [e.name for e in row.entries] == ["exp4", "normal", "expn"]
+
     def test_empty_model_list_rejected(self, compare_losses):
         with pytest.raises(ValueError):
             tt.compare_models(compare_losses, 5.0, [], tt.LdaConfig(trials=5_000))
@@ -284,7 +301,11 @@ class TestPercentileVsN:
         rows = tt.percentile_vs_n(curve_losses, 5.0, [4], tt.LdaConfig(trials=5_000, seed=2))
         assert rows[0][2] > 0.0
 
-    @pytest.mark.parametrize("bad", [[], [3], [0], [5, 7]])
+    def test_numpy_integer_powers_accepted(self, curve_losses):
+        rows = tt.percentile_vs_n(curve_losses, 5.0, np.array([6, 4]), with_capital=False)
+        assert [n for n, _, _ in rows] == [4, 6]
+
+    @pytest.mark.parametrize("bad", [[], [3], [0], [5, 7], [4.5], [4, 6.5]])
     def test_bad_powers(self, curve_losses, bad):
         with pytest.raises(ValueError):
             tt.percentile_vs_n(curve_losses, 5.0, bad, tt.LdaConfig(trials=5_000))

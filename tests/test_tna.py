@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 import thintail as tt
-from thintail.tna import decisions_for_area
+from thintail.tna import _checked_polyline_areas, _polyline_areas, decisions_for_area
 
 
 def dense_area_oracle(points, step=1e-5):
@@ -37,45 +37,53 @@ def dense_area_oracle(points, step=1e-5):
 
 class TestEmpirical:
     def test_formula_example(self):
-        emp = tt.empirical_from_losses([3.0, 1.0, 2.0])
-        assert np.array_equal(emp.x, [1.0, 2.0, 3.0])
-        assert emp.y == pytest.approx([1 / 6, 1 / 2, 5 / 6])
+        x, y = tt.empirical_from_losses([3.0, 1.0, 2.0])
+        assert np.array_equal(x, [1.0, 2.0, 3.0])
+        assert y == pytest.approx([1 / 6, 1 / 2, 5 / 6])
 
     def test_single_loss_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 2 losses, got 1"):
             tt.empirical_from_losses([1.0])
 
     def test_ties_keep_rank_positions(self):
-        emp = tt.empirical_from_losses([1.0, 1.0])
-        assert np.array_equal(emp.x, [1.0, 1.0])
-        assert emp.y == pytest.approx([0.25, 0.75])
+        x, y = tt.empirical_from_losses([1.0, 1.0])
+        assert np.array_equal(x, [1.0, 1.0])
+        assert y == pytest.approx([0.25, 0.75])
 
-    @pytest.mark.parametrize("bad", [[1.0, -2.0], [0.0, 1.0], [1.0, float("nan")]])
+    @pytest.mark.parametrize("bad", [[1.0, -2.0], [0.0, 1.0], [1.0, float("nan")], [[1.0, 2.0], [3.0, 4.0]]])
     def test_invalid_losses(self, bad):
-        with pytest.raises(ValueError):
+        message = "finite and > 0" if np.ndim(bad) == 1 else r"1-d sequence, got shape \(2, 2\)"
+        with pytest.raises(ValueError, match=message):
             tt.empirical_from_losses(bad)
 
 
 class TestProbabilitySpace:
+    """``tna_test`` measures the polyline through (F(x_i), y_i)."""
+
     def test_true_model_lands_on_diagonal(self):
         n = 25
         ys = (np.arange(1, n + 1) - 0.5) / n
         losses = tt.exp4_quantile(ys, 1.3)
-        emp = tt.empirical_from_losses(losses)
-        pts = tt.to_probability_space(emp, tt.SeverityModel(tt.Exp4Params(1.3)))
-        assert pts[:, 0] == pytest.approx(pts[:, 1], abs=1e-9)
+        model = tt.SeverityModel(tt.Exp4Params(1.3))
+        x, y = tt.empirical_from_losses(losses)
+        assert model.cdf(x) == pytest.approx(y, abs=1e-9)
+        assert tt.tna_test(losses, model).area < 1e-9
 
     def test_two_point_case(self):
         model = tt.SeverityModel(tt.Exp4Params(1.0))
         losses = [tt.exp4_quantile(0.25, 1.0), tt.exp4_quantile(0.75, 1.0)]
-        pts = tt.to_probability_space(tt.empirical_from_losses(losses), model)
-        expected = np.array([[0.25, 0.25], [0.75, 0.75]])
-        assert np.abs(pts - expected).max() < 1e-9
+        x, y = tt.empirical_from_losses(losses)
+        assert np.abs(model.cdf(x) - [0.25, 0.75]).max() < 1e-9
+        assert np.array_equal(y, [0.25, 0.75])
+        result = tt.tna_test(losses, model)
+        assert result.n_points == 2
+        assert result.area < 1e-9
 
     def test_positive_losses_map_above_zero(self):
-        emp = tt.empirical_from_losses([1e-6, 2e-6, 5.0])
-        pts = tt.to_probability_space(emp, tt.SeverityModel(tt.Exp4Params(1.0)))
-        assert (pts[:, 0] > 0.0).all()
+        model = tt.SeverityModel(tt.Exp4Params(1.0))
+        x, _ = tt.empirical_from_losses([1e-6, 2e-6, 5.0])
+        assert (model.cdf(x) > 0.0).all()
+        assert tt.tna_test(x, model).n_points == 3
 
 
 class TestEnclosedArea:
@@ -216,6 +224,7 @@ class TestTnaTest:
         t5 = tt.critical_value(5.0, tails=2)
         decisions = decisions_for_area(t5)
         assert decisions[5.0] is False
+        assert tt.TnaResult(t5, 30, 0).reject == decisions
         assert decisions_for_area(np.nextafter(t5, 1.0))[5.0] is True
 
     def test_statistic_scale_invariance_binary_exact(self):
@@ -237,14 +246,16 @@ class TestTnaTest:
         assert tripled.area == pytest.approx(base.area, rel=1e-12)
 
     def test_crossings_counted(self):
-        from thintail.tna import _area_and_crossings
-
+        X = np.array([0.3, 0.7])
         # (0.3, 0.45) lies above the diagonal, (0.7, 0.55) below: one crossing
-        pts = np.array([[0.3, 0.45], [0.7, 0.55]])
-        assert _area_and_crossings(pts)[1] == 1
+        assert _checked_polyline_areas(X, np.array([0.45, 0.55]))[1] == 1
         # all points on one side: no strict crossing
-        above = np.array([[0.3, 0.5], [0.7, 0.9]])
-        assert _area_and_crossings(above)[1] == 0
+        assert _checked_polyline_areas(X, np.array([0.5, 0.9]))[1] == 0
+
+    @pytest.mark.parametrize("params", [tt.ExpNParams(0.9, 8), tt.NormalParams(1.0, 0.4)])
+    def test_bare_record_tests_like_its_unit_model(self, params):
+        losses = tt.scale_losses(tt.exp4_sample(30, 1.0, np.random.default_rng(9)))[0]
+        assert tt.tna_test(losses, params) == tt.tna_test(losses, tt.SeverityModel(params, 1.0))
 
 
 class TestNullCriticalValue:
@@ -284,11 +295,10 @@ class TestNullCriticalValue:
             tt.null_critical_value(level, n)
 
     def test_batched_geometry_matches_single_samples(self):
-        from thintail.tna import _area_and_crossings, _polyline_areas
-
         rng = np.random.default_rng(41)
         X = np.sort(rng.random((50, 7)), axis=-1)
         Y = (np.arange(1, 8) - 0.5) / 7
         areas, crossings = _polyline_areas(X, Y)
         for row, area, count in zip(X, areas, crossings):
-            assert (area, count) == _area_and_crossings(np.column_stack((row, Y)))
+            assert area == tt.enclosed_area(np.column_stack((row, Y)))
+            assert (area, count) == _checked_polyline_areas(row, Y)
