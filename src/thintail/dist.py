@@ -12,16 +12,17 @@ same way.  The power-exponential density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
-with CDF 1 - Q(1/n, x^n / (2 s^n)) in terms of the regularized upper
-incomplete gamma function Q.  ``Exp4`` is exactly ``ExpN`` with n = 4,
-and ``Exp4Params`` is ``ExpNParams`` with ``n`` fixed at 4.
+with CDF P(1/n, u) = 1 - Q(1/n, u), u = x^n / (2 s^n), where P and Q are
+the regularized lower and upper incomplete gamma functions.  ``Exp4`` is
+``ExpN`` with n = 4, and ``Exp4Params`` is ``ExpNParams`` with n = 4.
 
-Q is ``scipy.special.gammaincc``.  The quantile is closed-form,
-x = s * (2 g)^(1/n) with g the inverse of the regularized incomplete
-gamma function at shape 1/n: ``gammainccinv(1/n, 1 - p)`` for p > 0.5,
-where 1 - p is exact and the far tail keeps full precision, and
-``gammaincinv(1/n, p)`` otherwise.  Scalars and arrays take the same
-path, and quantiles and samples scale exactly with s.
+Below u = 1/n + 1 the CDF is P = ``scipy.special.gammainc``, as 1 - Q
+cancels there; above, it is 1 - Q with Q = ``scipy.special.gammaincc``.
+The quantile is closed-form, x = s * (2 g)^(1/n) with g the inverse of
+P at shape 1/n: ``gammainccinv(1/n, 1 - p)`` for p > 0.5, where 1 - p is
+exact and the far tail keeps full precision, and ``gammaincinv(1/n, p)``
+otherwise.  Scalars and arrays take the same path, and quantiles and
+samples scale exactly with s.
 
 In the far lower tail, where x^n / (2 s^n) or the inverse P^-1(1/n, p)
 falls below the smallest normal double (x below about 8e-4 s at
@@ -54,7 +55,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainccinv, gammaincinv, ndtr, ndtri
+from scipy.special import gammainc, gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.special import gammaincc as regularized_upper_gamma
 
 __all__ = [
@@ -183,15 +184,20 @@ def expn_pdf(x, s, n):
 
 
 def expn_cdf(x, s, n):
-    """CDF of ExpN(s, n): 1 - Q(1/n, x^n / (2 s^n)).
+    """CDF of ExpN(s, n): P(1/n, u) below u = 1/n + 1, else 1 - Q(1/n, u), u = x^n / (2 s^n).
 
-    Where x^n / (2 s^n) is below the smallest normal double it is x f(0).
+    Where u is below the smallest normal double it is x f(0).
     ``x``, an array ``s`` and an integer array ``n`` broadcast together;
     each entry equals the scalar call on it, bit for bit.
     """
     arr, s, n = _check_xs(x, s, n)
     u = _expn_exponent(arr, s, n)
-    out = 1.0 - regularized_upper_gamma(1.0 / n, u)
+    a = np.broadcast_to(1.0 / n, u.shape)
+    lower = u < a + 1.0
+    upper = ~lower
+    out = np.empty_like(u)
+    out[lower] = gammainc(a[lower], u[lower])
+    out[upper] = 1.0 - regularized_upper_gamma(a[upper], u[upper])
     if u.min(initial=np.inf) < _TINY:
         out = np.where(u < _TINY, (arr / s) / _expn_unit_norm(n), out)
     return float(out) if out.ndim == 0 else out

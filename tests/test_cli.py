@@ -500,20 +500,20 @@ PINNED_ARGS = {
 PINNED_MODES = {"pre_file": ["--mode", "pre", "--span-years", "5"], "event_file": ["--mode", "event"]}
 PINNED_OUTPUTS = {
     ("pre_file", "fit"): (
-        "27e5b0c401244d2a899ac7a4bf907cb5c385bac5392d4f17c99084ad617dc71e",
+        "03477c93aa20e5304f45791c9489fddf975fb61673b37625c8e4c2a667bdccad",
         'fit [losses] power=4: s_hat=1.72351 (raw 80.0001 mEUR), scaling_mean=46.4169, area=0.0000, attained=0.0000\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
     ),
     ("pre_file", "gof"): (
-        "5a62146ab1b4b20980215da02c9ba0132d1f4b2a16e962285f67ad6625be81ac",
+        "e4505f03d284da2e4c68e8ce98e48a866f6abcccd38a1f883a6ecd1a1e26ca3c",
         'gof [losses] power=4 scale=1.7: area=0.0052, attained=0.0019\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
     ),
     ("pre_file", "capital"): (
-        "9bc4756a7e824c1642ffa834745fc6077175b446905d76b4f1419cda8e1a296f",
+        "d0a39c61e6e874ea843cd775e10228fabbe821020831cda21b173bd422f35d5d",
         'capital [losses]: count=30 sum=1392.5 capital=826.6 tna=0.000 (lambda=6, trials=2000, converged=False)\n',
     ),
     ("pre_file", "compare"): (
-        "1da39af7bcbffff86fe575b0f51c913ae764e29cfe6e2043e3ca3c5db6c47000",
-        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nlosses,30,1392.5055381354548,826.6300383673253,2.414762976462164e-07,840.2512914561119,719.4653161815455\n',
+        "baa702d4d5752c2652f848369a54703134e54ef326bfc1878b03a4f0764d3710",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nlosses,30,1392.5055381354548,826.6300383673253,2.414762976506688e-07,840.2512914561119,719.4653161815455\n',
     ),
     ("pre_file", "curve"): (
         "afc3601d301cd2c50b3d089cac95f1f754e12df80f05b103ff6dade236b4ea94",
@@ -524,20 +524,20 @@ PINNED_OUTPUTS = {
         'density [losses]: wrote 201 grid rows to <out>/density_data.csv\n',
     ),
     ("event_file", "fit"): (
-        "aae7870928ed1bcd9426586633fcbbedf2cccaa9f47a2c26c7a1d631104a29a0",
+        "b9a14ef7675599f3c5cde69171bf59c71304537c21d88caedb7b3906f3a4e7a1",
         'fit [events] power=4: s_hat=1.58084 (raw 78.5994 mEUR), scaling_mean=49.7201, area=0.1008, attained=0.0376\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
     ),
     ("event_file", "gof"): (
-        "572404f5781dfd9b0a15b2ed8e60d624f49bb904cea39e052956e9901e295e81",
+        "6703aa2773d74c0097c57f83ced21d006547818149bf46a1848dd1f960836273",
         'gof [events] power=4 scale=1.7: area=0.1039, attained=0.0389\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
     ),
     ("event_file", "capital"): (
-        "9a949d2809fd2b2ada364d385c43a8b5552156e1f5817e9f0e0e2700294529a1",
+        "0d8687d94c79e920952d4781ba209921cb7b029926cdf46f586f54c349ffc4f8",
         'capital [events]: count=12 sum=596.6 capital=497.9 tna=0.101 (lambda=2.49, trials=2000, converged=False)\n',
     ),
     ("event_file", "compare"): (
-        "464a93f8da5b0c348e8af06ded46944a906cdaf79c2f296538ab1759a7b7e7b1",
-        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nevents,12,596.6413,497.92911067568656,0.10079530399721998,455.1296026349199,491.46255964318476\n',
+        "841f936c85d91a9e9b16642b69a83c6f76c4aef58913cdd41dcce36d86e4f868",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nevents,12,596.6413,497.92911067568656,0.10079530399722,455.1296026349199,491.46255964318476\n',
     ),
     ("event_file", "curve"): (
         "40de6d171ae82fe98cd089444ad6b02f87ad69b2c5f53ddf47913fb08cadfe99",

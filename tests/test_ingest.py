@@ -314,14 +314,20 @@ def parse_outcome(source, permissive):
         return exc.diagnostics
 
 
-AMOUNTS_OK = ["1", "2.5", " 3 ", "1e3", "4.5E-2", '"6.25"', "+7", ".5", "1e-300", "12345678.9", "\u00a08\t", "1_0"]
-# numpy's own float parser strips \x1c-\x1f, which float() rejects.
-AMOUNTS_BAD = ["nan", "inf", "-inf", "-0", "0", "-5", "abc", "", "1e", " ", '"1,5"', "0x10", "1e999", "9\x1c"]
+# float() reads non-ASCII digits such as "\u0669" (Arabic-Indic 9), which numpy's own float parser refuses.
+AMOUNTS_OK = ["1", "2.5", " 3 ", "1e3", "4.5E-2", '"6.25"', "+7", ".5", "1e-300", "12345678.9", "\u00a08\t", "1_0",
+              "\u0669"]
+# numpy's own float parser strips \x1c-\x1f, which float() rejects; up to U+3000 these are the
+# only characters it strips.
+AMOUNTS_BAD = ["nan", "inf", "-inf", "-0", "0", "-5", "abc", "", "1e", " ", '"1,5"', "0x10", "1e999", "9\x1c",
+               "9\x1d", "\x1f9"]
 DATES_OK = ["2016-01-01", " 2016-02-29 ", "2015-12-31", '"2016-03-01"', "2017-07-04"]
 # "20160101" and "2016-W01-1" are dates for date.fromisoformat from Python 3.11 on, and bad before.
 DATES_BAD = ["2015-02-29", "03/01/2016", "", "2016-13-01", "20160101", "2016-W01-1"]
+# Labels a fixed-width bytes field would misread: numpy drops a trailing NUL (so "EV\x00" would
+# merge with "EV"), two 40-byte ids share their first 32 bytes, and "\u20ac1" is not Latin-1.
 EVENTS = ["EV1", " EV1 ", "EV2", "", '"EV,1"', '"EV""1"', 'EV"1', '"EV\n1"', '"EV\r\n2"', '"EV\r3"',
-          '"  "', '"EV1"', "\u00e9v"]
+          '"  "', '"EV1"', "\u00e9v", "EV", "EV\x00", "E" * 39 + "1", "E" * 39 + "2", "\u20ac1"]
 CATEGORIES_OK = ["CPBP", " EF ", "", '"IF"', "EDPM"]
 CATEGORIES_BAD = ["XYZ", "cpbp", '"CP,BP"']
 ODD_ROWS = ["", "   ", ",,,", ",", "\t", '""', "1,2016-01-01", "1,2016-01-01,EV1", "1,2016-01-01,EV1,CPBP,x"]

@@ -1,9 +1,10 @@
 """Tests for the gamma-family special functions behind the ExpN family.
 
-``thintail.dist.regularized_upper_gamma`` is the Q(a, x) that
-``expn_cdf`` calls (``scipy.special.gammaincc``); the upper incomplete
-gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).  The ``expn_pdf``
-normaliser takes log Gamma from ``math.lgamma``.
+``expn_cdf`` at u = x^n / (2 s^n) is P(1/n, u) = ``scipy.special.gammainc``
+below u = 1/n + 1 and 1 - Q(1/n, u) from there up, with Q called through
+``thintail.dist.regularized_upper_gamma`` (``scipy.special.gammaincc``);
+the upper incomplete gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
+The ``expn_pdf`` normaliser takes log Gamma from ``math.lgamma``.
 
 Reference values were frozen from a 40-digit mpmath evaluation and,
 where marked, cross-checked against adaptive quadrature of the
@@ -14,9 +15,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammainc, gammaincc
 
 import mpmath
 
@@ -155,3 +157,68 @@ class TestRegularizedUpper:
         if 1e-12 < q1 < 1.0 - 1e-12:
             assert q2 < q1
 
+
+def mpmath_lower(n, u):
+    """P(1/n, u) to 40 digits; ``u`` is taken exactly from its double."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(1) / n, 0, mpmath.mpf(u), regularized=True))
+
+
+def mpmath_cdf(x, n):
+    """The ExpN(1, n) CDF at x to 40 digits, from the exact x^n / 2."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(mpmath.mpf(1) / n, 0, mpmath.mpf(x) ** n / 2, regularized=True))
+
+
+class TestLowerRegularized:
+    """P = ``gammainc``, which ``expn_cdf`` takes below u = 1/n + 1."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 20, 50, 100])
+    def test_against_mpmath_below_the_switch(self, n):
+        a = 1.0 / n
+        us = np.r_[np.geomspace(1e-12, a + 1.0, 40, endpoint=False), np.nextafter(a + 1.0, 0.0)]
+        got = gammainc(a, us)
+        want = np.array([mpmath_lower(n, u) for u in us])
+        assert (np.abs(got - want) <= 1e-14 * want).all()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_cdf_lower_tail_relative_accuracy(self, n):
+        # 1 - Q cancels here: on this grid it is off by up to 6.0e-11 (n = 2) and 3.2e-11 (n = 4)
+        xs = np.geomspace(1e-6, 1.0, 61)
+        got = expn_cdf(xs, 1.0, n)
+        want = np.array([mpmath_cdf(x, n) for x in xs])
+        assert (np.abs(got - want) <= 1e-14 * want).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 20, 100])
+    def test_cdf_absolute_accuracy_across_the_switch(self, n):
+        xs = np.linspace(0.0, 3.0, 121)[1:]
+        got = expn_cdf(xs, 1.0, n)
+        want = np.array([mpmath_cdf(x, n) for x in xs])
+        assert np.abs(got - want).max() <= 5e-15
+
+    @given(
+        n=st.integers(1, 120),
+        s=st.floats(min_value=0.05, max_value=10.0),
+        stretch=st.floats(min_value=1.0, max_value=4.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cdf_is_one_minus_q_at_and_above_the_switch(self, n, s, stretch):
+        x = s * stretch * (2.0 * (1.0 / n + 1.0)) ** (1.0 / n)
+        u = 0.5 * np.power(np.float64(x) / s, n)
+        assume(u >= 1.0 / n + 1.0)
+        assert expn_cdf(x, s, n) == 1.0 - gammaincc(1.0 / n, u)
+
+    def test_array_straddling_the_switch_equals_scalar_calls(self):
+        ns = np.array([1, 2, 4, 9, 100])
+        ss = np.array([0.3, 1.0, 2.5])
+        # x / s at u = 1/n + 1, and just below, just above and well away on either side
+        edge = (2.0 * (1.0 / ns + 1.0)) ** (1.0 / ns)
+        ratios = edge[:, None] * np.array([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
+        xs = ss[:, None, None] * ratios
+        got = expn_cdf(xs, ss[:, None, None], ns[:, None])
+        assert got.shape == (3, 5, 5)
+        want = [[[expn_cdf(float(x), float(s), int(n)) for x in row] for n, row in zip(ns, block)]
+                for s, block in zip(ss, xs)]
+        assert got.tolist() == want
+        u = 0.5 * (xs / ss[:, None, None]) ** ns[:, None]
+        assert (u < 1.0 / ns[:, None] + 1.0).any() and (u >= 1.0 / ns[:, None] + 1.0).any()
