@@ -11,16 +11,22 @@ observation span in years.
 :func:`parse_csv` returns one columnar :class:`LossTable`: float64
 amounts, int64 day ordinals, and int codes plus label tuples for the
 event ids and categories.  It first hands the rows after the header to
-numpy's C tokenizer (``np.loadtxt`` with a structured dtype).  Its
-per-column converters are the row loop's own: ``float`` for amounts, a
-per-distinct-string cache of ``date.fromisoformat`` for dates, and
-interning of the stripped ids and categories to codes; amounts are then
-checked finite and positive in one vectorised pass.  Whenever the
-tokenizer or that check raises ``ValueError``, the same rows are read
-again by a per-row loop over ``csv.reader``.  That loop is the only
-producer of :class:`LossCsvError` diagnostics, so their messages and
-line numbers (the CSV record number, header = line 1) do not depend on
-the tokenizer.  It is also the general path for rows the schema allows
+numpy's C tokenizer (``np.loadtxt`` with a structured dtype and no
+converters), one fixed-size block of rows at a time, so memory stays
+flat in the file size.  Amounts are read as float64 and checked finite
+and positive.  Dates, ids and categories are read as fixed-width
+Latin-1 bytes and grouped by exact bytes; the row loop's own converters
+(a per-distinct-string cache of ``date.fromisoformat``, and interning of
+the stripped ids and categories to codes in order of first appearance)
+then read each distinct field once, so what a field means has one
+definition.  Whenever the tokenizer refuses a row, or the reader cannot
+prove that the row loop reads the text the same way (a field that fills
+its width, text outside Latin-1, a NUL or a ``\\x1c``-``\\x1f`` anywhere,
+which numpy and ``float`` read differently), it raises ``ValueError``
+and the same rows are read again by a per-row loop over ``csv.reader``.
+That loop is the only producer of :class:`LossCsvError` diagnostics, so
+their messages and line numbers (the CSV record number, header = line 1)
+do not depend on the tokenizer.  It is also the general path for rows the schema allows
 but the tokenizer refuses: blank rows of delimiters such as ``,,,``,
 whitespace-only lines, and rows with fewer fields than the header.  A
 text stream that cannot seek back is read by the row loop alone.
@@ -64,7 +70,16 @@ BASEL_CATEGORIES = frozenset({"IF", "EF", "EPWS", "CPBP", "DPA", "BDSF", "EDPM"}
 _MIN_SPAN_YEARS = 1.0 / 365.0
 _DAYS_PER_YEAR = 365.25
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_COLUMNS = (("amount", np.float64), ("day", np.int64), ("event", np.int64), ("category", np.int64))
+# The tokenizer path reads _BLOCK_ROWS rows per np.loadtxt call, each date, id and category into
+# _FIELD_BYTES bytes, and scans the text _CHUNK_CHARS characters at a time.
+_BLOCK_ROWS = 1 << 14
+# One odd weight per 8-byte word of a field, so two fields that differ in a single word never share a key.
+_WORD_WEIGHTS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0xD6E8FEB86659FD93],
+                         dtype=np.uint64)
+_FIELD_BYTES = 8 * len(_WORD_WEIGHTS)
+_CHUNK_CHARS = 1 << 16
+# numpy's float parser strips \x1c-\x1f, which float() refuses, and a bytes field drops a trailing NUL.
+_MISREAD = "\x00\x1c\x1d\x1e\x1f"
 
 
 class LossCsvError(ValueError):
@@ -249,38 +264,54 @@ def _header_width(reader, permissive: bool) -> int:
     return min(len(header), 4)
 
 
-def _tokenized(handle, width: int) -> LossTable:
-    """Rows after the header through numpy's C tokenizer; ``ValueError`` on any row it refuses.
+def _coded(column: np.ndarray, convert) -> np.ndarray:
+    """``convert`` of each bytes field's text, called once per distinct field in order of first appearance."""
+    if column.view(np.uint8).reshape(-1, _FIELD_BYTES)[:, -1].any():
+        raise ValueError(f"a field fills all {_FIELD_BYTES} bytes and may have been cut short")
+    words = column.view(np.uint64)
+    _, inverse = np.unique(words.reshape(-1, len(_WORD_WEIGHTS)) @ _WORD_WEIGHTS, return_inverse=True)
+    # Each group's first row; np.unique's return_index would take a stable sort, about 3x slower here.
+    first = np.full(inverse.max(initial=-1) + 1, len(column))
+    np.minimum.at(first, inverse, np.arange(len(column)))
+    if not np.array_equal(column[first[inverse]].view(np.uint64), words):
+        raise ValueError("two different fields share a key")
+    order = np.argsort(first)
+    codes = np.empty(len(first), dtype=np.int64)
+    codes[order] = [convert(raw.decode("latin-1")) for raw in column[first[order]].tolist()]
+    return codes[inverse]
 
-    Fields past the ``width`` schema columns are ignored, as the row loop ignores them.
+
+def _tokenized(handle, start: int, width: int) -> LossTable:
+    """Rows after the header through numpy's C tokenizer, ``_BLOCK_ROWS`` at a time; ``ValueError`` on any
+    row it refuses or that the row loop may read differently.
+
+    Amounts are numpy's float64.  The other fields are read as Latin-1 bytes, and the row loop's converters
+    read each distinct field once.  Fields past the ``width`` schema columns are ignored, as the row loop
+    ignores them.  The text from ``start`` is then scanned for ``_MISREAD`` characters.
     """
     events, categories = _Codes(), _Codes(BASEL_CATEGORIES)
-    # float, not numpy's own parser, which also strips \x1c-\x1f: amounts parse exactly as in the row loop.
-    converters = {0: float, 1: _Days().__getitem__, 2: events.__getitem__, 3: categories.__getitem__}
+    converters = (_Days().__getitem__, events.__getitem__, categories.__getitem__)
+    names = ("day", "event", "category")[: width - 1]
+    dtype = np.dtype([("amount", np.float64)] + [(name, f"S{_FIELD_BYTES}") for name in names])
+    blocks = []
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(
-            handle,
-            dtype=np.dtype(list(_COLUMNS[:width])),
-            delimiter=",",
-            quotechar='"',
-            comments=None,
-            usecols=range(width),
-            converters={k: converters[k] for k in range(width)},
-            ndmin=1,
-        )
-    amounts = rows["amount"]
-    if not np.all((amounts > 0.0) & (amounts < np.inf)):
-        raise ValueError("amounts must be finite and > 0")
-    missing = np.full(len(rows), -1, dtype=np.int64)
-    return _table(
-        amounts,
-        rows["day"],
-        rows["event"] if width > 2 else missing,
-        events.labels,
-        rows["category"] if width > 3 else missing,
-        categories.labels,
-    )
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        # numpy reads the handle line by line, so each call starts at the row after the last one read.
+        while not blocks or len(blocks[-1][0]) == _BLOCK_ROWS:
+            rows = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                              usecols=range(width), ndmin=1, max_rows=_BLOCK_ROWS)
+            amounts = rows["amount"].copy()
+            if not np.all((amounts > 0.0) & (amounts < np.inf)):
+                raise ValueError("amounts must be finite and > 0")
+            coded = [_coded(np.ascontiguousarray(rows[name]), convert) for name, convert in zip(names, converters)]
+            blocks.append([amounts, *coded])
+    handle.seek(start)
+    for chunk in iter(lambda: handle.read(_CHUNK_CHARS), ""):
+        if any(char in chunk for char in _MISREAD):
+            raise ValueError("the input holds a character numpy reads differently")
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    columns += [np.full(len(columns[0]), -1, dtype=np.int64)] * (4 - width)
+    return _table(columns[0], columns[1], columns[2], events.labels, columns[3], categories.labels)
 
 
 def _row_loop(reader, width: int) -> LossTable:
@@ -330,7 +361,7 @@ def parse_csv(source, permissive: bool = False) -> LossTable:
         width = _header_width(reader, permissive)
         if start is not None:
             try:
-                return _tokenized(handle, width)
+                return _tokenized(handle, start, width)
             except ValueError:
                 handle.seek(start)
                 reader = csv.reader(handle)

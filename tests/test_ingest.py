@@ -3,11 +3,12 @@
 import csv
 import io
 import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import thintail as tt
@@ -302,7 +303,7 @@ def tokenizer_outcome(path, permissive):
     with open(path, encoding="utf-8", newline="") as fh:
         try:
             width = ingest._header_width(csv.reader(fh), permissive)
-            return ingest._tokenized(fh, width)
+            return ingest._tokenized(fh, 0, width)
         except ValueError:
             return None
 
@@ -320,14 +321,30 @@ AMOUNTS_OK = ["1", "2.5", " 3 ", "1e3", "4.5E-2", '"6.25"', "+7", ".5", "1e-300"
 # numpy's own float parser strips \x1c-\x1f, which float() rejects; up to U+3000 these are the
 # only characters it strips.
 AMOUNTS_BAD = ["nan", "inf", "-inf", "-0", "0", "-5", "abc", "", "1e", " ", '"1,5"', "0x10", "1e999", "9\x1c",
-               "9\x1d", "\x1f9"]
-DATES_OK = ["2016-01-01", " 2016-02-29 ", "2015-12-31", '"2016-03-01"', "2017-07-04"]
-# "20160101" and "2016-W01-1" are dates for date.fromisoformat from Python 3.11 on, and bad before.
-DATES_BAD = ["2015-02-29", "03/01/2016", "", "2016-13-01", "20160101", "2016-W01-1"]
+               "9\x1d", "\x1f9", '"1\x00"']
+
+
+def is_iso_date(text: str) -> bool:
+    try:
+        date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Whether these are dates depends on the Python version: "20160101" and "2016-W01-1" are dates
+# for date.fromisoformat from Python 3.11 on, and bad before.
+VERSIONED_DATES = ["0001-01-01", "9999-12-31", "2016-1-01", "2016-01-01T00", "20160101", "2016-W01-1"]
+DATES_OK = ["2016-01-01", " 2016-02-29 ", "2015-12-31", '"2016-03-01"', "2017-07-04"] + [
+    d for d in VERSIONED_DATES if is_iso_date(d)]
+DATES_BAD = ["2015-02-29", "03/01/2016", "", "2016-13-01"] + [d for d in VERSIONED_DATES if not is_iso_date(d)]
 # Labels a fixed-width bytes field would misread: numpy drops a trailing NUL (so "EV\x00" would
-# merge with "EV"), two 40-byte ids share their first 32 bytes, and "\u20ac1" is not Latin-1.
+# merge with "EV"), an id of the field's width or longer may have been cut short (two 40-byte ids
+# share their first 32 bytes), and "\u20ac1" is not Latin-1.  "\u00e9" is one Latin-1 byte, next to "e".
+WIDTH = ingest._FIELD_BYTES
 EVENTS = ["EV1", " EV1 ", "EV2", "", '"EV,1"', '"EV""1"', 'EV"1', '"EV\n1"', '"EV\r\n2"', '"EV\r3"',
-          '"  "', '"EV1"', "\u00e9v", "EV", "EV\x00", "E" * 39 + "1", "E" * 39 + "2", "\u20ac1"]
+          '"  "', '"EV1"', "\u00e9v", "ev", "\u00e9", "e", "EV", "EV\x00", "E" * 39 + "1", "E" * 39 + "2",
+          "\u20ac1", "E" * (WIDTH - 1), "E" * WIDTH, "E" * (WIDTH + 1)]
 CATEGORIES_OK = ["CPBP", " EF ", "", '"IF"', "EDPM"]
 CATEGORIES_BAD = ["XYZ", "cpbp", '"CP,BP"']
 ODD_ROWS = ["", "   ", ",,,", ",", "\t", '""', "1,2016-01-01", "1,2016-01-01,EV1", "1,2016-01-01,EV1,CPBP,x"]
@@ -336,7 +353,7 @@ HEADERS = ["amount,date", "amount,date,event_id", "amount,date,event_id,category
 
 
 @st.composite
-def loss_csv_texts(draw):
+def loss_csv_texts(draw, max_rows=6):
     """Loss-schema CSV texts: mostly valid rows, with quoting, spacing, row-shape and line-ending variants."""
     header = draw(st.sampled_from(HEADERS))
     width = header.count(",") + 1
@@ -345,7 +362,7 @@ def loss_csv_texts(draw):
         return draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
 
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, max_rows))):
         if draw(st.integers(0, 9)) == 0:
             rows.append(draw(st.sampled_from(ODD_ROWS)))
             continue
@@ -382,6 +399,76 @@ class TestTokenizerEquivalence:
         assert parse_outcome(path, permissive) == expected
         assert parse_outcome(io.StringIO(text, newline=""), permissive) == expected
         assert parse_outcome(UnseekableStream(text, newline=""), permissive) == expected
+
+
+def assert_paths_agree(text, permissive, path):
+    """The tokenizer, when it accepts, and parse_csv on a path, a stream and an unseekable stream match the row loop."""
+    path.write_bytes(text.encode("utf-8"))
+    expected = row_loop_outcome(path, permissive)
+    tokenized = tokenizer_outcome(path, permissive)
+    if tokenized is not None:
+        assert tokenized == expected
+    assert parse_outcome(path, permissive) == expected
+    assert parse_outcome(io.StringIO(text, newline=""), permissive) == expected
+    assert parse_outcome(UnseekableStream(text, newline=""), permissive) == expected
+    return tokenized
+
+
+# Inputs read two rows a block, and whether the tokenizer accepts them.
+BLOCK_EDGES = {
+    "a label first seen in a later block keeps its first-appearance code": (
+        "amount,date,event_id\n1,2016-01-01,B\n2,2016-01-02,B\n3,2016-01-03,A\n4,2016-01-04,B\n5,2016-01-05,C\n", True),
+    "a refused row in a later block leaves no label behind": (
+        "amount,date,event_id\n1,2016-01-01,A\n2,2016-01-02,B\n1_0,2016-01-03,C\n3,2016-01-04,A\n", False),
+    "a row count that fills the last block ends on an empty block": (
+        "amount,date,event_id\n1,2016-01-01,A\n2,2016-01-02,B\n3,2016-01-03,A\n4,2016-01-04,C\n", True),
+    "a quoted newline in the last row of a block": (
+        'amount,date,event_id\r\n1,2016-01-01,A\r\n2,2016-01-02,"B\r\n2"\r\n3,2016-01-03,"B\r\n2"\r\n', True),
+}
+
+
+class TestTokenizerBlocks:
+    @pytest.fixture(autouse=True)
+    def two_rows_a_block(self, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", 2)
+
+    @pytest.mark.parametrize("text, accepted", list(BLOCK_EDGES.values()), ids=list(BLOCK_EDGES))
+    def test_block_edges(self, text, accepted, tmp_path):
+        assert (assert_paths_agree(text, False, tmp_path / "blocks.csv") is not None) == accepted
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=loss_csv_texts(max_rows=12), permissive=st.booleans())
+    def test_tokenizer_and_row_loop_agree_across_blocks(self, text, permissive, tmp_path_factory):
+        if assert_paths_agree(text, permissive, tmp_path_factory.getbasetemp() / "blocks.csv") is not None:
+            event("tokenizer accepted the rows")
+
+
+def test_tokenizer_memory_stays_within_a_block_of_the_table(tmp_path, monkeypatch):
+    """Peak traced memory (numpy's buffers included) grows with the table, not with the text read."""
+    def refuse(reader, width):
+        raise AssertionError("row loop ran on input the tokenizer accepts")
+
+    monkeypatch.setattr(ingest, "_row_loop", refuse)
+    rng = np.random.default_rng(11)
+    count = 50_000
+    day_text = [(date(2010, 1, 1) + timedelta(days=d)).isoformat() for d in range(2000)]
+    columns = (rng.exponential(size=count), rng.integers(0, 2000, count), rng.integers(0, 40, count))
+    rows = [f"{amount:.6f},{day_text[day]},EV{event_id:03d},CPBP"
+            for amount, day, event_id in zip(*(column.tolist() for column in columns))]
+    path = tmp_path / "payments.csv"
+    path.write_text("amount,date,event_id,category\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    del rows
+    tracemalloc.start()
+    try:
+        table = tt.parse_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == count
+    table_bytes = sum(column.nbytes for column in (table.amounts, table.days, table.event_codes, table.category_codes))
+    block_bytes = ingest._BLOCK_ROWS * (8 + 3 * ingest._FIELD_BYTES)
+    # Blocked, the peak is about 5.3 MB here (bound 8.2 MB); one np.loadtxt call over the whole file reaches 10.7 MB.
+    assert peak < 3 * table_bytes + 2 * block_bytes
 
 
 def reference_aggregate(records, mode):
