@@ -82,11 +82,22 @@ def _density_model_arg(value: str) -> str:
     raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
 
 
-def _grid_points_arg(value: str) -> int:
+def _int_arg(value: str) -> int:
     try:
-        points = int(value)
+        return int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+
+
+def _power_arg(value: str) -> int:
+    try:
+        return check_power(_int_arg(value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _grid_points_arg(value: str) -> int:
+    points = _int_arg(value)
     if points < 2:  # the grid spans [0, 1.2 * max scaled loss]
         raise argparse.ArgumentTypeError(f"grid points must be >= 2, got {points}")
     return points
@@ -173,18 +184,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit the ExpN scale and report goodness of fit")
     add_common(p_fit)
-    p_fit.add_argument("--power", type=int, default=4)
+    p_fit.add_argument("--power", type=_power_arg, default=4)
 
     p_gof = sub.add_parser("gof", help="test a given scale without fitting")
     add_common(p_gof)
-    p_gof.add_argument("--power", type=int, default=4)
+    p_gof.add_argument("--power", type=_power_arg, default=4)
     p_gof.add_argument("--scale", type=float, required=True,
                        help="scale parameter on the mean-scaled axis")
 
     p_cap = sub.add_parser("capital", help="simulate the capital percentile")
     add_common(p_cap)
     add_sim(p_cap)
-    p_cap.add_argument("--power", type=int, default=4)
+    p_cap.add_argument("--power", type=_power_arg, default=4)
     p_cap.add_argument("--freq", type=_freq_arg, default=("poisson", None),
                        help="poisson, normal, or negbin:<dispersion>")
 
@@ -305,7 +316,6 @@ def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]
 
 
 def _fit(args):
-    check_power(args.power)
     payload, _ = _fit_payload(_load_losses(args), args.power)
     summary_line = (
         f"fit [{payload['label']}] power={args.power}: "
@@ -348,7 +358,6 @@ def _frequency_model(spec, lam: float):
 
 def _capital(args):
     cfg = _sim_config(args)
-    check_power(args.power)
     loss_set = _load_losses(args)
     fit_payload, fit_result = _fit_payload(loss_set, args.power)
     lam = annual_frequency(len(loss_set.losses), loss_set.span_years)

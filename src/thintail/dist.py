@@ -6,9 +6,11 @@ Each family is a frozen parameter record with ``pdf``, ``cdf``,
 ``quantile`` and ``sample(count, rng)`` on the mean-scaled axis, and
 ``SeverityModel`` maps them to loss units.  Caller input has one front
 door, ``SeverityParams``: it checks x or p and calls the family's
-array-only ``_pdf``, ``_cdf`` or ``_quantile``.  ``ExpNParams`` uses
-``expn_pdf``, ``expn_cdf`` and ``expn_quantile``, which check x the
-same way.  The power-exponential density on x > 0 is
+array-only ``_pdf``, ``_cdf`` or ``_quantile``.  ``expn_pdf``,
+``expn_cdf`` and ``expn_quantile`` are ``ExpNParams(s, n)`` calls, so
+they refuse an array ``s`` or ``n``; only the scale search in ``fit``
+broadcasts arrays of scales and powers, through the unchecked CDF
+kernel ``_expn_cdf``.  The power-exponential density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
@@ -52,6 +54,7 @@ parallel use requires independently seeded substreams.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,18 +84,33 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 
+def _require_scalar(name: str, value) -> None:
+    if np.ndim(value):
+        raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
+
+
 def _require_positive(name: str, value: float) -> float:
+    _require_scalar(name, value)
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a float such as 3.0) >= ``least``."""
+    _require_scalar(name, value)
+    try:
+        if operator.index(value) >= least:
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_power(n):
     """``n`` if it is an integer >= 1, the powers a power-exponential fit accepts."""
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    return n
+    return _require_int("n", n, 1)
 
 
 def check_even_power(n: int) -> int:
@@ -123,30 +141,6 @@ def _as_float_array(x, nonneg: bool = False) -> np.ndarray:
 # power-exponential core (ExpN)
 # ---------------------------------------------------------------------------
 
-def _check_xs(x, s, n) -> tuple[np.ndarray, float | np.ndarray, int | np.ndarray]:
-    """Checked ``(x, s, n)``; ``s`` may be a float array and ``n`` an integer array.
-
-    An array holding a bad scale or power raises the scalar call's message
-    for its first bad entry.
-    """
-    if np.ndim(s):
-        s = np.asarray(s, dtype=float)
-        if not (s.min() > 0.0 and s.max() < np.inf):  # also false for NaN
-            for value in s.flat:
-                _require_positive("s", value)
-    else:
-        s = _require_positive("s", s)
-    if np.ndim(n):
-        n = np.asarray(n)
-        if not (n.dtype.kind in "iu" and n.min() >= 1):
-            for value in n.flat:
-                check_power(value)
-    else:
-        check_power(n)
-        n = int(n)
-    return _as_float_array(x, nonneg=True), s, n
-
-
 def _expn_unit_norm(n):
     """1 / f(0) for ExpN(1, n): 2^(1/n) Gamma(1 + 1/n), elementwise for an array ``n``."""
     if np.ndim(n):
@@ -162,61 +156,44 @@ def _expn_exponent(x: np.ndarray, s, n) -> np.ndarray:
     its entries equal to 2 to match the scalar calls.
     """
     with np.errstate(over="ignore"):
-        if np.ndim(n) == 0:
-            return 0.5 * np.power(x / s, n)
         q = x / s
         p = np.power(q, n)
-        if (n == 2).any():
+        if np.ndim(n) and (n == 2).any():
             p = np.where(n == 2, np.square(q), p)
         return 0.5 * p
 
 
+def _expn_cdf(x: np.ndarray, s, n) -> np.ndarray:
+    """CDF of ExpN(s, n) at a float array ``x >= 0``, unchecked: P(1/n, u) below u = 1/n + 1,
+    else 1 - Q(1/n, u), u = x^n / (2 s^n); x f(0) where u is below the smallest normal double.
+
+    ``x``, a float array ``s`` and an integer array ``n`` broadcast together;
+    each entry equals the scalar call on it, bit for bit.
+    """
+    u = _expn_exponent(x, s, n)
+    a = np.broadcast_to(1.0 / n, u.shape)
+    lower = u < a + 1.0
+    out = np.empty_like(u)
+    out[lower] = gammainc(a[lower], u[lower])
+    out[~lower] = 1.0 - regularized_upper_gamma(a[~lower], u[~lower])
+    if u.min(initial=np.inf) < _TINY:
+        out = np.where(u < _TINY, (x / s) / _expn_unit_norm(n), out)
+    return out
+
+
 def expn_pdf(x, s, n):
-    """Density of ExpN(s, n) at x >= 0; ``s`` and ``n`` are scalars."""
-    for name, value in (("s", s), ("n", n)):
-        if np.ndim(value):
-            raise ValueError(f"{name} must be a scalar in expn_pdf, got shape {np.shape(value)}")
-    arr, s, n = _check_xs(x, s, n)
-    log_norm = math.log(s) + math.log(2.0) / n + math.lgamma(1.0 + 1.0 / n)
-    with np.errstate(under="ignore"):
-        out = np.exp(-_expn_exponent(arr, s, n) - log_norm)
-    return float(out) if arr.ndim == 0 else out
+    """Density of ExpN(s, n) at x >= 0."""
+    return ExpNParams(s, n).pdf(x)
 
 
 def expn_cdf(x, s, n):
-    """CDF of ExpN(s, n): P(1/n, u) below u = 1/n + 1, else 1 - Q(1/n, u), u = x^n / (2 s^n).
-
-    Where u is below the smallest normal double it is x f(0).
-    ``x``, an array ``s`` and an integer array ``n`` broadcast together;
-    each entry equals the scalar call on it, bit for bit.
-    """
-    arr, s, n = _check_xs(x, s, n)
-    u = _expn_exponent(arr, s, n)
-    a = np.broadcast_to(1.0 / n, u.shape)
-    lower = u < a + 1.0
-    upper = ~lower
-    out = np.empty_like(u)
-    out[lower] = gammainc(a[lower], u[lower])
-    out[upper] = 1.0 - regularized_upper_gamma(a[upper], u[upper])
-    if u.min(initial=np.inf) < _TINY:
-        out = np.where(u < _TINY, (arr / s) / _expn_unit_norm(n), out)
-    return float(out) if out.ndim == 0 else out
+    """CDF of ExpN(s, n) at x >= 0."""
+    return ExpNParams(s, n).cdf(x)
 
 
 def expn_quantile(p, s, n):
-    """Quantile of ExpN(s, n) for p in [0, 1): s * (2 g)^(1/n), g = P^-1(1/n, p).
-
-    Where g is below the smallest normal double it is p / f(0).
-    """
-    _require_positive("s", s)
-    check_power(n)
-    arr = _check_p(p)
-    upper = arr > 0.5
-    g = np.empty_like(arr)
-    g[~upper] = gammaincinv(1.0 / n, arr[~upper])
-    g[upper] = gammainccinv(1.0 / n, 1.0 - arr[upper])
-    out = float(s) * np.where(g < _TINY, arr * _expn_unit_norm(n), np.power(2.0 * g, 1.0 / n))
-    return float(out) if arr.ndim == 0 else out
+    """Quantile of ExpN(s, n) for p in [0, 1)."""
+    return ExpNParams(s, n).quantile(p)
 
 
 def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
@@ -226,21 +203,18 @@ def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     first as one block, and U ~ Uniform[0, 1), drawn second.
     method "inverse": quantile function applied to uniforms.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    _require_positive("s", s)
-    check_power(n)
+    count = _require_int("count", count, 1)
+    ExpNParams(s, n)  # checks s and n
     if method == "gamma":
-        out = rng.standard_gamma(1.0 + 1.0 / n, size=int(count))
-        u = rng.random(int(count))
+        out = rng.standard_gamma(1.0 + 1.0 / n, size=count)
+        u = rng.random(count)
         out *= 2.0
         np.power(out, 1.0 / n, out=out)
         out *= u
         out *= float(s)
         return out
     if method == "inverse":
-        u = rng.random(int(count))
-        return expn_quantile(u, s, n)
+        return expn_quantile(rng.random(count), s, n)
     raise ValueError(f"unknown sampler method {method!r}")
 
 
@@ -297,19 +271,26 @@ class ExpNParams(SeverityParams):
 
     s: float
     n: int
+    _nonneg = True
 
     def __post_init__(self):
         _require_positive("s", self.s)
         check_power(self.n)
 
-    def pdf(self, x):
-        return expn_pdf(x, self.s, self.n)
+    def _pdf(self, x):
+        log_norm = math.log(self.s) + math.log(2.0) / self.n + math.lgamma(1.0 + 1.0 / self.n)
+        with np.errstate(under="ignore"):
+            return np.exp(-_expn_exponent(x, self.s, self.n) - log_norm)
 
-    def cdf(self, x):
-        return expn_cdf(x, self.s, self.n)
+    def _cdf(self, x):
+        return _expn_cdf(x, self.s, self.n)
 
-    def quantile(self, p):
-        return expn_quantile(p, self.s, self.n)
+    def _quantile(self, p):
+        a, upper = 1.0 / self.n, p > 0.5
+        g = np.empty_like(p)
+        g[~upper] = gammaincinv(a, p[~upper])
+        g[upper] = gammainccinv(a, 1.0 - p[upper])
+        return float(self.s) * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         return expn_sample(count, self.s, self.n, rng)
@@ -503,8 +484,7 @@ class SeverityModel:
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` (>= 0) severities in mEUR."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
+        count = _require_int("count", count, 0)
         if count == 0:
             return np.empty(0, dtype=float)
         out = self.params.sample(count, rng)

@@ -332,7 +332,7 @@ def percentile_vs_n(
     Returns one (n, q999, capital) tuple per distinct n, ordered by n;
     capital is NaN when ``with_capital`` is off.  Powers must be even integers >= 2.
     """
-    values = [check_even_power(n) for n in sorted({int(check_power(n)) for n in n_values})]
+    values = [check_even_power(n) for n in sorted({check_power(n) for n in n_values})]
     if not values:
         raise ValueError("n_values must not be empty")
     arr = np.asarray(losses, dtype=float)

@@ -189,10 +189,11 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
 
     Under a fully specified continuous model F(x_i) are sorted uniforms,
     so the law depends only on ``n_points``.  The value is the empirical
-    quantile of 100,000 simulated areas from a fixed-key stream, computed
-    on first use and cached per (level, n); rejecting when the area
-    strictly exceeds it gives a test of size ``level_percent``.  A fitted
-    scale needs a parametric bootstrap instead.
+    quantile of 100,000 simulated areas from a fixed-key stream, simulated
+    on first use and cached per n, so every level at one n reads the same
+    areas; rejecting when the area strictly exceeds it gives a test of
+    size ``level_percent``.  A fitted scale needs a parametric bootstrap
+    instead.
     """
     level = float(level_percent)
     if not (0.0 < level < 100.0):
@@ -200,11 +201,12 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
     n = operator.index(n_points)
     if n < 2:
         raise ValueError(f"n_points must be >= 2, got {n}")
-    return _null_quantile(level, n)
+    return float(np.quantile(_null_areas(n), 1.0 - level / 100.0))
 
 
 @functools.lru_cache(maxsize=None)
-def _null_quantile(level: float, n: int) -> float:
+def _null_areas(n: int) -> np.ndarray:
+    """The areas of 100,000 sorted-uniform samples of ``n`` points, read-only."""
     rng = np.random.Generator(np.random.Philox(key=_NULL_KEY))
     ys = (np.arange(1, n + 1) - 0.5) / n
     rows = max(1, _NULL_CHUNK_POINTS // n)
@@ -213,7 +215,8 @@ def _null_quantile(level: float, n: int) -> float:
         stop = min(start + rows, _NULL_REPLICATIONS)
         uniforms = np.sort(rng.random((stop - start, n)), axis=-1)
         areas[start:stop] = _polyline_areas(uniforms, ys)[0]
-    return float(np.quantile(areas, 1.0 - level / 100.0))
+    areas.flags.writeable = False
+    return areas
 
 
 def tna_test(losses, model) -> TnaResult:

@@ -5,7 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,33 +413,44 @@ class TestDensityCommand:
 
 
 # Each bad option value, on a file whose line 3 is refused: the option is reported, not the line.
+# A value argparse refuses is a usage error (status 2), one the command refuses is status 1.
 COMMA_FILE_OPTION_ERRORS = [
-    (["capital", "--trials", "10"], {}, "trials must be >= 1000, got 10"),
-    (["capital", "--percentile", "1.5"], {}, "percentile must lie in (0, 1), got 1.5"),
-    (["capital", "--power", "0"], {}, "n must be an integer >= 1, got 0"),
-    (["compare", "--seed", "-1"], {}, "seed must lie in [0, 2**128), got -1"),
-    (["gof", "--scale", "0"], {}, "s must be finite and > 0, got 0.0"),
-    (["fit", "--power", "0"], {}, "n must be an integer >= 1, got 0"),
-    (["fit", "--span-years", "-1"], {}, "span_years must be > 0, got -1.0"),
-    (["capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
-    (["compare"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
-    (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
-    (["curve"], {"THINTAIL_THREADS": "abc"}, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["capital", "--trials", "10"], {}, 1, "trials must be >= 1000, got 10"),
+    (["capital", "--percentile", "1.5"], {}, 1, "percentile must lie in (0, 1), got 1.5"),
+    (["capital", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
+    (["compare", "--seed", "-1"], {}, 1, "seed must lie in [0, 2**128), got -1"),
+    (["gof", "--scale", "0"], {}, 1, "s must be finite and > 0, got 0.0"),
+    (["gof", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
+    (["fit", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
+    (["fit", "--power", "4.0"], {}, 2, "argument --power: invalid int value: '4.0'"),
+    (["fit", "--span-years", "-1"], {}, 1, "span_years must be > 0, got -1.0"),
+    (["capital"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["compare"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["curve"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
 ]
 
 
-@pytest.mark.parametrize("argv, env, message", COMMA_FILE_OPTION_ERRORS,
-                         ids=[" ".join([*argv, *env]) for argv, env, _ in COMMA_FILE_OPTION_ERRORS])
-def test_option_errors_come_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, env, message):
+@pytest.mark.parametrize("argv, env, status, message", COMMA_FILE_OPTION_ERRORS,
+                         ids=[" ".join([*argv, *env]) for argv, env, _, _ in COMMA_FILE_OPTION_ERRORS])
+def test_option_errors_come_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, env, status, message):
     path = tmp_path / "comma.csv"
     path.write_text("amount\n1.5\n2.0,7\n3.25\n0.8\n4.1\n")
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     command, *options = argv
     out = tmp_path / "out"
-    assert run([command, "--input", path, "--mode", "pre", "--span-years", "5", *options,
-                "--out-dir", out]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        code = run([command, "--input", path, "--mode", "pre", "--span-years", "5", *options,
+                    "--out-dir", out])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    assert code == status
+    err = capsys.readouterr().err
+    if status == 2:  # argparse prints the usage, then the program, the command and the message
+        assert err.endswith(f"\nthintail {command}: error: {message}\n")
+    else:
+        assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -571,3 +586,13 @@ class TestVersion:
             main(["--version"])
         assert exc.value.code == 0
         assert tt.__version__ in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_optimize():
+    # Each adds to every command's start-up; density imports gaussian_kde only when it runs.
+    src = str(Path(tt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, thintail.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
-from thintail.dist import expn_params
+from thintail.dist import _expn_cdf, expn_params
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -246,28 +246,16 @@ class TestExpN:
             assert [tt.expn_quantile(float(p), 3.0, n) for p in ps] == list(vec)
 
     def test_cdf_broadcasts_scales_and_powers_like_scalar_calls(self):
-        # x down to the linear lower-tail branch at n = 100 (below about 8e-4 s)
+        # the fit's kernel; x down to the linear lower-tail branch at n = 100 (below about 8e-4 s)
         xs = np.r_[0.0, 1e-6, 4e-4, np.linspace(0.01, 3.0, 150), 40.0]
         ss = np.array([0.05, 0.9, 1.7, 10.0])
         ns = np.array([1, 2, 3, 4, 12, 100])
-        got = tt.expn_cdf(xs, ss[:, None, None], ns[:, None])
+        got = _expn_cdf(xs, ss[:, None, None], ns[:, None])
         assert got.shape == (4, 6, 154)
         want = [[[tt.expn_cdf(float(x), float(s), int(n)) for x in xs] for n in ns] for s in ss]
         assert got.tolist() == want
         assert (got[:, -1, 1:3] > 0.0).all()  # the lower-tail branch was taken
-        assert tt.expn_cdf(0.7, ss, 4).tolist() == [tt.expn_cdf(0.7, float(s), 4) for s in ss]
-
-    @pytest.mark.parametrize("ss, ns, scalar_s, scalar_n", [
-        ([1.0, -2.0, 0.0], [4, 6, 8], -2.0, 4),
-        ([1.0, np.nan, 2.0], [4, 6, 8], np.nan, 4),
-        ([1.0, 2.0, 3.0], [4, 0, 8], 1.0, np.int64(0)),
-        ([1.0, 2.0, 3.0], [4.0, 6.5, 8.0], 1.0, np.float64(4.0)),
-    ])
-    def test_cdf_array_with_bad_entry_raises_scalar_message(self, ss, ns, scalar_s, scalar_n):
-        with pytest.raises(ValueError) as scalar:
-            tt.expn_cdf(0.5, scalar_s, scalar_n)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
-            tt.expn_cdf(0.5, np.array(ss), np.array(ns))
+        assert _expn_cdf(np.float64(0.7), ss, 4).tolist() == [tt.expn_cdf(0.7, float(s), 4) for s in ss]
 
     @pytest.mark.parametrize("name, s, n", [
         ("s", np.array([1.0, 2.0]), 4),
@@ -277,6 +265,16 @@ class TestExpN:
     def test_pdf_with_array_scale_or_power_raises_naming_it(self, name, s, n):
         with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
             tt.expn_pdf(0.5, s, n)
+
+    @pytest.mark.parametrize("function", [tt.expn_cdf, tt.expn_quantile])
+    @pytest.mark.parametrize("name, s, n", [
+        ("s", np.array([1.0, 2.0]), 4),
+        ("n", 1.0, np.array([4, 6])),
+        ("s", np.array([1.0]), np.array([4])),
+    ], ids=["s-array", "n-array", "both"])
+    def test_cdf_and_quantile_with_array_scale_or_power_raise_naming_it(self, function, name, s, n):
+        with pytest.raises(ValueError, match=f"^{name} must be a scalar, got shape"):
+            function(0.5, s, n)
 
     def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
         # At n = 100, X < 8.4e-4 s for about 8e-4 of draws, where G ~ Gamma(1/100) would
@@ -592,3 +590,16 @@ def test_exp4_record_is_expn_with_power_four():
     assert np.array_equal(exp4.quantile(ps), expn.quantile(ps))
     for k in (1, 4096):
         assert np.array_equal(exp4.sample(k, np.random.default_rng(k)), expn.sample(k, np.random.default_rng(k)))
+
+
+@pytest.mark.parametrize("count", [2.7, 3.0, np.float64(3.0), np.array(3.0), "3"])
+@pytest.mark.parametrize("draw", [
+    lambda count, rng: tt.expn_sample(count, 1.0, 4, rng),
+    lambda count, rng: tt.exp4_sample(count, 1.0, rng, method="inverse"),
+    lambda count, rng: tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=2.0).sample(count, rng),
+    lambda count, rng: tt.SeverityModel(tt.NormalParams(1.0, 0.2)).sample(count, rng),
+], ids=["expn_sample", "exp4_sample-inverse", "model-exp4", "model-normal"])
+def test_sample_count_that_is_not_an_integer_is_refused(draw, count):
+    with pytest.raises(ValueError, match=f"^count must be an integer >= [01], got {re.escape(repr(count))}$"):
+        draw(count, np.random.default_rng(0))
+    assert draw(np.int64(3), np.random.default_rng(0)).shape == (3,)

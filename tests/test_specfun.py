@@ -22,7 +22,7 @@ from scipy.special import gammainc, gammaincc
 
 import mpmath
 
-from thintail.dist import expn_cdf, regularized_upper_gamma
+from thintail.dist import _expn_cdf, expn_cdf, regularized_upper_gamma
 
 # mpmath, 40 digits
 GAMMA_QUARTER = 3.625609908221908311931
@@ -209,13 +209,14 @@ class TestLowerRegularized:
         assert expn_cdf(x, s, n) == 1.0 - gammaincc(1.0 / n, u)
 
     def test_array_straddling_the_switch_equals_scalar_calls(self):
+        # the fit's kernel, on the arrays of scales and powers its search passes
         ns = np.array([1, 2, 4, 9, 100])
         ss = np.array([0.3, 1.0, 2.5])
         # x / s at u = 1/n + 1, and just below, just above and well away on either side
         edge = (2.0 * (1.0 / ns + 1.0)) ** (1.0 / ns)
         ratios = edge[:, None] * np.array([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5])
         xs = ss[:, None, None] * ratios
-        got = expn_cdf(xs, ss[:, None, None], ns[:, None])
+        got = _expn_cdf(xs, ss[:, None, None], ns[:, None])
         assert got.shape == (3, 5, 5)
         want = [[[expn_cdf(float(x), float(s), int(n)) for x in row] for n, row in zip(ns, block)]
                 for s, block in zip(ss, xs)]

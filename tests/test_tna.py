@@ -260,13 +260,13 @@ class TestTnaTest:
 
 class TestNullCriticalValue:
     def test_deterministic_whatever_the_rng_states(self):
-        from thintail.tna import _null_quantile
+        from thintail.tna import _null_areas
 
         values = []
         saved = np.random.get_state()
         try:
             for seed in (1, 2):
-                _null_quantile.cache_clear()
+                _null_areas.cache_clear()
                 np.random.seed(seed)
                 np.random.default_rng(seed).random(1000)
                 state = np.random.get_state()[1].copy()
@@ -276,6 +276,16 @@ class TestNullCriticalValue:
             np.random.set_state(saved)
         values.append(tt.null_critical_value(5.0, 12))
         assert values[0] == values[1] == values[2]
+
+    def test_every_level_at_one_n_reads_one_simulation(self):
+        from thintail.tna import _null_areas
+
+        _null_areas.cache_clear()
+        values = [tt.null_critical_value(level, 17) for level in (1.0, 5.0, 10.0)]
+        info = _null_areas.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert values == [float(np.quantile(_null_areas(17), 1.0 - level / 100.0)) for level in (1.0, 5.0, 10.0)]
+        assert not _null_areas(17).flags.writeable
 
     @pytest.mark.parametrize("n", [10, 30, 100])
     def test_root_n_scaling_at_5pc(self, n):
