@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,11 +101,9 @@ def _require_positive(name: str, value: float) -> float:
 def _require_int(name: str, value, least: int) -> int:
     """``value`` as an int, if it is an integer (not a float such as 3.0) >= ``least``."""
     _require_scalar(name, value)
-    try:
+    with suppress(TypeError):
         if operator.index(value) >= least:
             return operator.index(value)
-    except TypeError:
-        pass
     raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -20,8 +20,9 @@ one sample (``curve`` fits nine powers of one sample).  The pre-scan is
 one objective evaluation over all rows and grid points, and each
 golden-section step is one evaluation over the rows whose bracket is
 still wider than the tolerance.  An evaluation is one call of the
-unchecked CDF kernel ``dist._expn_cdf``: ``_fit`` checks the powers and
-losses once, and the scales come from the fixed bracket.  Every row
+unchecked CDF kernel ``dist._expn_cdf``, bound here as ``expn_cdf``, the
+name the benchmark's ``dist.cdf`` span wraps: ``_fit`` checks the powers
+and losses once, and the scales come from the fixed bracket.  Every row
 takes the same steps, in the same floating-point order, as a search of
 its own would, so ``fit_expn`` is the B = 1 case of ``fit_expn_many``.
 Each row's TN-A area and crossings come from one more evaluation of all
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SeverityModel, _expn_cdf, check_power, expn_params
+from .dist import SeverityModel, _expn_cdf as expn_cdf, check_power, expn_params
 from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
 __all__ = ["FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
@@ -116,7 +117,7 @@ def _fit(losses, powers: list) -> list[FitResult]:
     scaled, mean = scale_losses(losses)
     x, y = empirical_from_losses(scaled)
     s_hats, evaluations = _search(x, y, powers)
-    areas, crossings = _checked_polyline_areas(_expn_cdf(x, s_hats[:, None], powers[:, None]), y)
+    areas, crossings = _checked_polyline_areas(expn_cdf(x, s_hats[:, None], powers[:, None]), y)
 
     results = []
     for s_hat, n, count, area, crossed in zip(
@@ -154,7 +155,7 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray):
     def areas(rows: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Areas at scales ``s``, shape (len(rows), k), of the given rows."""
         evaluations[rows] += s.shape[1]
-        X = _expn_cdf(x if x.ndim == 1 else x[rows, None], s[:, :, None], powers[rows, None, None])
+        X = expn_cdf(x if x.ndim == 1 else x[rows, None], s[:, :, None], powers[rows, None, None])
         return _checked_polyline_areas(X, y)[0]
 
     def record(s, f, best_s, best_f):

@@ -191,7 +191,8 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
     so the law depends only on ``n_points``.  The value is the empirical
     quantile of 100,000 simulated areas from a fixed-key stream, simulated
     on first use and cached per n, so every level at one n reads the same
-    areas; rejecting when the area strictly exceeds it gives a test of
+    areas.  Each cached n holds 0.8 MB; the 8 most recently used n are
+    kept.  Rejecting when the area strictly exceeds it gives a test of
     size ``level_percent``.  A fitted scale needs a parametric bootstrap
     instead.
     """
@@ -204,7 +205,7 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
     return float(np.quantile(_null_areas(n), 1.0 - level / 100.0))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def _null_areas(n: int) -> np.ndarray:
     """The areas of 100,000 sorted-uniform samples of ``n`` points, read-only."""
     rng = np.random.Generator(np.random.Philox(key=_NULL_KEY))

@@ -284,6 +284,7 @@ class TestNullCriticalValue:
         values = [tt.null_critical_value(level, 17) for level in (1.0, 5.0, 10.0)]
         info = _null_areas.cache_info()
         assert (info.misses, info.hits) == (1, 2)
+        assert info.maxsize == 8  # 0.8 MB of areas per n
         assert values == [float(np.quantile(_null_areas(17), 1.0 - level / 100.0)) for level in (1.0, 5.0, 10.0)]
         assert not _null_areas(17).flags.writeable
 
