@@ -47,6 +47,7 @@ from .lda import (
     compare_models,
     percentile_vs_n,
     run_lda,
+    run_lda_many,
 )
 from .tna import (
     TnaResult,
@@ -106,6 +107,7 @@ __all__ = [
     "CapitalResult",
     "annual_frequency",
     "run_lda",
+    "run_lda_many",
     "compare_models",
     "percentile_vs_n",
     # ingest

@@ -42,9 +42,12 @@ G1 * U^n with G1 ~ Gamma(1 + 1/n, 1) and U ~ Uniform[0, 1) independent
 - U carries the far lower tail at the resolution of a uniform double,
   where a Gamma(1/n) draw would fall below the smallest normal double
   and lose its digits (at n = 100 some would be exactly 0).
-The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then one
-``random(count)`` block.  ``"inverse"`` pushes uniforms through the
-quantile function.
+The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then the
+``count`` uniforms, drawn in blocks of 2^14 into one small buffer: the
+stream and the values are those of one ``random(count)`` block, but no
+second array of ``count`` doubles is made.  The draws are made in place
+(``SeverityModel.sample(count, rng, out=...)`` fills a caller's buffer).
+``"inverse"`` pushes uniforms through the quantile function.
 
 Distribution parameter objects are immutable.  Sampling takes an
 explicit ``numpy.random.Generator``; callers own their streams, and
@@ -83,6 +86,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
+_UNIFORM_BLOCK = 2**14  # uniforms per block of the ExpN sampler
 
 
 def _require_scalar(name: str, value) -> None:
@@ -203,17 +207,11 @@ def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
     method "inverse": quantile function applied to uniforms.
     """
     count = _require_int("count", count, 1)
-    ExpNParams(s, n)  # checks s and n
+    params = ExpNParams(s, n)
     if method == "gamma":
-        out = rng.standard_gamma(1.0 + 1.0 / n, size=count)
-        u = rng.random(count)
-        out *= 2.0
-        np.power(out, 1.0 / n, out=out)
-        out *= u
-        out *= float(s)
-        return out
+        return params.sample(count, rng)
     if method == "inverse":
-        return expn_quantile(rng.random(count), s, n)
+        return params.quantile(rng.random(count))
     raise ValueError(f"unknown sampler method {method!r}")
 
 
@@ -249,7 +247,8 @@ class SeverityParams:
     """Base of the per-family parameter records, on the mean-scaled axis.  Its ``pdf``, ``cdf``
     and ``quantile`` (scalar or array in, the same out) are the records' front door: they check
     x (NaN; x < 0 where the family sets ``_nonneg``) or p, then call the family's array-only
-    ``_pdf``, ``_cdf`` or ``_quantile``.  Each family also has ``sample(count, rng)`` (count >= 1).
+    ``_pdf``, ``_cdf`` or ``_quantile``.  ``sample(count, rng)`` (count >= 1) likewise wraps the
+    family's one definition of its draws, ``_draw(out, rng)``, which fills ``out`` in place.
     """
 
     _nonneg = False  # True: the family refuses x < 0
@@ -262,6 +261,11 @@ class SeverityParams:
 
     def quantile(self, p):
         return _scalar_or_array(self._quantile, _check_p(p))
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty(_require_int("count", count, 1))
+        self._draw(out, rng)
+        return out
 
 
 @dataclass(frozen=True)
@@ -291,8 +295,17 @@ class ExpNParams(SeverityParams):
         g[upper] = gammainccinv(a, 1.0 - p[upper])
         return float(self.s) * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return expn_sample(count, self.s, self.n, rng)
+    def _draw(self, out, rng):
+        a = 1.0 / self.n
+        rng.standard_gamma(1.0 + a, out=out)
+        out *= 2.0
+        np.power(out, a, out=out)
+        # every gamma precedes every uniform; blocks of uniforms make no second array of out's length
+        u = np.empty(min(out.size, _UNIFORM_BLOCK))
+        for lo in range(0, out.size, u.size):
+            block = out[lo : lo + u.size]
+            block *= rng.random(out=u[: block.size])
+        out *= float(self.s)
 
 
 @dataclass(frozen=True)
@@ -327,12 +340,14 @@ class NormalParams(SeverityParams):
     def _quantile(self, p):
         return self.mu + self.sigma * ndtri(p)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = rng.normal(self.mu, self.sigma, size=count)
+    def _draw(self, out, rng):
+        rng.standard_normal(out=out)  # then mu + sigma z, as rng.normal(mu, sigma) computes it
+        out *= self.sigma
+        out += self.mu
         neg = np.flatnonzero(out < 0.0)
         for _ in range(10_000):
             if neg.size == 0:
-                return out
+                return
             redraw = rng.normal(self.mu, self.sigma, size=neg.size)
             out[neg] = redraw
             neg = neg[redraw < 0.0]
@@ -364,8 +379,8 @@ class LogNormalParams(SeverityParams):
     def _quantile(self, p):
         return np.exp(self.mu + self.sigma * ndtri(p))
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.lognormal(self.mu, self.sigma, size=count)
+    def _draw(self, out, rng):
+        out[...] = rng.lognormal(self.mu, self.sigma, size=out.size)
 
 
 @dataclass(frozen=True)
@@ -397,8 +412,9 @@ class WeibullParams(SeverityParams):
     def _quantile(self, p):
         return self.theta * np.power(-np.log1p(-p), 1.0 / self.tau)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self.theta * rng.weibull(self.tau, size=count)
+    def _draw(self, out, rng):
+        out[...] = rng.weibull(self.tau, size=out.size)
+        out *= self.theta
 
 
 @dataclass(frozen=True)
@@ -420,8 +436,8 @@ class ParetoParams(SeverityParams):
     def _quantile(self, p):
         return self.theta * (np.power(1.0 - p, -1.0 / self.alpha) - 1.0)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return self._quantile(rng.random(count))
+    def _draw(self, out, rng):
+        out[...] = self._quantile(rng.random(out.size))
 
 
 @dataclass(frozen=True)
@@ -442,8 +458,8 @@ class PointMassParams(SeverityParams):
     def _quantile(self, p):
         return np.full(p.shape, self.value)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(count, self.value)
+    def _draw(self, out, rng):
+        out.fill(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +497,15 @@ class SeverityModel:
     def quantile(self, p):
         return self.scaling_mean * self.params.quantile(p)
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` (>= 0) severities in mEUR."""
+    def sample(self, count: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw ``count`` (>= 0) severities in mEUR; into ``out``, a float array of shape
+        (count,), when it is given, which is returned."""
         count = _require_int("count", count, 0)
-        if count == 0:
-            return np.empty(0, dtype=float)
-        out = self.params.sample(count, rng)
-        out *= self.scaling_mean
+        if out is None:
+            out = np.empty(count)
+        elif out.shape != (count,):
+            raise ValueError(f"out must have shape ({count},), got {out.shape}")
+        if count:
+            self.params._draw(out, rng)
+            out *= self.scaling_mean
         return out

@@ -10,9 +10,14 @@ Reproducibility contract: trials are partitioned into fixed-size
 chunks, each driven by its own SFC64 stream seeded from
 ``SeedSequence(seed, spawn_key=(chunk,))``, numpy's independent
 parallel streams; one thread pool fills them, whatever the worker
-count.  The annual-loss array therefore depends only on (seed, trials)
-— never on the worker count or scheduling — and the capital is
-bit-identical for 1 or many workers.
+count.  A chunk draws its event counts first and then its severities
+from the stream state right after the counts.  ``run_lda_many``, which
+``compare`` and ``curve --with-capital`` call once for all their
+models, runs ``run_lda`` per model: the first run keeps each chunk's
+counts and that state, and the later runs restore them.  A model's
+annual-loss array therefore depends only on (seed, trials) — never on
+the worker count, the scheduling or the other models of the run — and
+the capital is bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,6 +51,7 @@ __all__ = [
     "ComparisonRow",
     "annual_frequency",
     "run_lda",
+    "run_lda_many",
     "compare_models",
     "percentile_vs_n",
     "parse_model_spec",
@@ -161,16 +168,48 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
-def _simulate_chunk(severity: SeverityModel, freq, seed: int, chunk: int, size: int) -> np.ndarray:
-    rng = _chunk_rng(seed, chunk)
-    counts = np.asarray(freq.draw(rng, size), dtype=np.int64)
-    total = int(counts.sum())
-    draws = severity.sample(total, rng)
+def _chunk_losses(severity: SeverityModel, rng: np.random.Generator, counts: np.ndarray, out: np.ndarray,
+                  draws: np.ndarray) -> None:
+    """Annual losses of one chunk into ``out``: each trial's severities, drawn from ``rng``, summed.
+
+    The draws go into ``draws``, ``counts.sum() + 1`` long, whose last slot
+    becomes the 0.0 that ``reduceat`` reads when the last trials have no
+    events; ``reduceat`` writes into ``out``.
+    """
+    total = draws.size - 1
+    draws[total] = 0.0
+    severity.sample(total, rng, out=draws[:total])
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     with np.errstate(over="ignore"):  # overflow is caught by the isfinite guard
-        sums = np.add.reduceat(np.concatenate((draws, [0.0])), starts)
-    sums[counts == 0] = 0.0
-    return sums
+        np.add.reduceat(draws, starts, out=out)
+    out[counts == 0] = 0.0
+
+
+class _Counts:
+    """Each chunk's event counts, the first draws of its stream.
+
+    A chunk's first run draws them; with ``keep`` set, it keeps them with
+    the stream state right after them, and every later run of the chunk
+    restores that state instead of drawing again.
+    """
+
+    def __init__(self, freq: FrequencyModel, seed: int, trials: int, keep: bool):
+        self.key = (freq, seed, trials)
+        self.keep = keep
+        self.kept: dict[int, tuple[dict, np.ndarray]] = {}
+
+    def stream(self, chunk: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
+        """The chunk's stream, positioned after its ``size`` counts, and the counts."""
+        freq, seed, _ = self.key
+        rng = _chunk_rng(seed, chunk)
+        if chunk in self.kept:
+            state, counts = self.kept[chunk]
+            rng.bit_generator.state = state
+            return rng, counts
+        counts = np.asarray(freq.draw(rng, size), dtype=np.int64)
+        if self.keep:
+            self.kept[chunk] = (rng.bit_generator.state, counts)
+        return rng, counts
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -188,29 +227,64 @@ def run_lda(
     freq: FrequencyModel,
     cfg: LdaConfig = LdaConfig(),
     workers: int | None = None,
+    *,
+    counts: _Counts | None = None,
 ) -> CapitalResult:
     """Simulate annual aggregate losses and return the capital percentile.
 
     A pool of ``workers`` threads (default THINTAIL_THREADS, at least 1)
     fills the fixed chunk grid; results are bit-identical for any count.
+    Each chunk draws its counts first, then the severities; ``counts`` is
+    the record of them that ``run_lda_many`` shares among its models.
     """
     trials = int(cfg.trials)
-    n_chunks = (trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK
-    sizes = [min(_TRIAL_CHUNK, trials - c * _TRIAL_CHUNK) for c in range(n_chunks)]
+    if counts is None:
+        counts = _Counts(freq, cfg.seed, trials, keep=False)
+    elif counts.key != (freq, cfg.seed, trials):
+        raise ValueError("counts were drawn for another frequency, seed or trial count")
     annual = np.empty(trials, dtype=float)
+    # one draws buffer per worker, an eighth larger than the chunk that makes
+    # it, so it is seldom regrown: a fresh buffer per chunk (about 2 MB at
+    # lambda = 60) faults its pages in again, and many small regrowths grow
+    # the heap
+    buffers = threading.local()
 
     def fill(chunk: int):
-        lo = chunk * _TRIAL_CHUNK
-        annual[lo : lo + sizes[chunk]] = _simulate_chunk(
-            severity, freq, cfg.seed, chunk, sizes[chunk]
-        )
+        out = annual[chunk * _TRIAL_CHUNK : (chunk + 1) * _TRIAL_CHUNK]
+        rng, drawn = counts.stream(chunk, out.size)
+        total = int(drawn.sum())
+        if getattr(buffers, "draws", np.empty(0)).size <= total:
+            buffers.draws = np.empty(total + total // 8 + 1)
+        _chunk_losses(severity, rng, drawn, out, buffers.draws[: total + 1])
 
     with ThreadPoolExecutor(max_workers=_resolve_workers(workers)) as pool:
-        list(pool.map(fill, range(n_chunks)))
+        list(pool.map(fill, range((trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK)))
 
     if not np.isfinite(annual).all():
         raise RuntimeError("annual loss sums overflowed; check severity parameters")
+    return _capital(annual, freq, cfg)
 
+
+def run_lda_many(
+    severities,
+    freq: FrequencyModel,
+    cfg: LdaConfig = LdaConfig(),
+    workers: int | None = None,
+) -> list[CapitalResult]:
+    """``run_lda(severity, freq, cfg)`` for each model of ``severities``, with the counts drawn once.
+
+    The first model's run draws every chunk's counts and keeps them with
+    the stream state after them; each later model's ``run_lda`` draws its
+    severities from that state, so every result equals the model's own
+    ``run_lda`` bit for bit.  The counts (8 bytes a trial) and one model's
+    annual losses are held at a time, however many models there are.
+    """
+    counts = _Counts(freq, cfg.seed, int(cfg.trials), keep=True)
+    return [run_lda(severity, freq, cfg, workers, counts=counts) for severity in severities]
+
+
+def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> CapitalResult:
+    """The capital percentile of one model's annual losses, with its batch-means diagnostics."""
     capital = float(np.quantile(annual, cfg.percentile))
 
     block_pcts = [
@@ -224,7 +298,7 @@ def run_lda(
     return CapitalResult(
         capital=capital,
         lam=float(freq.mean),
-        trials=trials,
+        trials=annual.size,
         stderr_estimate=stderr,
         converged=converged,
         seed=cfg.seed,
@@ -301,22 +375,22 @@ def compare_models(
 
     freq = PoissonFreq(annual_frequency(arr.size, years))
     expn_count = sum(1 for name, _ in specs if name == "expn")
-    entries: list[ModelComparison] = []
+    fitted: list[tuple[str, SeverityModel, float]] = []
     for name, power in specs:
         if power is None:
-            model, area = _fit_normal(arr)
+            fitted.append((name, *_fit_normal(arr)))
         else:
             fr = fit_expn(arr, power)
-            model, area = fr.model, fr.tna.area
             if name == "expn" and expn_count > 1:
                 name = f"expn{power}"
-        entries.append(ModelComparison(name, run_lda(model, freq, cfg).capital, area))
+            fitted.append((name, fr.model, fr.tna.area))
+    results = run_lda_many([model for _, model, _ in fitted], freq, cfg)
 
     return ComparisonRow(
         label=label,
         count=int(arr.size),
         total=float(math.fsum(arr.tolist())),
-        entries=entries,
+        entries=[ModelComparison(name, res.capital, area) for (name, _, area), res in zip(fitted, results)],
     )
 
 
@@ -338,10 +412,10 @@ def percentile_vs_n(
     arr = np.asarray(losses, dtype=float)
     freq = PoissonFreq(annual_frequency(arr.size, years))
 
-    rows: list[tuple[int, float, float]] = []
-    for n, fr in zip(values, fit_expn_many(arr, values)):
-        model = fr.model
-        q999 = float(model.quantile(0.999))
-        capital = run_lda(model, freq, cfg).capital if with_capital else float("nan")
-        rows.append((n, q999, capital))
-    return rows
+    models = [fr.model for fr in fit_expn_many(arr, values)]
+    if with_capital:
+        capitals = [res.capital for res in run_lda_many(models, freq, cfg)]
+    else:
+        capitals = [float("nan")] * len(models)
+    return [(n, float(model.quantile(0.999)), capital)
+            for n, model, capital in zip(values, models, capitals)]

@@ -564,6 +564,35 @@ class TestSeverityModelPerFamily:
         digest = hashlib.sha256(np.asarray(draws, dtype="<f8").tobytes()).hexdigest()
         assert digest == FAMILY_DRAWS_SHA256[name][[1, 7, 4096].index(k)]
 
+    @pytest.mark.parametrize("k", [1, 7, 4096, 2**14 + 3, 3 * 2**14])
+    def test_sample_into_out_equals_sample(self, name, k):
+        model = tt.SeverityModel(FAMILY_RECORDS[name], scaling_mean=self.m)
+        out = np.full(k + 1, -1.0)
+        rng = np.random.default_rng(k)
+        assert model.sample(k, rng, out=out[:k]).base is out
+        after = rng.random()
+        expected_rng = np.random.default_rng(k)
+        assert out[:k].tobytes() == model.sample(k, expected_rng).tobytes()
+        assert out[k] == -1.0
+        assert after == expected_rng.random()
+
+
+@pytest.mark.parametrize("k", [1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
+@pytest.mark.parametrize("s, n", [(1.3, 4), (0.9, 100)])
+def test_expn_draws_all_gammas_then_all_uniforms(s, n, k):
+    # the uniforms come in blocks, yet the stream and the arithmetic are those of one
+    # standard_gamma block followed by one random block
+    rng = np.random.default_rng(k)
+    g, u = rng.standard_gamma(1.0 + 1.0 / n, size=k), rng.random(k)
+    expected = np.power(2.0 * g, 1.0 / n) * u * s
+    assert tt.ExpNParams(s, n).sample(k, np.random.default_rng(k)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.empty(4), np.empty((1, 5))], ids=["short", "2-d"])
+def test_sample_into_out_of_another_shape_is_refused(out):
+    with pytest.raises(ValueError, match=r"^out must have shape \(5,\)"):
+        tt.SeverityModel(tt.Exp4Params(1.0)).sample(5, np.random.default_rng(0), out=out)
+
 
 @pytest.mark.parametrize("name", ["exp4", "expn1", "expn100", "weibull", "pareto"])
 @pytest.mark.parametrize("x", [-0.5, np.array([0.5, -1e-300])], ids=["scalar", "array"])

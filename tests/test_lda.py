@@ -1,12 +1,13 @@
 """Tests for the frequency models and the Monte Carlo capital engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import thintail as tt
-from thintail.lda import _chunk_rng, _resolve_workers, parse_model_spec
+from thintail.lda import _TRIAL_CHUNK, _chunk_losses, _chunk_rng, _Counts, _resolve_workers, parse_model_spec
 
 
 def poisson_quantile_by_summation(lam: float, p: float) -> int:
@@ -210,6 +211,130 @@ class TestRunLda:
         assert res.seed == 11
 
 
+SEVERITIES = {
+    "exp4": tt.Exp4Params(1.3),
+    "expn1": tt.ExpNParams(1.3, 1),
+    "expn100": tt.ExpNParams(0.9, 100),
+    "normal": tt.NormalParams(mu=1.0, sigma=0.4),
+    "lognormal": tt.LogNormalParams(mu=0.0, sigma=0.8),
+    "weibull": tt.WeibullParams(tau=0.7, theta=2.0),
+    "pareto": tt.ParetoParams(theta=1.5, alpha=3.0),
+    "pointmass": tt.PointMassParams(2.0),
+}
+MODELS = [tt.SeverityModel(params, scaling_mean=37.5) for params in SEVERITIES.values()]
+FREQUENCIES = {
+    "poisson": tt.PoissonFreq(6.0),
+    "negbin": tt.NegativeBinomialFreq(mean=6.0, dispersion=3.0),
+    "normal": tt.NormalApproxFreq(6.0),
+}
+
+
+def own_chunk(severity, freq, seed: int, chunk: int, size: int) -> np.ndarray:
+    """One chunk's annual losses as a run of ``severity`` alone draws them: its own counts,
+    then one ``sample`` block, summed per trial."""
+    rng = _chunk_rng(seed, chunk)
+    counts = freq.draw(rng, size)
+    draws = severity.sample(int(counts.sum()), rng)
+    sums = np.add.reduceat(np.concatenate((draws, [0.0])), np.concatenate(([0], np.cumsum(counts)[:-1])))
+    sums[counts == 0] = 0.0
+    return sums
+
+
+def shared_chunk(severity, counts, chunk: int, size: int) -> np.ndarray:
+    """One chunk's annual losses as ``run_lda`` draws them with the record ``counts``."""
+    rng, drawn = counts.stream(chunk, size)
+    out = np.full(size, np.nan)
+    _chunk_losses(severity, rng, drawn, out, np.full(int(drawn.sum()) + 1, np.nan))
+    return out
+
+
+class TestSharedPass:
+    """run_lda_many draws each chunk's counts once; each model's losses are its own run's."""
+
+    @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
+    def test_chunks_equal_each_models_own_draws(self, freq):
+        sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_000]  # the last chunk is short
+        counts = _Counts(freq, 5, sum(sizes), keep=True)
+        for chunk, size in enumerate(sizes):
+            for model in MODELS:  # the first model draws the counts, the others restore them
+                expected = own_chunk(model, freq, 5, chunk, size)
+                assert shared_chunk(model, counts, chunk, size).tobytes() == expected.tobytes()
+        assert [counts.kept[chunk][1].size for chunk in range(3)] == sizes
+        lone = _Counts(freq, 5, sum(sizes), keep=False)
+        assert shared_chunk(MODELS[0], lone, 0, _TRIAL_CHUNK).tobytes() == shared_chunk(
+            MODELS[0], counts, 0, _TRIAL_CHUNK).tobytes()
+        assert lone.kept == {}
+
+    @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
+    def test_results_equal_run_lda_per_model(self, freq):
+        cfg = tt.LdaConfig(trials=2 * _TRIAL_CHUNK + 1_000, seed=5)
+        expected = [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS]
+        for workers in (1, 2):
+            assert tt.run_lda_many(MODELS, freq, cfg, workers=workers) == expected
+
+    def test_chunks_without_events(self):
+        freq, trials = tt.PoissonFreq(1e-4), 2 * _TRIAL_CHUNK + 1_808
+        sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_808]
+        events = [int(freq.draw(_chunk_rng(0, chunk), size).sum()) for chunk, size in enumerate(sizes)]
+        assert events == [0, 1, 0]  # chunks 0 and 2 have no events at all
+        counts = _Counts(freq, 0, trials, keep=True)
+        for chunk, size in enumerate(sizes):
+            for model in MODELS:
+                row = shared_chunk(model, counts, chunk, size)
+                assert row.tobytes() == own_chunk(model, freq, 0, chunk, size).tobytes()
+                assert (row == 0.0).all() == (events[chunk] == 0)
+        cfg = tt.LdaConfig(trials=trials, seed=0)
+        assert tt.run_lda_many(MODELS, freq, cfg) == [tt.run_lda(m, freq, cfg) for m in MODELS]
+
+    def test_counts_of_another_run_are_refused(self):
+        cfg = tt.LdaConfig(trials=5_000, seed=5)
+        counts = _Counts(tt.PoissonFreq(6.0), 5, 5_000, keep=True)
+        for freq, other in [(tt.PoissonFreq(7.0), cfg), (tt.PoissonFreq(6.0), tt.LdaConfig(trials=5_000, seed=6)),
+                            (tt.PoissonFreq(6.0), tt.LdaConfig(trials=6_000, seed=5))]:
+            with pytest.raises(ValueError, match="counts were drawn for another"):
+                tt.run_lda(MODELS[0], freq, other, counts=counts)
+
+    @pytest.mark.parametrize("name", ["exp4", "expn100", "normal"])
+    def test_chunk_memory_peaks_near_one_draws_array(self, name):
+        # lambda = 60 draws about 246,000 severities (1.96 MB) per chunk.  Its buffer and
+        # 2^14-uniform blocks peak at 1.10 draws arrays (ExpN) and 1.17 (Normal, whose redraw
+        # mask is per draw); a full-length uniform array, or a copy of the draws for reduceat,
+        # would add a whole draws array and reach about 2.05.
+        freq, model = tt.PoissonFreq(60.0), tt.SeverityModel(SEVERITIES[name], 30.0)
+        draws_bytes = 8 * int(freq.draw(_chunk_rng(42, 3), _TRIAL_CHUNK).sum())
+        out = np.empty(_TRIAL_CHUNK)
+
+        def simulate():
+            rng = _chunk_rng(42, 3)
+            counts = freq.draw(rng, _TRIAL_CHUNK)
+            _chunk_losses(model, rng, counts, out, np.empty(int(counts.sum()) + 1))
+
+        simulate()  # warm up: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * draws_bytes
+
+    def test_many_models_hold_one_annual_array_at_a_time(self):
+        # 9 models at 40,000 trials: a (models, trials) array alone would be 9 trials' worth
+        # of 8-byte values.  The count pass, one model's annual losses and np.quantile's
+        # copy of them peak at about 3.1 (2.1 for nine run_lda calls, with no count pass).
+        trials, freq = 40_000, tt.PoissonFreq(2.0)
+        cfg = tt.LdaConfig(trials=trials, seed=1)
+        models = [tt.SeverityModel(tt.ExpNParams(1.0, n), 10.0) for n in range(2, 20, 2)]
+        tt.run_lda_many(models[:1], freq, cfg, workers=1)  # warm up
+        tracemalloc.start()
+        try:
+            tt.run_lda_many(models, freq, cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * trials
+
+
 class TestParseModelSpec:
     def test_known_specs(self):
         assert parse_model_spec("exp4") == ("exp4", 4)
@@ -266,6 +391,22 @@ class TestCompareModels:
         assert row == tt.compare_models(compare_losses, 5.0, ["exp4", "normal", "expn:8"], cfg)
         assert [e.name for e in row.entries] == ["exp4", "normal", "expn"]
 
+    def test_row_equals_each_model_fitted_and_run_alone(self, compare_losses):
+        cfg = tt.LdaConfig(trials=9_000, seed=4)
+        row = tt.compare_models(compare_losses, 5.0, ["expn:12", "normal", "expn:100", "exp4"], cfg)
+        freq = tt.PoissonFreq(tt.annual_frequency(len(compare_losses), 5.0))
+        scaled, mean = tt.scale_losses(compare_losses)
+        normal = tt.NormalParams(mu=1.0, sigma=float(np.std(scaled, ddof=1)))
+        expected = []
+        for fr in (tt.fit_expn(compare_losses, 12), None, tt.fit_expn(compare_losses, 100),
+                   tt.fit_expn(compare_losses, 4)):
+            if fr is None:
+                model, area = tt.SeverityModel(normal, mean), tt.tna_test(scaled, normal).area
+            else:
+                model, area = fr.model, fr.tna.area
+            expected.append((tt.run_lda(model, freq, cfg).capital, area))
+        assert [(e.capital, e.tna_area) for e in row.entries] == expected
+
     def test_empty_model_list_rejected(self, compare_losses):
         with pytest.raises(ValueError):
             tt.compare_models(compare_losses, 5.0, [], tt.LdaConfig(trials=5_000))
@@ -300,6 +441,14 @@ class TestPercentileVsN:
     def test_capital_column_present_when_requested(self, curve_losses):
         rows = tt.percentile_vs_n(curve_losses, 5.0, [4], tt.LdaConfig(trials=5_000, seed=2))
         assert rows[0][2] > 0.0
+
+    def test_capitals_equal_run_lda_per_power(self, curve_losses):
+        cfg = tt.LdaConfig(trials=9_000, seed=2)
+        rows = tt.percentile_vs_n(curve_losses, 5.0, [4, 10, 30], cfg)
+        freq = tt.PoissonFreq(tt.annual_frequency(len(curve_losses), 5.0))
+        assert [c for _, _, c in rows] == [
+            tt.run_lda(tt.fit_expn(curve_losses, n).model, freq, cfg).capital for n in (4, 10, 30)
+        ]
 
     def test_numpy_integer_powers_accepted(self, curve_losses):
         rows = tt.percentile_vs_n(curve_losses, 5.0, np.array([6, 4]), with_capital=False)
