@@ -16,16 +16,8 @@ from .dist import (
     SeverityModel,
     SeverityParams,
     WeibullParams,
-    exp4_cdf,
-    exp4_pdf,
-    exp4_quantile,
-    exp4_sample,
-    expn_cdf,
-    expn_pdf,
-    expn_quantile,
-    expn_sample,
 )
-from .fit import FitResult, fit_exp4, fit_expn, fit_expn_many, scale_losses
+from .fit import FitResult, fit_expn, fit_expn_many, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
@@ -75,14 +67,6 @@ __all__ = [
     "ParetoParams",
     "PointMassParams",
     "SeverityModel",
-    "exp4_pdf",
-    "exp4_cdf",
-    "exp4_quantile",
-    "exp4_sample",
-    "expn_pdf",
-    "expn_cdf",
-    "expn_quantile",
-    "expn_sample",
     # tna
     "TnaResult",
     "empirical_from_losses",
@@ -96,7 +80,6 @@ __all__ = [
     # fit
     "FitResult",
     "scale_losses",
-    "fit_exp4",
     "fit_expn",
     "fit_expn_many",
     # lda

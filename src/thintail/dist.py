@@ -6,11 +6,11 @@ Each family is a frozen parameter record with ``pdf``, ``cdf``,
 ``quantile`` and ``sample(count, rng)`` on the mean-scaled axis, and
 ``SeverityModel`` maps them to loss units.  Caller input has one front
 door, ``SeverityParams``: it checks x or p and calls the family's
-array-only ``_pdf``, ``_cdf`` or ``_quantile``.  ``expn_pdf``,
-``expn_cdf`` and ``expn_quantile`` are ``ExpNParams(s, n)`` calls, so
-they refuse an array ``s`` or ``n``; only the scale search in ``fit``
-broadcasts arrays of scales and powers, through the unchecked CDF
-kernel ``_expn_cdf``.  The power-exponential density on x > 0 is
+array-only ``_pdf``, ``_cdf`` or ``_quantile``.  An ExpN evaluation is a
+call of its record, ``ExpNParams(s, n).cdf(x)``, which refuses an array
+``s`` or ``n``; only the scale search in ``fit`` broadcasts arrays of
+scales and powers, through the unchecked CDF kernel ``_expn_cdf``.  The
+power-exponential density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
@@ -32,11 +32,10 @@ n = 100), both would lose precision or underflow to 0.  There the CDF
 is linear to double precision, F(x) = x f(0) (1 - x^n/(2 s^n)/(n+1)
 + ...), so the CDF returns x f(0) and the quantile p / f(0).
 
-Two interchangeable samplers are provided for the power-exponential
-family.  The default is X = s * (2 G)^(1/n) with G ~ Gamma(1/n, 1) (a
-change of variables shows this has the CDF above).  G is drawn as
-G1 * U^n with G1 ~ Gamma(1 + 1/n, 1) and U ~ Uniform[0, 1) independent
-(Stuart, Biometrika 1962), so X = s * (2 G1)^(1/n) * U:
+The power-exponential sampler draws X = s * (2 G)^(1/n) with
+G ~ Gamma(1/n, 1) (a change of variables shows this has the CDF above).
+G is drawn as G1 * U^n with G1 ~ Gamma(1 + 1/n, 1) and U ~ Uniform[0, 1)
+independent (Stuart, Biometrika 1962), so X = s * (2 G1)^(1/n) * U:
 - numpy draws a gamma of shape >= 1 by Marsaglia-Tsang, about one normal
   and one uniform per draw, where shape < 1 takes a slower rejection loop;
 - U carries the far lower tail at the resolution of a uniform double,
@@ -47,7 +46,7 @@ The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then the
 stream and the values are those of one ``random(count)`` block, but no
 second array of ``count`` doubles is made.  The draws are made in place
 (``SeverityModel.sample(count, rng, out=...)`` fills a caller's buffer).
-``"inverse"`` pushes uniforms through the quantile function.
+Inverse-CDF draws are the quantile of uniforms, ``quantile(rng.random(count))``.
 
 Distribution parameter objects are immutable.  Sampling takes an
 explicit ``numpy.random.Generator``; callers own their streams, and
@@ -75,14 +74,6 @@ __all__ = [
     "ParetoParams",
     "PointMassParams",
     "SeverityModel",
-    "exp4_pdf",
-    "exp4_cdf",
-    "exp4_quantile",
-    "exp4_sample",
-    "expn_pdf",
-    "expn_cdf",
-    "expn_quantile",
-    "expn_sample",
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
@@ -184,55 +175,6 @@ def _expn_cdf(x: np.ndarray, s, n) -> np.ndarray:
     return out
 
 
-def expn_pdf(x, s, n):
-    """Density of ExpN(s, n) at x >= 0."""
-    return ExpNParams(s, n).pdf(x)
-
-
-def expn_cdf(x, s, n):
-    """CDF of ExpN(s, n) at x >= 0."""
-    return ExpNParams(s, n).cdf(x)
-
-
-def expn_quantile(p, s, n):
-    """Quantile of ExpN(s, n) for p in [0, 1)."""
-    return ExpNParams(s, n).quantile(p)
-
-
-def expn_sample(count, s, n, rng: np.random.Generator, method: str = "gamma"):
-    """Draw ``count`` ExpN(s, n) variates from ``rng``.
-
-    method "gamma": s * (2 G1)^(1/n) * U with G1 ~ Gamma(1 + 1/n, 1), drawn
-    first as one block, and U ~ Uniform[0, 1), drawn second.
-    method "inverse": quantile function applied to uniforms.
-    """
-    count = _require_int("count", count, 1)
-    params = ExpNParams(s, n)
-    if method == "gamma":
-        return params.sample(count, rng)
-    if method == "inverse":
-        return params.quantile(rng.random(count))
-    raise ValueError(f"unknown sampler method {method!r}")
-
-
-# Exp4 == ExpN with n = 4.
-
-def exp4_pdf(x, s):
-    return expn_pdf(x, s, 4)
-
-
-def exp4_cdf(x, s):
-    return expn_cdf(x, s, 4)
-
-
-def exp4_quantile(p, s):
-    return expn_quantile(p, s, 4)
-
-
-def exp4_sample(count, s, rng: np.random.Generator, method: str = "gamma"):
-    return expn_sample(count, s, 4, rng, method)
-
-
 # ---------------------------------------------------------------------------
 # parameter records, one per family
 # ---------------------------------------------------------------------------
@@ -316,7 +258,8 @@ class Exp4Params(ExpNParams):
 
 
 def expn_params(s: float, n: int) -> ExpNParams:
-    """The ExpN(s, n) record; ``Exp4Params`` when n is 4, so that its family reads ``exp4``."""
+    """The ExpN(s, n) record; ``Exp4Params`` when n is 4, so that a fit's ``model.params``
+    at power 4 is an ``Exp4Params``."""
     return Exp4Params(s) if n == 4 else ExpNParams(s, n)
 
 
@@ -482,10 +425,6 @@ class SeverityModel:
         _require_positive("scaling_mean", self.scaling_mean)
         if not isinstance(self.params, SeverityParams):
             raise ValueError(f"unsupported parameter record {self.params!r}")
-
-    @property
-    def family(self) -> str:
-        return type(self.params).__name__.removesuffix("Params").lower()
 
     def pdf(self, x):
         m = self.scaling_mean

@@ -44,7 +44,7 @@ import numpy as np
 from .dist import SeverityModel, _expn_cdf as expn_cdf, check_power, expn_params
 from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
-__all__ = ["FitResult", "scale_losses", "fit_exp4", "fit_expn", "fit_expn_many"]
+__all__ = ["FitResult", "scale_losses", "fit_expn", "fit_expn_many"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
@@ -103,11 +103,6 @@ def fit_expn(losses, n: int = 4) -> FitResult:
 def fit_expn_many(losses, powers) -> list[FitResult]:
     """``fit_expn(losses, n)`` for each power ``n`` of ``powers``, in one lockstep search."""
     return _fit(losses, list(powers))
-
-
-def fit_exp4(losses) -> FitResult:
-    """Fit the Exp4 scale; identical to ``fit_expn`` with power 4."""
-    return _fit(losses, [4])[0]
 
 
 def _fit(losses, powers: list) -> list[FitResult]:

@@ -10,10 +10,11 @@ diagonal, and the absolute trapezoid areas are summed.  Smaller is
 better; zero means every point sits on the diagonal.
 
 The paper's significance levels come from the quadratic
-A(p) = 2*sqrt(2)*p*(1 - sqrt(2)*p); a p% two-tailed critical value is
-A(p/200).  The null hypothesis "the data follow the candidate
-distribution" is rejected at p% when the statistic strictly exceeds the
-critical value.  A(p) is a sample-size-free threshold, not a test of
+A(p) = 2*sqrt(2)*p*(1 - sqrt(2)*p) (``significance_area``).  Every
+decision is two-tailed: ``critical_value`` at p% is A(p/200); a
+one-tailed value is ``significance_area(p / 100)``.  The null hypothesis
+"the data follow the candidate distribution" is rejected at p% when the
+statistic strictly exceeds the critical value.  A(p) is a sample-size-free threshold, not a test of
 size p: under a fully specified null the area shrinks like 1/sqrt(n),
 and A(0.025) = 0.0682 rejects true-model samples at a rate of 0.64 for
 n = 10, 0.25 for n = 30, 0.046 for n = 75 and 0.0008 for n = 200.
@@ -141,8 +142,9 @@ def significance_area(p: float) -> float:
     return 2.0 * _SQRT2 * p * (1.0 - _SQRT2 * p)
 
 
-def critical_value(level_percent: float, tails: int = 2) -> float:
-    """The paper's critical area A(p) at ``level_percent``; two-tailed uses p/2.
+def critical_value(level_percent: float) -> float:
+    """The paper's two-tailed critical area, A(level_percent / 200); a one-tailed area
+    is ``significance_area(level_percent / 100)``.
 
     The value does not depend on the sample size, so it is not a test of
     size ``level_percent``: at 5% it rejects true-model samples at a rate
@@ -153,11 +155,7 @@ def critical_value(level_percent: float, tails: int = 2) -> float:
     level = float(level_percent)
     if not (0.0 < level < 100.0):
         raise ValueError(f"level_percent must lie in (0, 100), got {level!r}")
-    if tails == 2:
-        return significance_area(level / 200.0)
-    if tails == 1:
-        return significance_area(level / 100.0)
-    raise ValueError(f"tails must be 1 or 2, got {tails!r}")
+    return significance_area(level / 200.0)
 
 
 def invert_significance(area: float) -> float:
@@ -176,7 +174,7 @@ def decisions_for_area(area: float) -> dict[float, bool]:
     (see the module docstring); ``null_critical_value`` is the calibrated
     threshold for n points.
     """
-    return {level: bool(area > critical_value(level, tails=2)) for level in DEFAULT_LEVELS}
+    return {level: bool(area > critical_value(level)) for level in DEFAULT_LEVELS}
 
 
 _NULL_KEY = 0x7468696E7461696C  # fixed Philox key ("thintail"): no caller stream is touched

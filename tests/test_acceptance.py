@@ -67,19 +67,19 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
 
 def test_criterion_1_significance_constants():
     ok = round(tt.significance_area(0.025), 4) == 0.0682
-    ok &= abs(tt.critical_value(1.0, 2) - 0.014) <= 5e-4
-    ok &= abs(tt.critical_value(5.0, 2) - 0.068) <= 5e-4
-    ok &= abs(tt.critical_value(10.0, 2) - 0.131) <= 5e-4
+    ok &= abs(tt.critical_value(1.0) - 0.014) <= 5e-4
+    ok &= abs(tt.critical_value(5.0) - 0.068) <= 5e-4
+    ok &= abs(tt.critical_value(10.0) - 0.131) <= 5e-4
     assert report(1, ok, f"A(0.025)={tt.significance_area(0.025):.6f}; "
-                         f"criticals {tt.critical_value(1.0, 2):.4f}/"
-                         f"{tt.critical_value(5.0, 2):.4f}/{tt.critical_value(10.0, 2):.4f}")
+                         f"criticals {tt.critical_value(1.0):.4f}/"
+                         f"{tt.critical_value(5.0):.4f}/{tt.critical_value(10.0):.4f}")
 
 
 def test_criterion_2_family_reduction():
     xs = np.linspace(0.0, 10.0, 2001)
     sup = 0.0
     for s in (0.2, 1.0, 5.0):
-        sup = max(sup, float(np.abs(tt.expn_cdf(xs, s, 4) - tt.exp4_cdf(xs, s)).max()))
+        sup = max(sup, float(np.abs(tt.ExpNParams(s, 4).cdf(xs) - tt.Exp4Params(s).cdf(xs)).max()))
     assert report(2, sup < 1e-12, f"sup |ExpN(4) - Exp4| = {sup:.2e}")
 
 
@@ -93,10 +93,10 @@ def test_criterion_3_normalization():
     for s in (0.2, 1.0, 5.0):
         for n in (1, 4, 12, 100):
             if n >= 50:  # sharp shoulder at x ~ s: integrate the finite support
-                total, _ = quad(lambda t: tt.expn_pdf(t, s, n), 0.0, 1.3 * s,
+                total, _ = quad(lambda t: tt.ExpNParams(s, n).pdf(t), 0.0, 1.3 * s,
                                 points=[s], limit=400)
             else:
-                total, _ = quad(lambda t: tt.expn_pdf(t, s, n), 0.0, np.inf, limit=300)
+                total, _ = quad(lambda t: tt.ExpNParams(s, n).pdf(t), 0.0, np.inf, limit=300)
             check(total)
     for params, lo in (
         (tt.NormalParams(mu=1.0, sigma=0.4), -np.inf),
@@ -116,10 +116,10 @@ def test_criterion_4_quantile_round_trip_and_bracket():
         for n in (1, 2, 4, 12, 100):
             xs = np.array([0.3, 0.7, 1.0, 1.02]) * s if n >= 50 else np.array([0.1, 0.5, 1.0, 1.5]) * s
             for x in xs:
-                p = tt.expn_cdf(float(x), s, n)
+                p = tt.ExpNParams(s, n).cdf(float(x))
                 if p >= 1.0 - 1e-13:
                     continue
-                err = abs(tt.expn_quantile(p, s, n) - x)
+                err = abs(tt.ExpNParams(s, n).quantile(p) - x)
                 worst = max(worst, err / s)
                 ok &= err <= 1e-6 * s
     for params, scale in (
@@ -136,19 +136,19 @@ def test_criterion_4_quantile_round_trip_and_bracket():
     # bracket policy: for the fourth-power family the 20s cap holds
     # all mass up to p = 1 - 1e-12 without expansion
     for s in (0.2, 1.0, 5.0):
-        ok &= tt.exp4_cdf(20.0 * s, s) >= 1.0 - 1e-12
-        ok &= tt.exp4_quantile(1.0 - 1e-12, s) < 20.0 * s
+        ok &= tt.Exp4Params(s).cdf(20.0 * s) >= 1.0 - 1e-12
+        ok &= tt.Exp4Params(s).quantile(1.0 - 1e-12) < 20.0 * s
     assert report(4, ok, f"worst relative round-trip error = {worst:.2e}")
 
 
 def test_criterion_5_sampler_equivalence():
     n = 100_000
-    inverse = tt.exp4_sample(n, 1.0, np.random.default_rng(101), method="inverse")
-    gamma = tt.exp4_sample(n, 1.0, np.random.default_rng(202), method="gamma")
+    inverse = tt.Exp4Params(1.0).quantile(np.random.default_rng(101).random(n))
+    gamma = tt.Exp4Params(1.0).sample(n, np.random.default_rng(202))
     crit_one = 1.63 / math.sqrt(n)
     crit_two = 1.628 * math.sqrt(2.0 / n)
-    d_inv = ks_one_sample(inverse, lambda x: tt.exp4_cdf(x, 1.0))
-    d_gam = ks_one_sample(gamma, lambda x: tt.exp4_cdf(x, 1.0))
+    d_inv = ks_one_sample(inverse, lambda x: tt.Exp4Params(1.0).cdf(x))
+    d_gam = ks_one_sample(gamma, lambda x: tt.Exp4Params(1.0).cdf(x))
     d_two = ks_two_sample(inverse, gamma)
     ok = d_inv < crit_one and d_gam < crit_one and d_two < crit_two
     assert report(5, ok, f"KS inverse={d_inv:.5f}, gamma={d_gam:.5f} (crit {crit_one:.5f}); "
@@ -156,7 +156,7 @@ def test_criterion_5_sampler_equivalence():
 
 
 def test_criterion_6_percentile_curve_shape():
-    losses = tt.exp4_sample(25, 1.3, np.random.default_rng(606)) * 60.0
+    losses = tt.Exp4Params(1.3).sample(25, np.random.default_rng(606)) * 60.0
     rows = tt.percentile_vs_n(losses, 5.0, list(range(4, 21, 2)),
                               tt.LdaConfig(trials=10_000, seed=1), with_capital=False)
     qs = [q for _, q, _ in rows]
@@ -197,13 +197,13 @@ def test_criterion_7_lda_point_mass_oracle():
 def test_criterion_8_tna_calibration():
     reps = 10_000
     crit = tt.null_critical_value(5.0, 30)
-    paper_crit = tt.critical_value(5.0, tails=2)
+    paper_crit = tt.critical_value(5.0)
     rng = np.random.default_rng(808)
     model = tt.SeverityModel(tt.Exp4Params(1.0))
     rejections = 0
     paper_rejections = 0
     for _ in range(reps):
-        losses = tt.exp4_sample(30, 1.0, rng)
+        losses = tt.Exp4Params(1.0).sample(30, rng)
         res = tt.tna_test(losses, model)
         assert res.rejected_at(5.0) == (res.area > paper_crit)
         rejections += res.area > crit
@@ -224,14 +224,14 @@ def test_criterion_9_fit_recovery():
     hits_raw = 0
     reps = 500
     for _ in range(reps):
-        sample = tt.exp4_sample(30, true_s, rng)
-        fr = tt.fit_exp4(sample)
+        sample = tt.Exp4Params(true_s).sample(30, rng)
+        fr = tt.fit_expn(sample)
         hits_scaled += abs(fr.s_hat - scaled_truth) / scaled_truth < 0.15
         hits_raw += abs(fr.s_hat_raw - true_s) / true_s < 0.15
     rate = hits_scaled / reps
 
-    qm = tt.exp4_quantile((np.arange(1, 31) - 0.5) / 30, 1.0)
-    qm_err = abs(tt.fit_exp4(qm).s_hat_raw - 1.0)
+    qm = tt.Exp4Params(1.0).quantile((np.arange(1, 31) - 0.5) / 30)
+    qm_err = abs(tt.fit_expn(qm).s_hat_raw - 1.0)
 
     ok = rate >= 0.90 and qm_err <= 0.01
     assert report(
@@ -257,7 +257,7 @@ def test_criterion_11_comparison_frequency_property(tmp_path):
     from thintail.cli import main
 
     ps = (np.arange(1, 21) - 0.5) / 20
-    demo = tt.exp4_quantile(ps, 1.0) * 70.0
+    demo = tt.Exp4Params(1.0).quantile(ps) * 70.0
     demo_path = tmp_path / "demo.csv"
     demo_path.write_text("amount\n" + "\n".join(repr(float(v)) for v in demo) + "\n")
     out = tmp_path / "out"
@@ -276,7 +276,7 @@ def test_criterion_11_comparison_frequency_property(tmp_path):
         count = int(rng.integers(10, 36))
         s_true = float(rng.uniform(0.5, 2.0))
         scale = float(rng.uniform(20.0, 200.0))
-        losses = tt.exp4_sample(count, s_true, rng) * scale
+        losses = tt.Exp4Params(s_true).sample(count, rng) * scale
         row = tt.compare_models(losses, 5.0, ["exp4", "expn:100"],
                                 tt.LdaConfig(trials=20_000, seed=5000 + ds))
         exp4_cap = row.entries[0].capital

@@ -23,7 +23,7 @@ from thintail.cli import main
 def pre_file(tmp_path):
     """Quantile-matched Exp4(s=1) sample, written as a pre-aggregated CSV."""
     ps = (np.arange(1, 31) - 0.5) / 30
-    losses = tt.exp4_quantile(ps, 1.0) * 80.0
+    losses = tt.Exp4Params(1.0).quantile(ps) * 80.0
     path = tmp_path / "losses.csv"
     path.write_text("amount\n" + "\n".join(repr(float(v)) for v in losses) + "\n")
     return path

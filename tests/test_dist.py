@@ -59,7 +59,7 @@ def mpmath_unit_quantile(n, lower=None, upper=None):
         return float((2 * g) ** a)
 
 
-def unit_expn_pdf(n):
+def unit_density(n):
     """Closed-form density, independent of the package internals."""
     norm = 2.0 ** (1.0 / n) * math.gamma(1.0 + 1.0 / n)
     return lambda t: math.exp(-0.5 * t**n) / norm
@@ -76,92 +76,92 @@ class StrayRecord:
 
 class TestExp4Pdf:
     def test_at_zero(self):
-        assert tt.exp4_pdf(0.0, 1.0) == pytest.approx(EXP4_PDF_AT_ZERO, rel=1e-14)
+        assert tt.Exp4Params(1.0).pdf(0.0) == pytest.approx(EXP4_PDF_AT_ZERO, rel=1e-14)
 
     def test_peak_region_example(self):
-        assert tt.exp4_pdf(0.2, 0.2) == pytest.approx(EXP4_PDF_02_02, rel=1e-13)
+        assert tt.Exp4Params(0.2).pdf(0.2) == pytest.approx(EXP4_PDF_02_02, rel=1e-13)
 
     def test_decays_to_zero(self):
-        assert tt.exp4_pdf(50.0, 1.0) == 0.0
+        assert tt.Exp4Params(1.0).pdf(50.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            tt.exp4_pdf(-0.1, 1.0)
+            tt.Exp4Params(1.0).pdf(-0.1)
         with pytest.raises(ValueError):
-            tt.exp4_pdf(1.0, 0.0)
+            tt.Exp4Params(0.0).pdf(1.0)
 
 
 class TestExp4Cdf:
     def test_at_zero(self):
-        assert tt.exp4_cdf(0.0, 1.0) == 0.0
+        assert tt.Exp4Params(1.0).cdf(0.0) == 0.0
 
     @pytest.mark.parametrize("s", [0.2, 1.0, 5.0])
     def test_bracket_end_saturates(self, s):
-        assert tt.exp4_cdf(20.0 * s, s) >= 1.0 - 1e-12
+        assert tt.Exp4Params(s).cdf(20.0 * s) >= 1.0 - 1e-12
 
     def test_value_against_quadrature(self):
-        oracle, _ = quad(unit_expn_pdf(4), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        assert tt.exp4_cdf(1.0, 1.0) == pytest.approx(oracle, abs=1e-12)
-        assert tt.exp4_cdf(1.0, 1.0) == pytest.approx(EXP4_CDF_1_1, rel=1e-13)
+        oracle, _ = quad(unit_density(4), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
+        assert tt.Exp4Params(1.0).cdf(1.0) == pytest.approx(oracle, abs=1e-12)
+        assert tt.Exp4Params(1.0).cdf(1.0) == pytest.approx(EXP4_CDF_1_1, rel=1e-13)
 
     @pytest.mark.parametrize("x", [-0.1, float("nan"), np.array([0.5, -1e-300]), np.array([1.0, np.nan])])
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
-            tt.exp4_cdf(x, 1.0)
+            tt.Exp4Params(1.0).cdf(x)
 
 
 class TestExp4Quantile:
     def test_at_zero(self):
-        assert tt.exp4_quantile(0.0, 1.0) == 0.0
+        assert tt.Exp4Params(1.0).quantile(0.0) == 0.0
 
     def test_median(self):
-        assert tt.exp4_quantile(0.5, 1.0) == pytest.approx(EXP4_MEDIAN, abs=1e-10)
+        assert tt.Exp4Params(1.0).quantile(0.5) == pytest.approx(EXP4_MEDIAN, abs=1e-10)
 
     @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 1.5])
     def test_round_trip(self, x):
-        assert tt.exp4_quantile(tt.exp4_cdf(x, 1.0), 1.0) == pytest.approx(x, abs=1e-6)
+        assert tt.Exp4Params(1.0).quantile(tt.Exp4Params(1.0).cdf(x)) == pytest.approx(x, abs=1e-6)
 
     def test_cdf_distance_contract(self):
         for p in (0.01, 0.5, 0.99, 0.999, 1.0 - 1e-12):
-            x = tt.exp4_quantile(p, 1.0)
-            assert abs(tt.exp4_cdf(x, 1.0) - p) <= 1e-10
+            x = tt.Exp4Params(1.0).quantile(p)
+            assert abs(tt.Exp4Params(1.0).cdf(x) - p) <= 1e-10
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            tt.exp4_quantile(1.0, 1.0)
+            tt.Exp4Params(1.0).quantile(1.0)
         with pytest.raises(ValueError):
-            tt.exp4_quantile(-0.1, 1.0)
+            tt.Exp4Params(1.0).quantile(-0.1)
 
     def test_vectorized_matches_scalar(self):
         ps = np.array([0.1, 0.5, 0.9, 0.999])
-        vec = tt.exp4_quantile(ps, 2.0)
-        scalars = [tt.exp4_quantile(float(p), 2.0) for p in ps]
+        vec = tt.Exp4Params(2.0).quantile(ps)
+        scalars = [tt.Exp4Params(2.0).quantile(float(p)) for p in ps]
         assert vec == pytest.approx(scalars, abs=1e-10)
 
 
 class TestExp4Sampling:
     def test_scale_family_exact_gamma(self):
-        a = tt.exp4_sample(100, 1.0, np.random.default_rng(5))
-        b = tt.exp4_sample(100, 2.0, np.random.default_rng(5))
+        a = tt.Exp4Params(1.0).sample(100, np.random.default_rng(5))
+        b = tt.Exp4Params(2.0).sample(100, np.random.default_rng(5))
         assert np.array_equal(2.0 * a, b)
 
     def test_scale_family_exact_inverse(self):
-        a = tt.exp4_sample(50, 1.0, np.random.default_rng(5), method="inverse")
-        b = tt.exp4_sample(50, 2.0, np.random.default_rng(5), method="inverse")
+        a = tt.Exp4Params(1.0).quantile(np.random.default_rng(5).random(50))
+        b = tt.Exp4Params(2.0).quantile(np.random.default_rng(5).random(50))
         assert np.array_equal(2.0 * a, b)
 
     def test_gamma_sampler_ks(self):
         n = 20_000
-        draws = np.sort(tt.exp4_sample(n, 1.0, np.random.default_rng(11)))
-        cdf_vals = tt.exp4_cdf(draws, 1.0)
+        draws = np.sort(tt.Exp4Params(1.0).sample(n, np.random.default_rng(11)))
+        cdf_vals = tt.Exp4Params(1.0).cdf(draws)
         d_plus = (np.arange(1, n + 1) / n - cdf_vals).max()
         d_minus = (cdf_vals - np.arange(0, n) / n).max()
         assert max(d_plus, d_minus) < 1.63 / math.sqrt(n)  # 1% asymptotic KS
 
     def test_two_samplers_agree_ks(self):
         n = 10_000
-        a = np.sort(tt.exp4_sample(n, 1.0, np.random.default_rng(1)))
-        b = np.sort(tt.exp4_sample(n, 1.0, np.random.default_rng(2), method="inverse"))
+        a = np.sort(tt.Exp4Params(1.0).sample(n, np.random.default_rng(1)))
+        b = np.sort(tt.Exp4Params(1.0).quantile(np.random.default_rng(2).random(n)))
         grid = np.sort(np.concatenate((a, b)))
         fa = np.searchsorted(a, grid, side="right") / n
         fb = np.searchsorted(b, grid, side="right") / n
@@ -170,25 +170,21 @@ class TestExp4Sampling:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            tt.exp4_sample(0, 1.0, np.random.default_rng(0))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            tt.exp4_sample(1, 1.0, np.random.default_rng(0), method="bogus")
+            tt.Exp4Params(1.0).sample(0, np.random.default_rng(0))
 
 
 class TestExpN:
     def test_reduces_to_exp4(self):
         xs = np.linspace(0.0, 10.0, 501)
         for s in (0.2, 1.0, 5.0):
-            diff = np.abs(tt.expn_cdf(xs, s, 4) - tt.exp4_cdf(xs, s)).max()
+            diff = np.abs(tt.ExpNParams(s, 4).cdf(xs) - tt.Exp4Params(s).cdf(xs)).max()
             assert diff < 1e-12
 
     def test_n1_density_at_zero(self):
-        assert tt.expn_pdf(0.0, 1.0, 1) == pytest.approx(0.5, rel=1e-14)
+        assert tt.ExpNParams(1.0, 1).pdf(0.0) == pytest.approx(0.5, rel=1e-14)
 
     def test_q999_strictly_decreasing_with_shrinking_decrements(self):
-        qs = [tt.expn_quantile(0.999, 1.0, n) for n in range(4, 21, 2)]
+        qs = [tt.ExpNParams(1.0, n).quantile(0.999) for n in range(4, 21, 2)]
         for computed, n in zip(qs, range(4, 21, 2)):
             assert computed == pytest.approx(Q999_BY_N[n], abs=1e-9)
         decs = [a - b for a, b in zip(qs, qs[1:])]
@@ -198,52 +194,52 @@ class TestExpN:
     @pytest.mark.parametrize("n", [1, 2, 12, 100])
     def test_quantile_round_trip(self, n):
         for x in (0.1, 0.5, 0.9):
-            p = tt.expn_cdf(x, 1.0, n)
+            p = tt.ExpNParams(1.0, n).cdf(x)
             if p >= 1.0:  # saturated tail has no finite inverse
                 continue
-            assert tt.expn_quantile(p, 1.0, n) == pytest.approx(x, abs=1e-6)
+            assert tt.ExpNParams(1.0, n).quantile(p) == pytest.approx(x, abs=1e-6)
 
     def test_n1_bracket_expansion(self):
         # Exp(1)-like tail: q(1 - 1e-12) lies past 20*s
         p = 1.0 - 1e-12
-        x = tt.expn_quantile(p, 1.0, 1)
+        x = tt.ExpNParams(1.0, 1).quantile(p)
         assert x > 20.0
-        assert abs(tt.expn_cdf(x, 1.0, 1) - p) <= 1e-10
+        assert abs(tt.ExpNParams(1.0, 1).cdf(x) - p) <= 1e-10
 
     @pytest.mark.parametrize("tail", [1e-3, 1e-6, 1e-9, 1e-12])
     @pytest.mark.parametrize("n", [2, 4, 8, 20, 100])
     def test_far_tail_quantile_against_mpmath(self, n, tail):
         p = 1.0 - tail
         oracle = mpmath_unit_quantile(n, upper=1 - mpmath.mpf(p))  # exact 1 - p of the float p
-        assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert tt.ExpNParams(1.0, n).quantile(p) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     # n = 100 below p ~ 8e-4 takes the linear lower-tail branch: test_lower_tail_linear_branch_against_mpmath.
     @pytest.mark.parametrize("p", [1e-12, 1e-6, 1e-3, 0.1, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 20])
     def test_lower_quantile_against_mpmath(self, n, p):
         oracle = mpmath_unit_quantile(n, lower=mpmath.mpf(p))
-        assert tt.expn_quantile(p, 1.0, n) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert tt.ExpNParams(1.0, n).quantile(p) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("p", [1e-6, 1e-4])
     def test_lower_tail_quantile_linear_branch_against_mpmath(self, p):
         # At n = 100, P^-1(1/100, p) underflows float64 below p ~ 6e-4.
         oracle = 2.5 * mpmath_unit_quantile(100, lower=mpmath.mpf(p))
-        assert tt.expn_quantile(p, 2.5, 100) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert tt.ExpNParams(2.5, 100).quantile(p) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("r", [1e-5, 1e-4])
     def test_lower_tail_cdf_linear_branch_against_mpmath(self, r):
         # At n = 100, (x/s)^n / 2 underflows float64 below x ~ 8e-4 s.
         with mpmath.workdps(50):
             oracle = float(mpmath.gammainc(mpmath.mpf(1) / 100, 0, mpmath.mpf(r) ** 100 / 2, regularized=True))
-        assert tt.expn_cdf(r * 2.5, 2.5, 100) == pytest.approx(oracle, rel=1e-14, abs=0.0)
-        assert tt.expn_cdf(np.array([r * 2.5]), 2.5, 100)[0] == tt.expn_cdf(r * 2.5, 2.5, 100)
+        assert tt.ExpNParams(2.5, 100).cdf(r * 2.5) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        assert tt.ExpNParams(2.5, 100).cdf(np.array([r * 2.5]))[0] == tt.ExpNParams(2.5, 100).cdf(r * 2.5)
 
     def test_scalar_and_array_quantiles_identical(self):
         ps = np.array([0.0, 1e-9, 0.25, 0.5, 0.5 + 1e-16, 0.75, 0.999, 1.0 - 1e-12])
         for n in (1, 4, 100):
-            vec = tt.expn_quantile(ps, 3.0, n)
+            vec = tt.ExpNParams(3.0, n).quantile(ps)
             assert vec.shape == ps.shape
-            assert [tt.expn_quantile(float(p), 3.0, n) for p in ps] == list(vec)
+            assert [tt.ExpNParams(3.0, n).quantile(float(p)) for p in ps] == list(vec)
 
     def test_cdf_broadcasts_scales_and_powers_like_scalar_calls(self):
         # the fit's kernel; x down to the linear lower-tail branch at n = 100 (below about 8e-4 s)
@@ -252,10 +248,10 @@ class TestExpN:
         ns = np.array([1, 2, 3, 4, 12, 100])
         got = _expn_cdf(xs, ss[:, None, None], ns[:, None])
         assert got.shape == (4, 6, 154)
-        want = [[[tt.expn_cdf(float(x), float(s), int(n)) for x in xs] for n in ns] for s in ss]
+        want = [[[tt.ExpNParams(float(s), int(n)).cdf(float(x)) for x in xs] for n in ns] for s in ss]
         assert got.tolist() == want
         assert (got[:, -1, 1:3] > 0.0).all()  # the lower-tail branch was taken
-        assert _expn_cdf(np.float64(0.7), ss, 4).tolist() == [tt.expn_cdf(0.7, float(s), 4) for s in ss]
+        assert _expn_cdf(np.float64(0.7), ss, 4).tolist() == [tt.ExpNParams(float(s), 4).cdf(0.7) for s in ss]
 
     @pytest.mark.parametrize("name, s, n", [
         ("s", np.array([1.0, 2.0]), 4),
@@ -264,74 +260,74 @@ class TestExpN:
     ], ids=["s-array", "n-array", "s-list"])
     def test_pdf_with_array_scale_or_power_raises_naming_it(self, name, s, n):
         with pytest.raises(ValueError, match=f"^{name} must be a scalar"):
-            tt.expn_pdf(0.5, s, n)
+            tt.ExpNParams(s, n).pdf(0.5)
 
-    @pytest.mark.parametrize("function", [tt.expn_cdf, tt.expn_quantile])
+    @pytest.mark.parametrize("method", ["cdf", "quantile"], ids=["expn_record.cdf", "expn_record.quantile"])
     @pytest.mark.parametrize("name, s, n", [
         ("s", np.array([1.0, 2.0]), 4),
         ("n", 1.0, np.array([4, 6])),
         ("s", np.array([1.0]), np.array([4])),
     ], ids=["s-array", "n-array", "both"])
-    def test_cdf_and_quantile_with_array_scale_or_power_raise_naming_it(self, function, name, s, n):
+    def test_cdf_and_quantile_with_array_scale_or_power_raise_naming_it(self, method, name, s, n):
         with pytest.raises(ValueError, match=f"^{name} must be a scalar, got shape"):
-            function(0.5, s, n)
+            getattr(tt.ExpNParams(s, n), method)(0.5)
 
     def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
         # At n = 100, X < 8.4e-4 s for about 8e-4 of draws, where G ~ Gamma(1/100) would
         # fall below the smallest normal double (a direct Gamma(1/100) draw returns many
         # of them as 0).  The uniform factor U of s (2 G1)^(1/n) U carries this tail.
         s, k = 2.0, 2_000_000
-        draws = tt.expn_sample(k, s, 100, np.random.default_rng(20))
+        draws = tt.ExpNParams(s, 100).sample(k, np.random.default_rng(20))
         assert (draws > 0.0).all()
         for r in (2e-4, 5e-4, 1e-3):
-            p = tt.expn_cdf(r * s, s, 100)
+            p = tt.ExpNParams(s, 100).cdf(r * s)
             band = 5.0 * math.sqrt(k * p * (1.0 - p))
             assert abs(np.count_nonzero(draws < r * s) - k * p) < band
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 20, 100])
     def test_gamma_sampler_ks(self, n):
         k, s = 200_000, 1.7
-        draws = np.sort(tt.expn_sample(k, s, n, np.random.default_rng(n)))
+        draws = np.sort(tt.ExpNParams(s, n).sample(k, np.random.default_rng(n)))
         assert draws[0] > 0.0
-        cdf_vals = tt.expn_cdf(draws, s, n)
+        cdf_vals = tt.ExpNParams(s, n).cdf(draws)
         d_plus = (np.arange(1, k + 1) / k - cdf_vals).max()
         d_minus = (cdf_vals - np.arange(0, k) / k).max()
         assert max(d_plus, d_minus) < 1.63 / math.sqrt(k)  # 1% asymptotic KS
 
     def test_gamma_sampler_scale_family_exact(self):
-        a = tt.expn_sample(1000, 1.0, 100, np.random.default_rng(9))
-        b = tt.expn_sample(1000, 2.0, 100, np.random.default_rng(9))
+        a = tt.ExpNParams(1.0, 100).sample(1000, np.random.default_rng(9))
+        b = tt.ExpNParams(2.0, 100).sample(1000, np.random.default_rng(9))
         assert np.array_equal(2.0 * a, b)
 
     def test_scale_family_exact(self):
         xs = np.linspace(0.0, 8.0, 100)
         for n in (1, 4, 12):
-            assert np.array_equal(tt.expn_cdf(2.0 * xs, 2.0, n), tt.expn_cdf(xs, 1.0, n))
+            assert np.array_equal(tt.ExpNParams(2.0, n).cdf(2.0 * xs), tt.ExpNParams(1.0, n).cdf(xs))
 
     def test_cdf_pdf_consistency(self):
         h = 1e-6
         for n in (1, 4, 12):
             for x in (0.3, 0.8, 1.2):
-                deriv = (tt.expn_cdf(x + h, 1.0, n) - tt.expn_cdf(x - h, 1.0, n)) / (2 * h)
-                assert deriv == pytest.approx(tt.expn_pdf(x, 1.0, n), rel=1e-6)
+                deriv = (tt.ExpNParams(1.0, n).cdf(x + h) - tt.ExpNParams(1.0, n).cdf(x - h)) / (2 * h)
+                assert deriv == pytest.approx(tt.ExpNParams(1.0, n).pdf(x), rel=1e-6)
 
     def test_bad_power(self):
         with pytest.raises(ValueError):
-            tt.expn_pdf(1.0, 1.0, 0)
+            tt.ExpNParams(1.0, 0).pdf(1.0)
         with pytest.raises(ValueError):
-            tt.expn_cdf(1.0, 1.0, 2.5)
+            tt.ExpNParams(1.0, 2.5).cdf(1.0)
 
 
 class TestNormalization:
     @pytest.mark.parametrize("s", [0.2, 1.0, 5.0])
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_expn_integrates_to_one(self, s, n):
-        total, _ = quad(lambda t: tt.expn_pdf(t, s, n), 0.0, np.inf, points=None, limit=200)
+        total, _ = quad(lambda t: tt.ExpNParams(s, n).pdf(t), 0.0, np.inf, points=None, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_expn_100_integrates_to_one(self):
         s = 1.0
-        total, _ = quad(lambda t: tt.expn_pdf(t, s, 100), 0.0, 1.3 * s, points=[s], limit=400)
+        total, _ = quad(lambda t: tt.ExpNParams(s, 100).pdf(t), 0.0, 1.3 * s, points=[s], limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -348,8 +344,8 @@ class TestThinTailOrdering:
             assert exp4_surv < norm_surv
 
     def test_moment_constants_match_quadrature(self):
-        m1, _ = quad(lambda t: t * unit_expn_pdf(4)(t), 0.0, np.inf)
-        m2, _ = quad(lambda t: t * t * unit_expn_pdf(4)(t), 0.0, np.inf)
+        m1, _ = quad(lambda t: t * unit_density(4)(t), 0.0, np.inf)
+        m2, _ = quad(lambda t: t * t * unit_density(4)(t), 0.0, np.inf)
         assert m1 == pytest.approx(EXP4_MEAN, rel=1e-10)
         assert math.sqrt(m2 - m1 * m1) == pytest.approx(EXP4_SD, rel=1e-10)
 
@@ -437,9 +433,9 @@ class TestSeverityModel:
     def test_descaling_consistency(self):
         model = tt.SeverityModel(tt.Exp4Params(1.4), scaling_mean=50.0)
         x = 60.0
-        assert model.cdf(x) == tt.exp4_cdf(x / 50.0, 1.4)
-        assert model.quantile(0.9) == pytest.approx(50.0 * tt.exp4_quantile(0.9, 1.4), rel=1e-14)
-        assert model.pdf(x) == pytest.approx(tt.exp4_pdf(x / 50.0, 1.4) / 50.0, rel=1e-14)
+        assert model.cdf(x) == tt.Exp4Params(1.4).cdf(x / 50.0)
+        assert model.quantile(0.9) == pytest.approx(50.0 * tt.Exp4Params(1.4).quantile(0.9), rel=1e-14)
+        assert model.pdf(x) == pytest.approx(tt.Exp4Params(1.4).pdf(x / 50.0) / 50.0, rel=1e-14)
 
     def test_sample_descaling(self):
         a = tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=1.0).sample(20, np.random.default_rng(9))
@@ -459,10 +455,6 @@ class TestSeverityModel:
         with pytest.raises(ValueError):
             model.pdf(1.0)
 
-    def test_family_tag(self):
-        assert tt.SeverityModel(tt.Exp4Params(1.0)).family == "exp4"
-        assert tt.SeverityModel(tt.NormalParams(0.0, 1.0)).family == "normal"
-
     def test_invalid_scaling_mean(self):
         with pytest.raises(ValueError):
             tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=0.0)
@@ -478,7 +470,7 @@ class TestSeverityModel:
     )
     @settings(max_examples=100, deadline=None)
     def test_cdf_in_unit_interval(self, s, x):
-        value = tt.exp4_cdf(x, s)
+        value = tt.Exp4Params(s).cdf(x)
         assert 0.0 <= value <= 1.0
 
 
@@ -606,7 +598,7 @@ def test_negative_x_is_refused_where_the_support_starts_at_zero(name, x):
 @pytest.mark.parametrize("x", [float("nan"), np.array([0.5, np.nan])], ids=["scalar", "array"])
 def test_expn_cdf_refuses_nan_x(x):
     with pytest.raises(ValueError, match="^x must not contain NaN$"):
-        tt.expn_cdf(x, 1.0, 4)
+        tt.ExpNParams(1.0, 4).cdf(x)
 
 
 def test_exp4_record_is_expn_with_power_four():
@@ -623,11 +615,10 @@ def test_exp4_record_is_expn_with_power_four():
 
 @pytest.mark.parametrize("count", [2.7, 3.0, np.float64(3.0), np.array(3.0), "3"])
 @pytest.mark.parametrize("draw", [
-    lambda count, rng: tt.expn_sample(count, 1.0, 4, rng),
-    lambda count, rng: tt.exp4_sample(count, 1.0, rng, method="inverse"),
+    lambda count, rng: tt.ExpNParams(1.0, 4).sample(count, rng),
     lambda count, rng: tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=2.0).sample(count, rng),
     lambda count, rng: tt.SeverityModel(tt.NormalParams(1.0, 0.2)).sample(count, rng),
-], ids=["expn_sample", "exp4_sample-inverse", "model-exp4", "model-normal"])
+], ids=["record-expn", "model-exp4", "model-normal"])
 def test_sample_count_that_is_not_an_integer_is_refused(draw, count):
     with pytest.raises(ValueError, match=f"^count must be an integer >= [01], got {re.escape(repr(count))}$"):
         draw(count, np.random.default_rng(0))

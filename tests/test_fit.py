@@ -19,7 +19,7 @@ EXP4_UNIT_MEAN = 0.5813683170191185818416
 
 def quantile_matched(n_points: int, s: float, power: int = 4) -> np.ndarray:
     ps = (np.arange(1, n_points + 1) - 0.5) / n_points
-    return tt.expn_quantile(ps, s, power)
+    return tt.ExpNParams(s, power).quantile(ps)
 
 
 class TestScaleLosses:
@@ -51,46 +51,46 @@ class TestScaleLosses:
 
 class TestFitExp4:
     def test_quantile_matched_recovery(self):
-        fr = tt.fit_exp4(quantile_matched(30, 1.0))
+        fr = tt.fit_expn(quantile_matched(30, 1.0))
         assert fr.s_hat_raw == pytest.approx(1.0, abs=0.01)
         assert fr.converged
         assert not fr.at_boundary
 
     def test_random_sample_recovery_reasonable(self):
         rng = np.random.default_rng(14)
-        fr = tt.fit_exp4(tt.exp4_sample(200, 0.8, rng))
+        fr = tt.fit_expn(tt.Exp4Params(0.8).sample(200, rng))
         assert fr.s_hat_raw == pytest.approx(0.8, rel=0.10)
 
     def test_evaluation_budget(self):
-        fr = tt.fit_exp4(quantile_matched(30, 1.0))
+        fr = tt.fit_expn(quantile_matched(30, 1.0))
         assert fr.evaluations <= 200
 
     def test_returned_scale_beats_prescan_grid(self):
-        losses = tt.exp4_sample(25, 1.0, np.random.default_rng(3))
-        fr = tt.fit_exp4(losses)
+        losses = tt.Exp4Params(1.0).sample(25, np.random.default_rng(3))
+        fr = tt.fit_expn(losses)
         scaled, _ = tt.scale_losses(losses)
         for s in np.geomspace(0.05, 10.0, 16):
             grid_area = tt.tna_test(scaled, expn_params(float(s), 4)).area
             assert fr.tna.area <= grid_area + 1e-15
 
     def test_determinism_bit_identical(self):
-        losses = tt.exp4_sample(30, 1.0, np.random.default_rng(8))
-        a = tt.fit_exp4(losses)
-        b = tt.fit_exp4(losses)
+        losses = tt.Exp4Params(1.0).sample(30, np.random.default_rng(8))
+        a = tt.fit_expn(losses)
+        b = tt.fit_expn(losses)
         assert a == b
 
     def test_scale_equivariance_binary_exact(self):
-        losses = tt.exp4_sample(30, 1.3, np.random.default_rng(21)) * 7.0
-        base = tt.fit_exp4(losses)
+        losses = tt.Exp4Params(1.3).sample(30, np.random.default_rng(21)) * 7.0
+        base = tt.fit_expn(losses)
         for k in (2.0, 4.0, 0.5):
-            scaled_fit = tt.fit_exp4(k * losses)
+            scaled_fit = tt.fit_expn(k * losses)
             assert scaled_fit.s_hat == base.s_hat
             assert scaled_fit.scaling_mean == k * base.scaling_mean
 
     def test_scale_equivariance_general(self):
-        losses = tt.exp4_sample(30, 1.3, np.random.default_rng(22)) * 7.0
-        base = tt.fit_exp4(losses)
-        tripled = tt.fit_exp4(3.0 * losses)
+        losses = tt.Exp4Params(1.3).sample(30, np.random.default_rng(22)) * 7.0
+        base = tt.fit_expn(losses)
+        tripled = tt.fit_expn(3.0 * losses)
         assert tripled.s_hat == pytest.approx(base.s_hat, rel=1e-9)
 
     def test_equal_losses_find_interior_minimum(self):
@@ -100,23 +100,22 @@ class TestFitExp4:
         # warning.  (A boundary hit was conceivable a priori; it does not occur.)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fr = tt.fit_exp4([3.0, 3.0, 3.0, 3.0])
-        median_unit = tt.exp4_quantile(0.5, 1.0)
+            fr = tt.fit_expn([3.0, 3.0, 3.0, 3.0])
+        median_unit = tt.Exp4Params(1.0).quantile(0.5)
         assert fr.s_hat == pytest.approx(1.0 / median_unit, abs=1e-3)
         assert not fr.at_boundary
 
     def test_boundary_warning_when_minimum_outside_bracket(self):
         # one loss 1e6 times the rest: the area keeps falling below the bracket bottom
         with pytest.warns(RuntimeWarning):
-            fr = tt.fit_exp4([0.001] * 29 + [1000.0])
+            fr = tt.fit_expn([0.001] * 29 + [1000.0])
         assert fr.at_boundary
         assert fr.s_hat == 0.05
 
     @pytest.mark.parametrize("entry", [
-        lambda x: tt.fit_exp4(x),
         lambda x: tt.fit_expn(x, 4),
         lambda x: tt.fit_expn_many(x, [4]),
-    ], ids=["fit_exp4", "fit_expn", "fit_expn_many"])
+    ], ids=["fit_expn", "fit_expn_many"])
     def test_boundary_warning_points_at_the_caller(self, entry):
         with pytest.warns(RuntimeWarning, match="search boundary") as caught:
             entry([0.001] * 29 + [1000.0])
@@ -124,10 +123,10 @@ class TestFitExp4:
 
     def test_requires_two_losses(self):
         with pytest.raises(ValueError):
-            tt.fit_exp4([5.0])
+            tt.fit_expn([5.0])
 
     def test_result_model_roundtrip(self):
-        fr = tt.fit_exp4(quantile_matched(30, 2.0))
+        fr = tt.fit_expn(quantile_matched(30, 2.0))
         model = fr.model
         assert isinstance(model.params, tt.Exp4Params)
         assert model.params.s == fr.s_hat
@@ -139,9 +138,9 @@ class TestFitExp4:
 
 
 class TestFitExpN:
-    def test_n4_matches_fit_exp4_exactly(self):
-        losses = tt.exp4_sample(30, 1.0, np.random.default_rng(4))
-        assert tt.fit_expn(losses, 4) == tt.fit_expn(losses) == tt.fit_exp4(losses)
+    def test_n4_is_the_default_power(self):
+        losses = tt.Exp4Params(1.0).sample(30, np.random.default_rng(4))
+        assert tt.fit_expn(losses, 4) == tt.fit_expn(losses)
 
     def test_quantile_matched_n12_recovery(self):
         fr = tt.fit_expn(quantile_matched(30, 1.0, power=12), 12)
@@ -153,7 +152,7 @@ class TestFitExpN:
         # (random samples are noisier: the ordering holds only in the majority
         # of cases there).
         losses = quantile_matched(30, 1.0)
-        area4 = tt.fit_exp4(losses).tna.area
+        area4 = tt.fit_expn(losses).tna.area
         fr100 = tt.fit_expn(losses, 100)
         assert fr100.converged
         assert fr100.tna.area > area4
@@ -164,8 +163,8 @@ class TestFitExpN:
 
 
 # Samples the pinned fits run on, written out so that the pins hold the fit, not the
-# sampler.  They are the float reprs of expn_sample(12, 2.5, 8, default_rng(7)) and
-# expn_sample(30, 1.0, 4, default_rng(101)) as drawn from Gamma(1/n) variates; repr
+# sampler.  They are the float reprs of ExpNParams(2.5, 8).sample(12, default_rng(7)) and
+# ExpNParams(1.0, 4).sample(30, default_rng(101)) as drawn from Gamma(1/n) variates; repr
 # round-trips a double exactly, so each literal is that draw bit for bit.
 SEEDED12 = [
     1.7041785999659667, 2.114728108325428, 0.8183341369527355, 0.014354638358992306,
@@ -259,7 +258,7 @@ class TestLockstepSearch:
 
     def test_rows_may_hold_their_own_samples(self):
         rng = np.random.default_rng(5)
-        samples = [tt.exp4_sample(25, s, rng) for s in (0.5, 1.0, 3.0)]
+        samples = [tt.Exp4Params(s).sample(25, rng) for s in (0.5, 1.0, 3.0)]
         scaled = [tt.scale_losses(x)[0] for x in samples]
         xs, ys = zip(*(tt.empirical_from_losses(x) for x in scaled))
         powers = np.array([4, 8, 100])

@@ -177,11 +177,11 @@ class TestRunLda:
         assert hi.capital >= lo.capital
 
     def test_linearity_in_loss_scale_binary_exact(self):
-        losses = tt.exp4_sample(25, 1.0, np.random.default_rng(5)) * 40.0
+        losses = tt.Exp4Params(1.0).sample(25, np.random.default_rng(5)) * 40.0
         cfg = tt.LdaConfig(trials=5_000, seed=77)
         freq = tt.PoissonFreq(5.0)
-        base = tt.run_lda(tt.fit_exp4(losses).model, freq, cfg).capital
-        doubled = tt.run_lda(tt.fit_exp4(2.0 * losses).model, freq, cfg).capital
+        base = tt.run_lda(tt.fit_expn(losses).model, freq, cfg).capital
+        doubled = tt.run_lda(tt.fit_expn(2.0 * losses).model, freq, cfg).capital
         assert doubled == 2.0 * base
 
     def test_stderr_shrinks_like_root_trials(self):
@@ -350,12 +350,12 @@ class TestParseModelSpec:
 
 @pytest.fixture(scope="module")
 def compare_losses():
-    return tt.exp4_sample(22, 1.1, np.random.default_rng(6)) * 60.0
+    return tt.Exp4Params(1.1).sample(22, np.random.default_rng(6)) * 60.0
 
 
 @pytest.fixture(scope="module")
 def curve_losses():
-    return tt.exp4_sample(25, 1.0, np.random.default_rng(12)) * 50.0
+    return tt.Exp4Params(1.0).sample(25, np.random.default_rng(12)) * 50.0
 
 
 class TestCompareModels:

@@ -1,10 +1,11 @@
 """Tests for the gamma-family special functions behind the ExpN family.
 
-``expn_cdf`` at u = x^n / (2 s^n) is P(1/n, u) = ``scipy.special.gammainc``
-below u = 1/n + 1 and 1 - Q(1/n, u) from there up, with Q called through
+The ExpN CDF (``ExpNParams(s, n).cdf`` and the fit's kernel ``_expn_cdf``) at
+u = x^n / (2 s^n) is P(1/n, u) = ``scipy.special.gammainc`` below u = 1/n + 1
+and 1 - Q(1/n, u) from there up, with Q called through
 ``thintail.dist.regularized_upper_gamma`` (``scipy.special.gammaincc``);
 the upper incomplete gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
-The ``expn_pdf`` normaliser takes log Gamma from ``math.lgamma``.
+The normaliser of ``ExpNParams(s, n).pdf`` takes log Gamma from ``math.lgamma``.
 
 Reference values were frozen from a 40-digit mpmath evaluation and,
 where marked, cross-checked against adaptive quadrature of the
@@ -22,7 +23,7 @@ from scipy.special import gammainc, gammaincc
 
 import mpmath
 
-from thintail.dist import _expn_cdf, expn_cdf, regularized_upper_gamma
+from thintail.dist import ExpNParams, _expn_cdf, regularized_upper_gamma
 
 # mpmath, 40 digits
 GAMMA_QUARTER = 3.625609908221908311931
@@ -37,7 +38,7 @@ def upper_inc_gamma(a, x):
 
 
 class TestLogGamma:
-    """``math.lgamma``, the log Gamma of the ``expn_pdf`` normaliser."""
+    """``math.lgamma``, the log Gamma of the ExpN density's normaliser."""
 
     def test_at_one_and_two(self):
         assert math.lgamma(1.0) == 0.0
@@ -102,13 +103,13 @@ class TestUpperIncGamma:
     @pytest.mark.parametrize("a,x", [(-1.0, 1.0), (0.0, 1.0), (1.0, -0.5), (float("nan"), 1.0)])
     def test_domain_errors(self, a, x):
         # scipy's Q does not raise outside a > 0, x >= 0 (it returns NaN, or
-        # 0 at a = 0).  Its only caller, expn_cdf, evaluates Q(1/n, (x/s)^n / 2)
+        # 0 at a = 0).  Its only caller, the ExpN CDF, evaluates Q(1/n, (x/s)^n / 2)
         # and must reject every n and x that would take it there.
         n = math.inf if a == 0.0 else 1.0 / a
         if float(n).is_integer():
             n = int(n)
         with pytest.raises(ValueError):
-            expn_cdf(x, 1.0, n)
+            ExpNParams(1.0, n).cdf(x)
 
     def test_no_convergence_failure_on_required_region(self):
         for a in (0.01, 0.1, 1.0, 5.0, 10.0):
@@ -171,7 +172,7 @@ def mpmath_cdf(x, n):
 
 
 class TestLowerRegularized:
-    """P = ``gammainc``, which ``expn_cdf`` takes below u = 1/n + 1."""
+    """P = ``gammainc``, which the ExpN CDF takes below u = 1/n + 1."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 20, 50, 100])
     def test_against_mpmath_below_the_switch(self, n):
@@ -185,14 +186,14 @@ class TestLowerRegularized:
     def test_cdf_lower_tail_relative_accuracy(self, n):
         # 1 - Q cancels here: on this grid it is off by up to 6.0e-11 (n = 2) and 3.2e-11 (n = 4)
         xs = np.geomspace(1e-6, 1.0, 61)
-        got = expn_cdf(xs, 1.0, n)
+        got = ExpNParams(1.0, n).cdf(xs)
         want = np.array([mpmath_cdf(x, n) for x in xs])
         assert (np.abs(got - want) <= 1e-14 * want).all()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 20, 100])
     def test_cdf_absolute_accuracy_across_the_switch(self, n):
         xs = np.linspace(0.0, 3.0, 121)[1:]
-        got = expn_cdf(xs, 1.0, n)
+        got = ExpNParams(1.0, n).cdf(xs)
         want = np.array([mpmath_cdf(x, n) for x in xs])
         assert np.abs(got - want).max() <= 5e-15
 
@@ -206,7 +207,7 @@ class TestLowerRegularized:
         x = s * stretch * (2.0 * (1.0 / n + 1.0)) ** (1.0 / n)
         u = 0.5 * np.power(np.float64(x) / s, n)
         assume(u >= 1.0 / n + 1.0)
-        assert expn_cdf(x, s, n) == 1.0 - gammaincc(1.0 / n, u)
+        assert ExpNParams(s, n).cdf(x) == 1.0 - gammaincc(1.0 / n, u)
 
     def test_array_straddling_the_switch_equals_scalar_calls(self):
         # the fit's kernel, on the arrays of scales and powers its search passes
@@ -218,7 +219,7 @@ class TestLowerRegularized:
         xs = ss[:, None, None] * ratios
         got = _expn_cdf(xs, ss[:, None, None], ns[:, None])
         assert got.shape == (3, 5, 5)
-        want = [[[expn_cdf(float(x), float(s), int(n)) for x in row] for n, row in zip(ns, block)]
+        want = [[[ExpNParams(float(s), int(n)).cdf(float(x)) for x in row] for n, row in zip(ns, block)]
                 for s, block in zip(ss, xs)]
         assert got.tolist() == want
         u = 0.5 * (xs / ss[:, None, None]) ** ns[:, None]

@@ -63,7 +63,7 @@ class TestProbabilitySpace:
     def test_true_model_lands_on_diagonal(self):
         n = 25
         ys = (np.arange(1, n + 1) - 0.5) / n
-        losses = tt.exp4_quantile(ys, 1.3)
+        losses = tt.Exp4Params(1.3).quantile(ys)
         model = tt.SeverityModel(tt.Exp4Params(1.3))
         x, y = tt.empirical_from_losses(losses)
         assert model.cdf(x) == pytest.approx(y, abs=1e-9)
@@ -71,7 +71,7 @@ class TestProbabilitySpace:
 
     def test_two_point_case(self):
         model = tt.SeverityModel(tt.Exp4Params(1.0))
-        losses = [tt.exp4_quantile(0.25, 1.0), tt.exp4_quantile(0.75, 1.0)]
+        losses = [tt.Exp4Params(1.0).quantile(0.25), tt.Exp4Params(1.0).quantile(0.75)]
         x, y = tt.empirical_from_losses(losses)
         assert np.abs(model.cdf(x) - [0.25, 0.75]).max() < 1e-9
         assert np.array_equal(y, [0.25, 0.75])
@@ -165,20 +165,15 @@ class TestSignificance:
 
 class TestCriticalValue:
     def test_two_tailed_standards(self):
-        assert tt.critical_value(5.0, tails=2) == pytest.approx(0.068, abs=5e-4)
-        assert tt.critical_value(1.0, tails=2) == pytest.approx(0.014, abs=5e-4)
-        assert tt.critical_value(10.0, tails=2) == pytest.approx(0.131, abs=5e-4)
-
-    def test_one_tailed_uses_full_level(self):
-        assert tt.critical_value(5.0, tails=1) == tt.significance_area(0.05)
+        assert tt.critical_value(5.0) == pytest.approx(0.068, abs=5e-4)
+        assert tt.critical_value(1.0) == pytest.approx(0.014, abs=5e-4)
+        assert tt.critical_value(10.0) == pytest.approx(0.131, abs=5e-4)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             tt.critical_value(0.0)
         with pytest.raises(ValueError):
             tt.critical_value(100.0)
-        with pytest.raises(ValueError):
-            tt.critical_value(5.0, tails=3)
 
 
 class TestInvertSignificance:
@@ -205,7 +200,7 @@ class TestTnaTest:
     def test_perfect_fit_accepts_everywhere(self):
         n = 30
         ys = (np.arange(1, n + 1) - 0.5) / n
-        losses = tt.exp4_quantile(ys, 1.0)
+        losses = tt.Exp4Params(1.0).quantile(ys)
         result = tt.tna_test(losses, tt.SeverityModel(tt.Exp4Params(1.0)))
         assert result.area < 1e-8
         assert not any(result.reject.values())
@@ -214,14 +209,14 @@ class TestTnaTest:
     def test_grossly_wrong_scale_rejected_at_1pc(self):
         n = 30
         ys = (np.arange(1, n + 1) - 0.5) / n
-        losses = tt.exp4_quantile(ys, 1.0)
+        losses = tt.Exp4Params(1.0).quantile(ys)
         result = tt.tna_test(losses, tt.SeverityModel(tt.Exp4Params(100.0)))
         assert result.area > 0.014
         assert result.rejected_at(1.0)
 
     def test_boundary_area_accepts(self):
         # the null survives a statistic exactly equal to the critical value
-        t5 = tt.critical_value(5.0, tails=2)
+        t5 = tt.critical_value(5.0)
         decisions = decisions_for_area(t5)
         assert decisions[5.0] is False
         assert tt.TnaResult(t5, 30, 0).reject == decisions
@@ -229,7 +224,7 @@ class TestTnaTest:
 
     def test_statistic_scale_invariance_binary_exact(self):
         rng = np.random.default_rng(31)
-        losses = tt.exp4_sample(25, 1.2, rng) * 40.0
+        losses = tt.Exp4Params(1.2).sample(25, rng) * 40.0
         base = tt.tna_test(losses, tt.SeverityModel(tt.Exp4Params(0.9), scaling_mean=50.0))
         doubled = tt.tna_test(
             2.0 * losses, tt.SeverityModel(tt.Exp4Params(0.9), scaling_mean=100.0)
@@ -238,7 +233,7 @@ class TestTnaTest:
 
     def test_statistic_scale_invariance_general(self):
         rng = np.random.default_rng(32)
-        losses = tt.exp4_sample(25, 1.2, rng) * 40.0
+        losses = tt.Exp4Params(1.2).sample(25, rng) * 40.0
         base = tt.tna_test(losses, tt.SeverityModel(tt.Exp4Params(0.9), scaling_mean=50.0))
         tripled = tt.tna_test(
             3.0 * losses, tt.SeverityModel(tt.Exp4Params(0.9), scaling_mean=150.0)
@@ -254,7 +249,7 @@ class TestTnaTest:
 
     @pytest.mark.parametrize("params", [tt.ExpNParams(0.9, 8), tt.NormalParams(1.0, 0.4)])
     def test_bare_record_tests_like_its_unit_model(self, params):
-        losses = tt.scale_losses(tt.exp4_sample(30, 1.0, np.random.default_rng(9)))[0]
+        losses = tt.scale_losses(tt.Exp4Params(1.0).sample(30, np.random.default_rng(9)))[0]
         assert tt.tna_test(losses, params) == tt.tna_test(losses, tt.SeverityModel(params, 1.0))
 
 
