@@ -3,20 +3,21 @@
 LogNormal / Weibull / Pareto baselines.
 
 Each family is a frozen parameter record with ``pdf``, ``cdf``,
-``quantile`` and ``sample(count, rng)`` on the mean-scaled axis, and
-``SeverityModel`` maps them to loss units.  Caller input has one front
-door, ``SeverityParams``: it checks x or p and calls the family's
-array-only ``_pdf``, ``_cdf`` or ``_quantile``.  An ExpN evaluation is a
-call of its record, ``ExpNParams(s, n).cdf(x)``, which refuses an array
-``s`` or ``n``; only the scale search in ``fit`` broadcasts arrays of
-scales and powers, through the unchecked CDF kernel ``_expn_cdf``.  The
-power-exponential density on x > 0 is
+``quantile`` and ``sample(count, rng, out=None)`` on the mean-scaled
+axis, and ``SeverityModel`` maps them to loss units.  Caller input has
+one front door, ``SeverityParams``: it checks x, p or the count and
+calls the family's array-only ``_pdf``, ``_cdf``, ``_quantile`` or
+``_draw``.  An ExpN evaluation is a call of its record,
+``ExpNParams(s, n).cdf(x)``, which refuses an array ``s`` or ``n``; only
+the scale search in ``fit`` broadcasts arrays of scales and powers,
+through the unchecked CDF kernel ``_expn_cdf``.  The power-exponential
+density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
 with CDF P(1/n, u) = 1 - Q(1/n, u), u = x^n / (2 s^n), where P and Q are
 the regularized lower and upper incomplete gamma functions.  ``Exp4`` is
-``ExpN`` with n = 4, and ``Exp4Params`` is ``ExpNParams`` with n = 4.
+``ExpN`` at its default n = 4, and ``Exp4Params`` is an alias of ``ExpNParams``.
 
 Below u = 1/n + 1 the CDF is P = ``scipy.special.gammainc``, as 1 - Q
 cancels there; above, it is 1 - Q with Q = ``scipy.special.gammaincc``.
@@ -45,7 +46,7 @@ The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then the
 ``count`` uniforms, drawn in blocks of 2^14 into one small buffer: the
 stream and the values are those of one ``random(count)`` block, but no
 second array of ``count`` doubles is made.  The draws are made in place
-(``SeverityModel.sample(count, rng, out=...)`` fills a caller's buffer).
+(``sample(count, rng, out=...)`` fills a caller's buffer).
 Inverse-CDF draws are the quantile of uniforms, ``quantile(rng.random(count))``.
 
 Distribution parameter objects are immutable.  Sampling takes an
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammainccinv, gammaincinv, ndtr, ndtri
@@ -93,25 +94,35 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-def _require_int(name: str, value, least: int) -> int:
-    """``value`` as an int, if it is an integer (not a float such as 3.0) >= ``least``."""
-    _require_scalar(name, value)
-    with suppress(TypeError):
-        if operator.index(value) >= least:
+def as_int(value) -> int | None:
+    """``value`` as an int if it is an integer scalar (not a bool, nor a float such as 3.0), else None."""
+    if np.ndim(value) == 0 and not isinstance(value, (bool, np.bool_)):
+        with suppress(TypeError):
             return operator.index(value)
-    raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return None
 
 
-def check_power(n):
+def _require_int(name: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer >= ``least`` (see ``as_int``)."""
+    _require_scalar(name, value)
+    k = as_int(value)
+    if k is None or k < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return k
+
+
+def check_power(n) -> int:
     """``n`` if it is an integer >= 1, the powers a power-exponential fit accepts."""
     return _require_int("n", n, 1)
 
 
-def check_even_power(n: int) -> int:
-    """``n`` if it is a positive even integer, the powers ``compare`` and ``curve`` accept."""
-    if n < 2 or n % 2 != 0:
+def check_even_power(n) -> int:
+    """``n`` if it is a positive even integer, the powers ``compare`` and ``curve`` accept;
+    a non-integer is refused as ``check_power`` refuses it."""
+    k = as_int(n)
+    if k is not None and (k < 2 or k % 2):
         raise ValueError(f"ExpN power must be a positive even integer, got {n}")
-    return n
+    return check_power(n)
 
 
 def _check_p(p) -> np.ndarray:
@@ -189,8 +200,9 @@ class SeverityParams:
     """Base of the per-family parameter records, on the mean-scaled axis.  Its ``pdf``, ``cdf``
     and ``quantile`` (scalar or array in, the same out) are the records' front door: they check
     x (NaN; x < 0 where the family sets ``_nonneg``) or p, then call the family's array-only
-    ``_pdf``, ``_cdf`` or ``_quantile``.  ``sample(count, rng)`` (count >= 1) likewise wraps the
-    family's one definition of its draws, ``_draw(out, rng)``, which fills ``out`` in place.
+    ``_pdf``, ``_cdf`` or ``_quantile``.  ``sample(count, rng, out=None)`` likewise checks the
+    count (an integer >= 0) and ``out``, then calls the family's one definition of its draws,
+    ``_draw(out, rng)``, which fills ``out`` in place.
     """
 
     _nonneg = False  # True: the family refuses x < 0
@@ -204,18 +216,24 @@ class SeverityParams:
     def quantile(self, p):
         return _scalar_or_array(self._quantile, _check_p(p))
 
-    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty(_require_int("count", count, 1))
-        self._draw(out, rng)
+    def sample(self, count: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        """``count`` draws, into ``out`` (a float array of shape (count,)) when it is given."""
+        count = _require_int("count", count, 0)
+        if out is None:
+            out = np.empty(count)
+        elif out.shape != (count,):
+            raise ValueError(f"out must have shape ({count},), got {out.shape}")
+        if count:
+            self._draw(out, rng)
         return out
 
 
 @dataclass(frozen=True)
 class ExpNParams(SeverityParams):
-    """Scale and integer power of the ExpN distribution; n = 4 is Exp4."""
+    """Scale and integer power of the ExpN distribution; the default n = 4 is Exp4."""
 
     s: float
-    n: int
+    n: int = 4
     _nonneg = True
 
     def __post_init__(self):
@@ -250,17 +268,7 @@ class ExpNParams(SeverityParams):
         out *= float(self.s)
 
 
-@dataclass(frozen=True)
-class Exp4Params(ExpNParams):
-    """Scale parameter of the Exp4 distribution (units of scaled loss): ExpN with n = 4."""
-
-    n: int = field(default=4, init=False)
-
-
-def expn_params(s: float, n: int) -> ExpNParams:
-    """The ExpN(s, n) record; ``Exp4Params`` when n is 4, so that a fit's ``model.params``
-    at power 4 is an ``Exp4Params``."""
-    return Exp4Params(s) if n == 4 else ExpNParams(s, n)
+Exp4Params = ExpNParams  # the paper's Exp4: Exp4Params(s) is ExpNParams(s, 4)
 
 
 @dataclass(frozen=True)
@@ -437,14 +445,7 @@ class SeverityModel:
         return self.scaling_mean * self.params.quantile(p)
 
     def sample(self, count: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        """Draw ``count`` (>= 0) severities in mEUR; into ``out``, a float array of shape
-        (count,), when it is given, which is returned."""
-        count = _require_int("count", count, 0)
-        if out is None:
-            out = np.empty(count)
-        elif out.shape != (count,):
-            raise ValueError(f"out must have shape ({count},), got {out.shape}")
-        if count:
-            self.params._draw(out, rng)
-            out *= self.scaling_mean
+        """``params.sample(count, rng, out)``, rescaled in place to mEUR."""
+        out = self.params.sample(count, rng, out)
+        out *= self.scaling_mean
         return out

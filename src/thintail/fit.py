@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import SeverityModel, _expn_cdf as expn_cdf, check_power, expn_params
+from .dist import ExpNParams, SeverityModel, _expn_cdf as expn_cdf, check_power
 from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
 __all__ = ["FitResult", "scale_losses", "fit_expn", "fit_expn_many"]
@@ -81,7 +81,7 @@ class FitResult:
 
     @property
     def model(self) -> SeverityModel:
-        return SeverityModel(params=expn_params(self.s_hat, self.n), scaling_mean=self.scaling_mean)
+        return SeverityModel(params=ExpNParams(self.s_hat, self.n), scaling_mean=self.scaling_mean)
 
 
 def scale_losses(losses) -> tuple[np.ndarray, float]:

@@ -28,7 +28,6 @@ percentiles is below 1% of the capital.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NormalParams, SeverityModel, check_even_power, check_power
+from .dist import NormalParams, SeverityModel, as_int, check_even_power
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -129,10 +128,8 @@ class LdaConfig:
 
     def __post_init__(self):
         for name in ("trials", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            if as_int(getattr(self, name)) is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1000:
             raise ValueError(f"trials must be >= 1000, got {self.trials}")
         if not (0.0 < self.percentile < 1.0):
@@ -155,7 +152,7 @@ class CapitalResult:
 
 def annual_frequency(loss_count: int, years: float) -> float:
     """Annual loss frequency: count divided by observation span."""
-    if not (isinstance(loss_count, (int, np.integer)) and loss_count >= 1):
+    if as_int(loss_count) is None or loss_count < 1:
         raise ValueError(f"loss_count must be an integer >= 1, got {loss_count!r}")
     years = float(years)
     if not (math.isfinite(years) and years > 0.0):
@@ -406,7 +403,7 @@ def percentile_vs_n(
     Returns one (n, q999, capital) tuple per distinct n, ordered by n;
     capital is NaN when ``with_capital`` is off.  Powers must be even integers >= 2.
     """
-    values = [check_even_power(n) for n in sorted({check_power(n) for n in n_values})]
+    values = sorted({check_even_power(n) for n in n_values})
     if not values:
         raise ValueError("n_values must not be empty")
     arr = np.asarray(losses, dtype=float)

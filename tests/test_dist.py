@@ -21,7 +21,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
-from thintail.dist import _expn_cdf, expn_params
+from thintail.dist import _expn_cdf, check_even_power, check_power
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -168,9 +168,11 @@ class TestExp4Sampling:
         d = np.abs(fa - fb).max()
         assert d < 1.628 * math.sqrt(2.0 / n)
 
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            tt.Exp4Params(1.0).sample(0, np.random.default_rng(0))
+    def test_zero_count_is_an_empty_sample(self):
+        rng = np.random.default_rng(0)
+        draws = tt.Exp4Params(1.0).sample(0, rng)
+        assert draws.shape == (0,) and draws.dtype == np.float64
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was made
 
 
 class TestExpN:
@@ -568,6 +570,14 @@ class TestSeverityModelPerFamily:
         assert out[k] == -1.0
         assert after == expected_rng.random()
 
+    @pytest.mark.parametrize("k", [0, 1, 7, 2**14 + 3])
+    def test_record_sample_into_out_fills_and_returns_it(self, name, k):
+        params = FAMILY_RECORDS[name]
+        out = np.full(k, -1.0)
+        assert params.sample(k, np.random.default_rng(k), out=out) is out
+        assert out.tobytes() == params.sample(k, np.random.default_rng(k)).tobytes()
+        assert params.sample(k, np.random.default_rng(k)).shape == (k,)
+
 
 @pytest.mark.parametrize("k", [1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
 @pytest.mark.parametrize("s, n", [(1.3, 4), (0.9, 100)])
@@ -584,6 +594,23 @@ def test_expn_draws_all_gammas_then_all_uniforms(s, n, k):
 def test_sample_into_out_of_another_shape_is_refused(out):
     with pytest.raises(ValueError, match=r"^out must have shape \(5,\)"):
         tt.SeverityModel(tt.Exp4Params(1.0)).sample(5, np.random.default_rng(0), out=out)
+
+
+@pytest.mark.parametrize("out", [np.empty(4), np.empty((1, 5)), np.empty(0)], ids=["short", "2-d", "empty"])
+def test_record_sample_into_out_of_another_shape_is_refused(out):
+    with pytest.raises(ValueError, match=r"^out must have shape \(5,\)"):
+        tt.Exp4Params(1.0).sample(5, np.random.default_rng(0), out=out)
+
+
+@pytest.mark.parametrize("power", [True, 2.0, np.float64(4.0), np.array(4.0), "4"])
+@pytest.mark.parametrize("check", [
+    check_power,
+    check_even_power,
+    lambda n: tt.ExpNParams(1.0, n),
+], ids=["check_power", "check_even_power", "record"])
+def test_power_that_is_not_an_integer_is_refused(check, power):
+    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {re.escape(repr(power))}$"):
+        check(power)
 
 
 @pytest.mark.parametrize("name", ["exp4", "expn1", "expn100", "weibull", "pareto"])
@@ -603,7 +630,9 @@ def test_expn_cdf_refuses_nan_x(x):
 
 def test_exp4_record_is_expn_with_power_four():
     exp4, expn = tt.Exp4Params(1.3), tt.ExpNParams(1.3, 4)
-    assert exp4.n == 4 and expn_params(1.3, 4) == exp4 and expn_params(1.3, 8) == tt.ExpNParams(1.3, 8)
+    assert exp4.n == 4 and exp4 == expn and len({exp4, expn}) == 1
+    assert repr(exp4) == "ExpNParams(s=1.3, n=4)"
+    assert tt.SeverityModel(exp4, scaling_mean=2.0) == tt.SeverityModel(expn, scaling_mean=2.0)
     xs = np.linspace(0.0, 4.0, 81)
     ps = np.array([0.0, 1e-9, 0.25, 0.5, 0.999, 1.0 - 1e-12])
     assert np.array_equal(exp4.pdf(xs), expn.pdf(xs))
@@ -613,7 +642,7 @@ def test_exp4_record_is_expn_with_power_four():
         assert np.array_equal(exp4.sample(k, np.random.default_rng(k)), expn.sample(k, np.random.default_rng(k)))
 
 
-@pytest.mark.parametrize("count", [2.7, 3.0, np.float64(3.0), np.array(3.0), "3"])
+@pytest.mark.parametrize("count", [2.7, 3.0, np.float64(3.0), np.array(3.0), "3", True])
 @pytest.mark.parametrize("draw", [
     lambda count, rng: tt.ExpNParams(1.0, 4).sample(count, rng),
     lambda count, rng: tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=2.0).sample(count, rng),

@@ -1,8 +1,9 @@
 """The package's public names: one door per concept.
 
-An ExpN operation is a method of its family record (``ExpNParams(s, n).cdf(x)``,
-``Exp4Params(s).sample(count, rng)``) and a single-power fit is ``fit_expn``.  The
-export list is pinned, so a function that duplicates one of them is a visible change.
+An ExpN operation is a method of its one record class (``ExpNParams(s, n).cdf(x)``,
+``ExpNParams(s).sample(count, rng, out=...)``; ``Exp4Params`` is an alias of ``ExpNParams``,
+whose n defaults to 4) and a single-power fit is ``fit_expn``.  The export list is
+pinned, so a function that duplicates one of them is a visible change.
 """
 
 import pytest
@@ -70,11 +71,16 @@ REMOVED = [
     "exp4_quantile",
     "exp4_sample",
     "fit_exp4",
+    "expn_params",
 ]
 
 
 def test_all_is_the_pinned_list():
     assert tt.__all__ == EXPORTS
+
+
+def test_exp4_params_is_the_expn_record():
+    assert tt.Exp4Params is tt.ExpNParams
 
 
 def test_every_export_resolves():

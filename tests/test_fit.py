@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import thintail as tt
 from thintail import fit
-from thintail.dist import expn_params
+from thintail.dist import ExpNParams
 
 # population mean of ExpN(1, n): 2^(1/n) * Gamma(2/n) / Gamma(1/n); for n=4
 # this is the quadrature-checked constant below, so the scale of the
@@ -70,7 +70,7 @@ class TestFitExp4:
         fr = tt.fit_expn(losses)
         scaled, _ = tt.scale_losses(losses)
         for s in np.geomspace(0.05, 10.0, 16):
-            grid_area = tt.tna_test(scaled, expn_params(float(s), 4)).area
+            grid_area = tt.tna_test(scaled, ExpNParams(float(s), 4)).area
             assert fr.tna.area <= grid_area + 1e-15
 
     def test_determinism_bit_identical(self):
@@ -130,6 +130,7 @@ class TestFitExp4:
         model = fr.model
         assert isinstance(model.params, tt.Exp4Params)
         assert model.params.s == fr.s_hat
+        assert model.params == ExpNParams(fr.s_hat, 4) == tt.Exp4Params(fr.s_hat)
         assert model.scaling_mean == fr.scaling_mean
         # tna field reflects the scaled-data test at s_hat
         scaled, _ = tt.scale_losses(quantile_matched(30, 2.0))
@@ -253,7 +254,7 @@ class TestLockstepSearch:
             assert results == [tt.fit_expn(losses, n) for n in powers]
         for fr, n in zip(results, powers):
             # the batched TN-A evaluation gives the bits of a test of its own
-            assert fr.tna == tt.tna_test(scaled, tt.SeverityModel(expn_params(fr.s_hat, n)))
+            assert fr.tna == tt.tna_test(scaled, tt.SeverityModel(ExpNParams(fr.s_hat, n)))
             assert fr.evaluations <= 47  # 16 grid points, 2 probes, 28 golden steps, 1 midpoint
 
     def test_rows_may_hold_their_own_samples(self):

@@ -33,6 +33,11 @@ class TestAnnualFrequency:
         with pytest.raises(ValueError):
             tt.annual_frequency(0, 5.0)
 
+    @pytest.mark.parametrize("count", [3.0, True])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^loss_count must be an integer >= 1, got {count!r}$"):
+            tt.annual_frequency(count, 5.0)
+
     def test_bad_years(self):
         with pytest.raises(ValueError):
             tt.annual_frequency(10, 0.0)
@@ -95,7 +100,7 @@ class TestLdaConfig:
         with pytest.raises(ValueError, match="seed"):
             tt.LdaConfig(seed=seed)
 
-    @pytest.mark.parametrize("field, value", [("trials", 1500.7), ("trials", 2000.0), ("seed", 1.5)])
+    @pytest.mark.parametrize("field, value", [("trials", 1500.7), ("trials", 2000.0), ("seed", 1.5), ("seed", True)])
     def test_non_integer_trials_or_seed_refused(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             tt.LdaConfig(**{field: value})
