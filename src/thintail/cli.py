@@ -37,13 +37,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dist import ExpNParams, NormalParams, check_even_power, check_power
+from .dist import ExpNParams, NormalParams, _require_int, _require_positive, check_even_power, check_power
 from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
     LossCsvError,
     aggregate,
-    check_span_years,
     parse_csv,
     parse_pre_aggregated,
     summary,
@@ -82,6 +81,14 @@ def _density_model_arg(value: str) -> str:
     raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
 
 
+def _usage(check, *args):
+    """``check(*args)``, its ``ValueError`` raised as the usage error argparse reports for an option."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _int_arg(value: str) -> int:
     try:
         return int(value)
@@ -90,28 +97,19 @@ def _int_arg(value: str) -> int:
 
 
 def _power_arg(value: str) -> int:
-    try:
-        return check_power(_int_arg(value))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return _usage(check_power, _int_arg(value))
 
 
 def _grid_points_arg(value: str) -> int:
-    points = _int_arg(value)
-    if points < 2:  # the grid spans [0, 1.2 * max scaled loss]
-        raise argparse.ArgumentTypeError(f"grid points must be >= 2, got {points}")
-    return points
+    return _usage(_require_int, "grid points", _int_arg(value), 2)  # the grid spans [0, 1.2 * max scaled loss]
 
 
 def _models_arg(value: str) -> list[str]:
     names = [part for part in value.split(",") if part.strip()]
     if not names:
         raise argparse.ArgumentTypeError("model list must not be empty")
-    try:
-        for name in names:
-            parse_model_spec(name)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    for name in names:
+        _usage(parse_model_spec, name)
     return names
 
 
@@ -130,10 +128,7 @@ def _powers_arg(value: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad power list {value!r}") from None
     if not powers:
         raise argparse.ArgumentTypeError("power list must not be empty")
-    try:
-        return [check_even_power(n) for n in powers]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_usage(check_even_power, n) for n in powers]
 
 
 def _freq_arg(value: str):
@@ -145,9 +140,7 @@ def _freq_arg(value: str):
             dispersion = float(text.split(":", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad dispersion in {value!r}") from None
-        if not 0.0 < dispersion < float("inf"):
-            raise argparse.ArgumentTypeError("dispersion must be finite and > 0")
-        return ("negbin", dispersion)
+        return ("negbin", _usage(_require_positive, "dispersion", dispersion))
     raise argparse.ArgumentTypeError(
         f"frequency must be poisson, normal, or negbin:<dispersion>, got {value!r}"
     )
@@ -226,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_losses(args) -> AggregatedLossSet:
     path = Path(args.input)
     label = args.label if args.label is not None else path.stem
-    span = None if args.span_years is None else check_span_years(float(args.span_years))
+    span = None if args.span_years is None else _require_positive("span_years", args.span_years)
     if args.mode == "pre":
         if span is None:
             raise ValueError("--mode pre requires --span-years")
@@ -327,7 +320,7 @@ def _fit(args):
 
 
 def _gof(args):
-    params = ExpNParams(args.scale, args.power)
+    params = ExpNParams(_require_positive("scale", args.scale), args.power)
     loss_set = _load_losses(args)
     scaled, mean = scale_losses(np.asarray(loss_set.losses))
     result = tna_test(scaled, params)

@@ -10,8 +10,16 @@ calls the family's array-only ``_pdf``, ``_cdf``, ``_quantile`` or
 ``_draw``.  An ExpN evaluation is a call of its record,
 ``ExpNParams(s, n).cdf(x)``, which refuses an array ``s`` or ``n``; only
 the scale search in ``fit`` broadcasts arrays of scales and powers,
-through the unchecked CDF kernel ``_expn_cdf``.  The power-exponential
-density on x > 0 is
+through the unchecked CDF kernel ``_expn_cdf``.
+
+Each kind of checked input has one rule here, whose error names the
+parameter: ``_require_positive`` (a finite real number > 0, not a str,
+bytes, bool or None; records store it as a float), ``_require_between``
+(a real number in an open range), ``_require_int`` (an integer >= a least
+value, not a bool or a float) and ``_require_losses`` (a 1-d sample of at
+least 2 losses, each finite and > 0).
+
+The power-exponential density on x > 0 is
 
     f(x; s, n) = exp(-x^n / (2 s^n)) / (s * 2^(1/n) * Gamma(1 + 1/n))
 
@@ -57,6 +65,7 @@ parallel use requires independently seeded substreams.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -86,12 +95,36 @@ def _require_scalar(name: str, value) -> None:
         raise ValueError(f"{name} must be a scalar, got shape {np.shape(value)}")
 
 
-def _require_positive(name: str, value: float) -> float:
+def _require_real(name: str, value) -> float:
+    """``value`` as a float, if it is one real number: an int, a float, a numpy scalar or a 0-d
+    array; a str, bytes, bool or None is refused."""
     _require_scalar(name, value)
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
+    number = np.asarray(value)[()]
+    if isinstance(number, (bool, np.bool_)) or not isinstance(number, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(number)
+
+
+def _require_positive(name: str, value) -> float:
+    """``value`` as a float, if it is a real number (see ``_require_real``) that is finite and > 0."""
+    number = _require_real(name, value)
+    if not (math.isfinite(number) and number > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {number!r}")
+    return number
+
+
+def _require_between(name: str, value, low: float, high: float) -> float:
+    """``value`` as a float, if it is a real number (see ``_require_real``) strictly between ``low`` and ``high``."""
+    number = _require_real(name, value)
+    if not low < number < high:
+        raise ValueError(f"{name} must lie in ({low:g}, {high:g}), got {number!r}")
+    return number
+
+
+def _positive_fields(record, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``record`` as ``_require_positive`` returns it."""
+    for name in names:
+        object.__setattr__(record, name, _require_positive(name, getattr(record, name)))
 
 
 def as_int(value) -> int | None:
@@ -109,6 +142,18 @@ def _require_int(name: str, value, least: int) -> int:
     if k is None or k < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return k
+
+
+def _require_losses(losses) -> np.ndarray:
+    """``losses`` as a float array, if it is a 1-d sample of at least 2 losses, each finite and > 0."""
+    arr = np.asarray(losses, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
+    if arr.size < 2:
+        raise ValueError(f"need at least 2 losses, got {arr.size}")
+    if not np.isfinite(arr).all() or (arr <= 0.0).any():
+        raise ValueError("losses must be finite and > 0")
+    return arr
 
 
 def check_power(n) -> int:
@@ -237,7 +282,7 @@ class ExpNParams(SeverityParams):
     _nonneg = True
 
     def __post_init__(self):
-        _require_positive("s", self.s)
+        _positive_fields(self, "s")
         check_power(self.n)
 
     def _pdf(self, x):
@@ -253,7 +298,7 @@ class ExpNParams(SeverityParams):
         g = np.empty_like(p)
         g[~upper] = gammaincinv(a, p[~upper])
         g[upper] = gammainccinv(a, 1.0 - p[upper])
-        return float(self.s) * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
+        return self.s * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
 
     def _draw(self, out, rng):
         a = 1.0 / self.n
@@ -265,7 +310,7 @@ class ExpNParams(SeverityParams):
         for lo in range(0, out.size, u.size):
             block = out[lo : lo + u.size]
             block *= rng.random(out=u[: block.size])
-        out *= float(self.s)
+        out *= self.s
 
 
 Exp4Params = ExpNParams  # the paper's Exp4: Exp4Params(s) is ExpNParams(s, 4)
@@ -279,7 +324,7 @@ class NormalParams(SeverityParams):
     sigma: float
 
     def __post_init__(self):
-        _require_positive("sigma", self.sigma)
+        _positive_fields(self, "sigma")
 
     def _pdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -311,7 +356,7 @@ class LogNormalParams(SeverityParams):
     sigma: float
 
     def __post_init__(self):
-        _require_positive("sigma", self.sigma)
+        _positive_fields(self, "sigma")
 
     def _pdf(self, x):
         out = np.zeros(x.shape)
@@ -343,9 +388,9 @@ class WeibullParams(SeverityParams):
     _nonneg = True
 
     def __post_init__(self):
-        if not (0.0 < self.tau <= 1.0):
+        _positive_fields(self, "tau", "theta")
+        if self.tau > 1.0:
             raise ValueError(f"tau must lie in (0, 1], got {self.tau!r}")
-        _require_positive("theta", self.theta)
 
     def _pdf(self, x):
         r = x / self.theta
@@ -375,8 +420,7 @@ class ParetoParams(SeverityParams):
     _nonneg = True
 
     def __post_init__(self):
-        _require_positive("theta", self.theta)
-        _require_positive("alpha", self.alpha)
+        _positive_fields(self, "theta", "alpha")
 
     def _pdf(self, x):
         return (self.alpha / self.theta) * np.power(1.0 + x / self.theta, -self.alpha - 1.0)
@@ -398,7 +442,7 @@ class PointMassParams(SeverityParams):
     value: float
 
     def __post_init__(self):
-        _require_positive("value", self.value)
+        _positive_fields(self, "value")
 
     def pdf(self, x):
         raise ValueError("point-mass severity has no density")
@@ -430,7 +474,7 @@ class SeverityModel:
     scaling_mean: float = 1.0
 
     def __post_init__(self):
-        _require_positive("scaling_mean", self.scaling_mean)
+        _positive_fields(self, "scaling_mean")
         if not isinstance(self.params, SeverityParams):
             raise ValueError(f"unsupported parameter record {self.params!r}")
 

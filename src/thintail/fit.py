@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ExpNParams, SeverityModel, _expn_cdf as expn_cdf, check_power
+from .dist import ExpNParams, SeverityModel, _expn_cdf as expn_cdf, _require_losses, check_power
 from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
 __all__ = ["FitResult", "scale_losses", "fit_expn", "fit_expn_many"]
@@ -85,12 +85,8 @@ class FitResult:
 
 
 def scale_losses(losses) -> tuple[np.ndarray, float]:
-    """Divide each loss by the sample mean; returns (scaled, mean)."""
-    arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("losses must be a nonempty 1-d sequence")
-    if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise ValueError("losses must be finite and > 0")
+    """Divide each of at least 2 losses by the sample mean; returns (scaled, mean)."""
+    arr = _require_losses(losses)
     mean = float(arr.mean())
     return arr / mean, mean
 

@@ -52,6 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dist import _positive_fields
+
 __all__ = [
     "BASEL_CATEGORIES",
     "LossRecord",
@@ -100,8 +102,7 @@ class LossRecord:
     category: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.amount) and self.amount > 0.0):
-            raise ValueError(f"amount must be finite and > 0, got {self.amount!r}")
+        _positive_fields(self, "amount")
         if self.category is not None and self.category not in BASEL_CATEGORIES:
             raise ValueError(f"unknown Basel category {self.category!r}")
 
@@ -176,14 +177,7 @@ class AggregatedLossSet:
     def __post_init__(self):
         if len(self.losses) == 0:
             raise ValueError("aggregated loss set must not be empty")
-        check_span_years(self.span_years)
-
-
-def check_span_years(span_years: float) -> float:
-    """``span_years`` if it is finite and > 0."""
-    if not (math.isfinite(span_years) and span_years > 0.0):
-        raise ValueError(f"span_years must be > 0, got {span_years!r}")
-    return span_years
+        _positive_fields(self, "span_years")
 
 
 @contextmanager
@@ -240,6 +234,23 @@ def _rows(reader, problems: list[str]):
         yield from enumerate(reader, start=2)
     except csv.Error as exc:
         problems.append(f"line {reader.line_num}: {exc}")
+
+
+def _amount_rows(reader, problems: list[str]):
+    """``(line number, row, amount)`` of each row after the header that is not blank and whose first
+    field is an amount, finite and > 0; every other row that is not blank adds its problem."""
+    for lineno, row in _rows(reader, problems):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            amount = float(row[0])
+        except ValueError:
+            problems.append(f"line {lineno}: bad amount {row[0]!r}")
+            continue
+        if math.isfinite(amount) and amount > 0.0:
+            yield lineno, row, amount
+        else:
+            problems.append(f"line {lineno}: amount must be > 0, got {row[0]!r}")
 
 
 def _header(reader) -> list[str]:
@@ -322,18 +333,8 @@ def _row_loop(reader, width: int) -> LossTable:
     event_codes: list[int] = []
     category_codes: list[int] = []
     problems: list[str] = []
-    for lineno, row in _rows(reader, problems):
-        if not row or all(not cell.strip() for cell in row):
-            continue
+    for lineno, row, amount in _amount_rows(reader, problems):
         row = (row[:width] + [""] * 4)[:4]
-        try:
-            amount = float(row[0])
-        except ValueError:
-            problems.append(f"line {lineno}: bad amount {row[0]!r}")
-            continue
-        if not (math.isfinite(amount) and amount > 0.0):
-            problems.append(f"line {lineno}: amount must be > 0, got {row[0]!r}")
-            continue
         try:
             day = days_of[row[1]]
         except ValueError:
@@ -378,21 +379,11 @@ def parse_pre_aggregated(source) -> list[float]:
             raise LossCsvError([f"line 1: pre-aggregated header must be 'amount', got {','.join(header)!r}"])
         amounts: list[float] = []
         problems: list[str] = []
-        for lineno, row in _rows(reader, problems):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        for lineno, row, amount in _amount_rows(reader, problems):
             if len(row) > 1:
                 problems.append(f"line {lineno}: expected 1 field (amount), got {len(row)}")
-                continue
-            try:
-                value = float(row[0])
-            except ValueError:
-                problems.append(f"line {lineno}: bad amount {row[0]!r}")
-                continue
-            if not (math.isfinite(value) and value > 0.0):
-                problems.append(f"line {lineno}: amount must be > 0, got {row[0]!r}")
-                continue
-            amounts.append(value)
+            else:
+                amounts.append(amount)
         if problems:
             raise LossCsvError(problems)
         return amounts

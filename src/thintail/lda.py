@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import NormalParams, SeverityModel, as_int, check_even_power
+from .dist import (NormalParams, SeverityModel, _positive_fields, _require_between, _require_int, _require_losses,
+                   _require_positive, check_even_power)
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -67,8 +68,7 @@ class PoissonFreq:
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be > 0, got {self.lam!r}")
+        _positive_fields(self, "lam")
 
     @property
     def mean(self) -> float:
@@ -86,10 +86,7 @@ class NegativeBinomialFreq:
     dispersion: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and self.mean > 0.0):
-            raise ValueError(f"mean must be > 0, got {self.mean!r}")
-        if not (math.isfinite(self.dispersion) and self.dispersion > 0.0):
-            raise ValueError(f"dispersion must be > 0, got {self.dispersion!r}")
+        _positive_fields(self, "mean", "dispersion")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         p = self.dispersion / (self.dispersion + self.mean)
@@ -103,8 +100,7 @@ class NormalApproxFreq:
     lam: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValueError(f"lam must be > 0, got {self.lam!r}")
+        _positive_fields(self, "lam")
 
     @property
     def mean(self) -> float:
@@ -127,14 +123,9 @@ class LdaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            if as_int(getattr(self, name)) is None:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1000:
-            raise ValueError(f"trials must be >= 1000, got {self.trials}")
-        if not (0.0 < self.percentile < 1.0):
-            raise ValueError(f"percentile must lie in (0, 1), got {self.percentile}")
-        if not 0 <= self.seed < 2**128:  # the seed range the CLI documents
+        _require_int("trials", self.trials, 1000)
+        _require_between("percentile", self.percentile, 0, 1)
+        if _require_int("seed", self.seed, 0) >= 2**128:  # the seed range the CLI documents
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 
@@ -152,12 +143,7 @@ class CapitalResult:
 
 def annual_frequency(loss_count: int, years: float) -> float:
     """Annual loss frequency: count divided by observation span."""
-    if as_int(loss_count) is None or loss_count < 1:
-        raise ValueError(f"loss_count must be an integer >= 1, got {loss_count!r}")
-    years = float(years)
-    if not (math.isfinite(years) and years > 0.0):
-        raise ValueError(f"years must be > 0, got {years!r}")
-    return loss_count / years
+    return _require_int("loss_count", loss_count, 1) / _require_positive("years", years)
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
@@ -294,7 +280,7 @@ def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> Capita
 
     return CapitalResult(
         capital=capital,
-        lam=float(freq.mean),
+        lam=freq.mean,
         trials=annual.size,
         stderr_estimate=stderr,
         converged=converged,
@@ -363,9 +349,7 @@ def compare_models(
     it first appears; two or more expn:<power> entries are named
     'expn<power>'.  Every model runs the same seed, so capitals are comparable.
     """
-    arr = np.asarray(losses, dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least 2 losses to compare models")
+    arr = _require_losses(losses)
     specs = list(dict.fromkeys(parse_model_spec(m) for m in models))
     if not specs:
         raise ValueError("model list must not be empty")
@@ -406,7 +390,7 @@ def percentile_vs_n(
     values = sorted({check_even_power(n) for n in n_values})
     if not values:
         raise ValueError("n_values must not be empty")
-    arr = np.asarray(losses, dtype=float)
+    arr = _require_losses(losses)
     freq = PoissonFreq(annual_frequency(arr.size, years))
 
     models = [fr.model for fr in fit_expn_many(arr, values)]

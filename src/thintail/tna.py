@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dist import _require_between, _require_int, _require_losses, _require_real
 
 __all__ = [
     "TnaResult",
@@ -75,14 +76,7 @@ class TnaResult:
 
 def empirical_from_losses(losses) -> tuple[np.ndarray, np.ndarray]:
     """Sorted losses ``x`` and their plotting positions y_i = (i - 0.5)/n."""
-    arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 losses, got {arr.size}")
-    if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise ValueError("losses must be finite and > 0")
-    x = np.sort(arr)
+    x = np.sort(_require_losses(losses))
     y = (np.arange(1, x.size + 1) - 0.5) / x.size
     return x, y
 
@@ -136,9 +130,7 @@ def enclosed_area(points) -> float:
 
 def significance_area(p: float) -> float:
     """A(p) = 2*sqrt(2)*p*(1 - sqrt(2)*p) for 0 < p < 1/sqrt(2)."""
-    p = float(p)
-    if not (0.0 < p < 1.0 / _SQRT2):
-        raise ValueError(f"p must lie in (0, 1/sqrt(2)), got {p!r}")
+    p = _require_between("p", p, 0, 1 / _SQRT2)
     return 2.0 * _SQRT2 * p * (1.0 - _SQRT2 * p)
 
 
@@ -152,18 +144,20 @@ def critical_value(level_percent: float) -> float:
     n = 200.  ``null_critical_value`` gives the calibrated value for n
     points under a fully specified null.
     """
-    level = float(level_percent)
-    if not (0.0 < level < 100.0):
-        raise ValueError(f"level_percent must lie in (0, 100), got {level!r}")
-    return significance_area(level / 200.0)
+    return significance_area(_require_between("level_percent", level_percent, 0, 100) / 200.0)
+
+
+def _check_area(area) -> float:
+    """``area`` as a float, if it lies in [0, 1/2], the range of an enclosed area."""
+    area = _require_real("area", area)
+    if not (0.0 <= area <= 0.5):
+        raise ValueError(f"area must lie in [0, 1/2], got {area!r}")
+    return area
 
 
 def invert_significance(area: float) -> float:
     """Smaller root p of A(p) = area; the attained significance of a statistic."""
-    area = float(area)
-    if not (0.0 <= area <= 0.5):
-        raise ValueError(f"area must lie in [0, 1/2], got {area!r}")
-    return (1.0 - math.sqrt(1.0 - 2.0 * area)) / (2.0 * _SQRT2)
+    return (1.0 - math.sqrt(1.0 - 2.0 * _check_area(area))) / (2.0 * _SQRT2)
 
 
 def decisions_for_area(area: float) -> dict[float, bool]:
@@ -172,8 +166,9 @@ def decisions_for_area(area: float) -> dict[float, bool]:
     Decisions are taken at ``DEFAULT_LEVELS`` with the paper's
     sample-size-free ``critical_value``, whose actual size depends on n
     (see the module docstring); ``null_critical_value`` is the calibrated
-    threshold for n points.
+    threshold for n points.  An area outside [0, 1/2], NaN included, is refused.
     """
+    area = _check_area(area)
     return {level: bool(area > critical_value(level)) for level in DEFAULT_LEVELS}
 
 
@@ -194,13 +189,8 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
     size ``level_percent``.  A fitted scale needs a parametric bootstrap
     instead.
     """
-    level = float(level_percent)
-    if not (0.0 < level < 100.0):
-        raise ValueError(f"level_percent must lie in (0, 100), got {level!r}")
-    n = operator.index(n_points)
-    if n < 2:
-        raise ValueError(f"n_points must be >= 2, got {n}")
-    return float(np.quantile(_null_areas(n), 1.0 - level / 100.0))
+    level = _require_between("level_percent", level_percent, 0, 100)
+    return float(np.quantile(_null_areas(_require_int("n_points", n_points, 2)), 1.0 - level / 100.0))
 
 
 @functools.lru_cache(maxsize=8)

@@ -415,15 +415,17 @@ class TestDensityCommand:
 # Each bad option value, on a file whose line 3 is refused: the option is reported, not the line.
 # A value argparse refuses is a usage error (status 2), one the command refuses is status 1.
 COMMA_FILE_OPTION_ERRORS = [
-    (["capital", "--trials", "10"], {}, 1, "trials must be >= 1000, got 10"),
+    (["capital", "--trials", "10"], {}, 1, "trials must be an integer >= 1000, got 10"),
     (["capital", "--percentile", "1.5"], {}, 1, "percentile must lie in (0, 1), got 1.5"),
+    (["capital", "--percentile", "nan"], {}, 1, "percentile must lie in (0, 1), got nan"),
     (["capital", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
-    (["compare", "--seed", "-1"], {}, 1, "seed must lie in [0, 2**128), got -1"),
-    (["gof", "--scale", "0"], {}, 1, "s must be finite and > 0, got 0.0"),
+    (["compare", "--seed", "-1"], {}, 1, "seed must be an integer >= 0, got -1"),
+    (["gof", "--scale", "0"], {}, 1, "scale must be finite and > 0, got 0.0"),
     (["gof", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
     (["fit", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
     (["fit", "--power", "4.0"], {}, 2, "argument --power: invalid int value: '4.0'"),
-    (["fit", "--span-years", "-1"], {}, 1, "span_years must be > 0, got -1.0"),
+    (["fit", "--span-years", "-1"], {}, 1, "span_years must be finite and > 0, got -1.0"),
+    (["fit", "--span-years", "inf"], {}, 1, "span_years must be finite and > 0, got inf"),
     (["capital"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["compare"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),

@@ -11,6 +11,7 @@ under test.
 import hashlib
 import math
 import re
+from datetime import date
 
 import mpmath
 import numpy as np
@@ -603,14 +604,57 @@ def test_record_sample_into_out_of_another_shape_is_refused(out):
 
 
 @pytest.mark.parametrize("power", [True, 2.0, np.float64(4.0), np.array(4.0), "4"])
-@pytest.mark.parametrize("check", [
-    check_power,
-    check_even_power,
-    lambda n: tt.ExpNParams(1.0, n),
-], ids=["check_power", "check_even_power", "record"])
-def test_power_that_is_not_an_integer_is_refused(check, power):
-    with pytest.raises(ValueError, match=f"^n must be an integer >= 1, got {re.escape(repr(power))}$"):
+@pytest.mark.parametrize("name, least, check", [
+    ("n", 1, check_power),
+    ("n", 1, check_even_power),
+    ("n", 1, lambda n: tt.ExpNParams(1.0, n)),
+    ("trials", 1000, lambda k: tt.LdaConfig(trials=k)),
+    ("seed", 0, lambda k: tt.LdaConfig(seed=k)),
+    ("loss_count", 1, lambda k: tt.annual_frequency(k, 5.0)),
+    ("n_points", 2, lambda k: tt.null_critical_value(5.0, k)),
+], ids=["check_power", "check_even_power", "record", "trials", "seed", "loss_count", "n_points"])
+def test_power_that_is_not_an_integer_is_refused(name, least, check, power):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got {re.escape(repr(power))}$"):
         check(power)
+
+
+# Every public positive-real parameter, as (name, build from a value); 1 is a valid value of each.
+POSITIVE_REALS = [
+    ("s", lambda v: tt.ExpNParams(v, 4)),
+    ("sigma", lambda v: tt.NormalParams(1.0, v)),
+    ("sigma", lambda v: tt.LogNormalParams(0.0, v)),
+    ("tau", lambda v: tt.WeibullParams(v, 1.0)),
+    ("theta", lambda v: tt.WeibullParams(1.0, v)),
+    ("theta", lambda v: tt.ParetoParams(v, 2.0)),
+    ("alpha", lambda v: tt.ParetoParams(1.0, v)),
+    ("value", tt.PointMassParams),
+    ("scaling_mean", lambda v: tt.SeverityModel(tt.ExpNParams(1.0), v)),
+    ("lam", tt.PoissonFreq),
+    ("mean", lambda v: tt.NegativeBinomialFreq(v, 2.0)),
+    ("dispersion", lambda v: tt.NegativeBinomialFreq(8.0, v)),
+    ("lam", tt.NormalApproxFreq),
+    ("years", lambda v: tt.annual_frequency(3, v)),
+    ("span_years", lambda v: tt.AggregatedLossSet((1.0, 2.0), v)),
+    ("amount", lambda v: tt.LossRecord(v, date(2016, 1, 1))),
+]
+POSITIVE_REAL_IDS = ["expn-s", "normal-sigma", "lognormal-sigma", "weibull-tau", "weibull-theta", "pareto-theta",
+                     "pareto-alpha", "pointmass-value", "model-scaling_mean", "poisson-lam", "negbin-mean",
+                     "negbin-dispersion", "normalapprox-lam", "annual_frequency-years", "lossset-span_years", "record-amount"]
+
+
+@pytest.mark.parametrize("value", ["1.5", b"1.5", True, np.bool_(True), None, math.nan, math.inf, -math.inf, 0, 0.0,
+                                   -1.0, np.float64(-2.0), np.array([1.0]), np.array([1.0, 2.0])])
+@pytest.mark.parametrize("name, build", POSITIVE_REALS, ids=POSITIVE_REAL_IDS)
+def test_positive_real_refuses_what_is_not_a_finite_positive_number(name, build, value):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [1, 1.0, np.float64(1.0), np.int64(1), np.array(1.0), np.array(1)])
+@pytest.mark.parametrize("name, build", POSITIVE_REALS, ids=POSITIVE_REAL_IDS)
+def test_positive_real_accepts_any_real_scalar_as_the_float(name, build, value):
+    assert build(value) == build(1.0)
+    assert repr(build(value)) == repr(build(1.0))  # the record holds the float, not the caller's type
 
 
 @pytest.mark.parametrize("name", ["exp4", "expn1", "expn100", "weibull", "pareto"])

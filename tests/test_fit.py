@@ -29,9 +29,9 @@ class TestScaleLosses:
         assert scaled == pytest.approx([2 / 3, 4 / 3])
 
     def test_single_value(self):
-        scaled, mean = tt.scale_losses([5.0])
-        assert mean == 5.0
-        assert scaled == pytest.approx([1.0])
+        # every caller fits, tests or takes a sample sd, so one loss is refused
+        with pytest.raises(ValueError, match="^need at least 2 losses, got 1$"):
+            tt.scale_losses([5.0])
 
     def test_identity(self):
         scaled, mean = tt.scale_losses([1.0, 1.0, 1.0])

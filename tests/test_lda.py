@@ -76,7 +76,7 @@ class TestFrequencyModels:
     ], ids=["negbin", "normal"])
     @pytest.mark.parametrize("mean", [0.0, -1.0])
     def test_nonpositive_mean_rejected(self, make, mean):
-        with pytest.raises(ValueError, match="must be > 0"):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
             make(mean)
 
     def test_invariants(self):
@@ -94,6 +94,10 @@ class TestLdaConfig:
     def test_percentile_range(self):
         with pytest.raises(ValueError):
             tt.LdaConfig(percentile=1.0)
+
+    def test_percentile_array_refused_naming_it(self):
+        with pytest.raises(ValueError, match=r"^percentile must be a scalar, got shape \(2,\)$"):
+            tt.LdaConfig(percentile=np.array([0.5, 0.9]))
 
     @pytest.mark.parametrize("seed", [-1, 2**128])
     def test_seed_outside_philox_key_range(self, seed):

@@ -190,6 +190,13 @@ class TestInvertSignificance:
         with pytest.raises(ValueError):
             tt.invert_significance(-0.01)
 
+    @pytest.mark.parametrize("area", [float("nan"), -0.01, 0.51, "0.1"])
+    def test_decisions_refuse_what_inversion_refuses(self, area):
+        # a NaN area compares false with every critical value, so it read "accept" at every level
+        for decide in (tt.invert_significance, decisions_for_area, lambda a: tt.TnaResult(a, 30, 0).reject):
+            with pytest.raises(ValueError, match="^area must"):
+                decide(area)
+
     @given(p=st.floats(min_value=1e-6, max_value=0.35))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, p):
