@@ -14,10 +14,12 @@ through the unchecked CDF kernel ``_expn_cdf``.
 
 Each kind of checked input has one rule here, whose error names the
 parameter: ``_require_positive`` (a finite real number > 0, not a str,
-bytes, bool or None; records store it as a float), ``_require_between``
-(a real number in an open range), ``_require_int`` (an integer >= a least
-value, not a bool or a float) and ``_require_losses`` (a 1-d sample of at
-least 2 losses, each finite and > 0).
+bytes, bool or None; records store it as a float), ``_require_finite``
+(a finite real number, such as a Normal or LogNormal ``mu``),
+``_require_between`` (a real number in an open range), ``_require_int``
+(an integer >= a least value, not a bool or a float) and
+``_require_losses`` (a 1-d sample of at least 2 losses, or of as many as
+its caller asks, each finite and > 0).
 
 The power-exponential density on x > 0 is
 
@@ -113,6 +115,14 @@ def _require_positive(name: str, value) -> float:
     return number
 
 
+def _require_finite(name: str, value) -> float:
+    """``value`` as a float, if it is a real number (see ``_require_real``) that is finite."""
+    number = _require_real(name, value)
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number!r}")
+    return number
+
+
 def _require_between(name: str, value, low: float, high: float) -> float:
     """``value`` as a float, if it is a real number (see ``_require_real``) strictly between ``low`` and ``high``."""
     number = _require_real(name, value)
@@ -144,13 +154,13 @@ def _require_int(name: str, value, least: int) -> int:
     return k
 
 
-def _require_losses(losses) -> np.ndarray:
-    """``losses`` as a float array, if it is a 1-d sample of at least 2 losses, each finite and > 0."""
+def _require_losses(losses, least: int = 2) -> np.ndarray:
+    """``losses`` as a float array, if it is a 1-d sample of at least ``least`` losses, each finite and > 0."""
     arr = np.asarray(losses, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 losses, got {arr.size}")
+    if arr.size < least:
+        raise ValueError(f"need at least {least} losses, got {arr.size}")
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError("losses must be finite and > 0")
     return arr
@@ -324,6 +334,7 @@ class NormalParams(SeverityParams):
     sigma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
         _positive_fields(self, "sigma")
 
     def _pdf(self, x):
@@ -356,6 +367,7 @@ class LogNormalParams(SeverityParams):
     sigma: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", _require_finite("mu", self.mu))
         _positive_fields(self, "sigma")
 
     def _pdf(self, x):

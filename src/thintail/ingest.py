@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist import _positive_fields
+from .dist import _positive_fields, _require_losses
 
 __all__ = [
     "BASEL_CATEGORIES",
@@ -177,6 +177,7 @@ class AggregatedLossSet:
     def __post_init__(self):
         if len(self.losses) == 0:
             raise ValueError("aggregated loss set must not be empty")
+        _require_losses(self.losses, least=1)  # one loss is a set; the fits ask for 2
         _positive_fields(self, "span_years")
 
 

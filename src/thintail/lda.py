@@ -14,7 +14,9 @@ count.  A chunk draws its event counts first and then its severities
 from the stream state right after the counts.  ``run_lda_many``, which
 ``compare`` and ``curve --with-capital`` call once for all their
 models, runs ``run_lda`` per model: the first run keeps each chunk's
-counts and that state, and the later runs restore them.  A model's
+counts and that state, and the later runs restore them.  The run's
+record of them (``_Counts``) also holds the draws buffers, so one run
+allocates its simulation memory once, not once per model.  A model's
 annual-loss array therefore depends only on (seed, trials) — never on
 the worker count, the scheduling or the other models of the run — and
 the capital is bit-identical for 1 or many workers.
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,30 +172,56 @@ def _chunk_losses(severity: SeverityModel, rng: np.random.Generator, counts: np.
 
 
 class _Counts:
-    """Each chunk's event counts, the first draws of its stream.
+    """The simulation memory of one run: each chunk's event counts, the
+    first draws of its stream, and the draws buffers its chunks fill.
 
-    A chunk's first run draws them; with ``keep`` set, it keeps them with
-    the stream state right after them, and every later run of the chunk
-    restores that state instead of drawing again.
+    A chunk's first run draws its counts; with ``keep`` set, it keeps them,
+    at the narrowest unsigned width that holds them (1 byte a trial up to
+    255 events, 2 up to 65,535), with the stream state right after them,
+    and every later run of the chunk restores that state instead of
+    drawing again.  The draws buffers are a free list: a chunk takes one,
+    fills it and gives it back, so every model of the run reuses the same
+    buffers, one per worker at most.
     """
 
     def __init__(self, freq: FrequencyModel, seed: int, trials: int, keep: bool):
         self.key = (freq, seed, trials)
         self.keep = keep
         self.kept: dict[int, tuple[dict, np.ndarray]] = {}
+        self.buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
 
     def stream(self, chunk: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
-        """The chunk's stream, positioned after its ``size`` counts, and the counts."""
+        """The chunk's stream, positioned after its ``size`` counts, and the counts as int64."""
         freq, seed, _ = self.key
         rng = _chunk_rng(seed, chunk)
         if chunk in self.kept:
             state, counts = self.kept[chunk]
             rng.bit_generator.state = state
-            return rng, counts
+            return rng, counts.astype(np.int64)
         counts = np.asarray(freq.draw(rng, size), dtype=np.int64)
         if self.keep:
-            self.kept[chunk] = (rng.bit_generator.state, counts)
+            self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
         return rng, counts
+
+    @contextmanager
+    def draws(self, size: int):
+        """A buffer of ``size`` doubles from the free list, given back when the block ends.
+
+        A buffer too small is replaced by one an eighth larger than ``size``,
+        so it is seldom regrown: a fresh buffer per chunk (about 2 MB at
+        lambda = 60) faults its pages in again, and many small regrowths
+        grow the heap.
+        """
+        try:
+            buffer = self.buffers.get_nowait()
+        except queue.Empty:
+            buffer = np.empty(0)
+        if buffer.size < size:
+            buffer = np.empty(size + size // 8)
+        try:
+            yield buffer[:size]
+        finally:
+            self.buffers.put(buffer)
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -218,7 +247,8 @@ def run_lda(
     A pool of ``workers`` threads (default THINTAIL_THREADS, at least 1)
     fills the fixed chunk grid; results are bit-identical for any count.
     Each chunk draws its counts first, then the severities; ``counts`` is
-    the record of them that ``run_lda_many`` shares among its models.
+    the record of them, with the draws buffers, that ``run_lda_many``
+    shares among its models.
     """
     trials = int(cfg.trials)
     if counts is None:
@@ -226,19 +256,12 @@ def run_lda(
     elif counts.key != (freq, cfg.seed, trials):
         raise ValueError("counts were drawn for another frequency, seed or trial count")
     annual = np.empty(trials, dtype=float)
-    # one draws buffer per worker, an eighth larger than the chunk that makes
-    # it, so it is seldom regrown: a fresh buffer per chunk (about 2 MB at
-    # lambda = 60) faults its pages in again, and many small regrowths grow
-    # the heap
-    buffers = threading.local()
 
     def fill(chunk: int):
         out = annual[chunk * _TRIAL_CHUNK : (chunk + 1) * _TRIAL_CHUNK]
         rng, drawn = counts.stream(chunk, out.size)
-        total = int(drawn.sum())
-        if getattr(buffers, "draws", np.empty(0)).size <= total:
-            buffers.draws = np.empty(total + total // 8 + 1)
-        _chunk_losses(severity, rng, drawn, out, buffers.draws[: total + 1])
+        with counts.draws(int(drawn.sum()) + 1) as draws:
+            _chunk_losses(severity, rng, drawn, out, draws)
 
     with ThreadPoolExecutor(max_workers=_resolve_workers(workers)) as pool:
         list(pool.map(fill, range((trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK)))
@@ -259,8 +282,10 @@ def run_lda_many(
     The first model's run draws every chunk's counts and keeps them with
     the stream state after them; each later model's ``run_lda`` draws its
     severities from that state, so every result equals the model's own
-    ``run_lda`` bit for bit.  The counts (8 bytes a trial) and one model's
-    annual losses are held at a time, however many models there are.
+    ``run_lda`` bit for bit.  The counts (1 byte a trial up to 255 events
+    a trial, as at lambda = 60; 2 bytes up to 65,535), one draws buffer
+    per worker (about 2 MB at lambda = 60) and one model's annual losses
+    are held at a time, however many models there are.
     """
     counts = _Counts(freq, cfg.seed, int(cfg.trials), keep=True)
     return [run_lda(severity, freq, cfg, workers, counts=counts) for severity in severities]

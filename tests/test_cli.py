@@ -63,7 +63,7 @@ class TestFitCommand:
         path.write_text("amount\n5.0\n")
         code = run(["fit", "--input", path, "--mode", "pre", "--span-years", "1"])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: need at least 2 losses, got 1" in capsys.readouterr().err
 
     def test_power_four_matches_default_byte_for_byte(self, pre_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

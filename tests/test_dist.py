@@ -657,6 +657,25 @@ def test_positive_real_accepts_any_real_scalar_as_the_float(name, build, value):
     assert repr(build(value)) == repr(build(1.0))  # the record holds the float, not the caller's type
 
 
+# The Normal and LogNormal location mu, which may be any finite real number.
+LOCATIONS = [lambda v: tt.NormalParams(v, 0.2), lambda v: tt.LogNormalParams(v, 0.2)]
+
+
+@pytest.mark.parametrize("value", ["1", b"1", True, np.bool_(False), None, math.nan, math.inf, -math.inf,
+                                   np.array([1.0])])
+@pytest.mark.parametrize("build", LOCATIONS, ids=["normal", "lognormal"])
+def test_location_refuses_what_is_not_a_finite_real(build, value):
+    with pytest.raises(ValueError, match="^mu must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("value", [-1, -1.0, np.float64(-1.0), np.int64(-1), np.array(-1.0)])
+@pytest.mark.parametrize("build", LOCATIONS, ids=["normal", "lognormal"])
+def test_location_accepts_any_finite_real_scalar_as_the_float(build, value):
+    assert build(value) == build(-1.0)
+    assert repr(build(value)) == repr(build(-1.0))
+
+
 @pytest.mark.parametrize("name", ["exp4", "expn1", "expn100", "weibull", "pareto"])
 @pytest.mark.parametrize("x", [-0.5, np.array([0.5, -1e-300])], ids=["scalar", "array"])
 def test_negative_x_is_refused_where_the_support_starts_at_zero(name, x):

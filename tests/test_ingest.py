@@ -285,6 +285,11 @@ class TestSummary:
         with pytest.raises(ValueError):
             tt.AggregatedLossSet(losses=(1.0,), span_years=0.0)
 
+    @pytest.mark.parametrize("losses", [(1.0, -2.0, math.nan), (3.0, 0.0), (math.inf,), (math.nan,), (-2.0,)])
+    def test_loss_that_is_not_finite_and_positive_is_refused(self, losses):
+        with pytest.raises(ValueError, match="^losses must be finite and > 0$"):
+            tt.AggregatedLossSet(losses, span_years=5.0)
+
 
 
 def row_loop_outcome(path, permissive):

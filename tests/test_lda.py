@@ -1,12 +1,15 @@
 """Tests for the frequency models and the Monte Carlo capital engine."""
 
 import math
+import sys
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 import thintail as tt
+from thintail import lda
 from thintail.lda import _TRIAL_CHUNK, _chunk_losses, _chunk_rng, _Counts, _resolve_workers, parse_model_spec
 
 
@@ -235,7 +238,14 @@ FREQUENCIES = {
     "poisson": tt.PoissonFreq(6.0),
     "negbin": tt.NegativeBinomialFreq(mean=6.0, dispersion=3.0),
     "normal": tt.NormalApproxFreq(6.0),
+    "poisson300": tt.PoissonFreq(300.0),  # counts above 255, kept at 2 bytes a trial
 }
+
+
+def chunk_sizes(freq) -> list[int]:
+    """Two full chunks and a short one; at lambda = 300, whose chunks draw 50 times the
+    severities, one full chunk and a short one."""
+    return [_TRIAL_CHUNK, 1_000] if freq.mean > 100 else [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_000]
 
 
 def own_chunk(severity, freq, seed: int, chunk: int, size: int) -> np.ndarray:
@@ -257,18 +267,40 @@ def shared_chunk(severity, counts, chunk: int, size: int) -> np.ndarray:
     return out
 
 
+@pytest.fixture
+def records(monkeypatch):
+    """Every ``_Counts`` record a run makes during the test, each with the draws buffers its
+    chunks used, one entry a chunk."""
+    made = []
+
+    class Recording(_Counts):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.used = []
+            made.append(self)
+
+        @contextmanager
+        def draws(self, size):
+            with super().draws(size) as draws:
+                self.used.append(draws.base)
+                yield draws
+
+    monkeypatch.setattr(lda, "_Counts", Recording)
+    return made
+
+
 class TestSharedPass:
     """run_lda_many draws each chunk's counts once; each model's losses are its own run's."""
 
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
     def test_chunks_equal_each_models_own_draws(self, freq):
-        sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_000]  # the last chunk is short
+        sizes = chunk_sizes(freq)  # the last chunk is short
         counts = _Counts(freq, 5, sum(sizes), keep=True)
         for chunk, size in enumerate(sizes):
             for model in MODELS:  # the first model draws the counts, the others restore them
                 expected = own_chunk(model, freq, 5, chunk, size)
                 assert shared_chunk(model, counts, chunk, size).tobytes() == expected.tobytes()
-        assert [counts.kept[chunk][1].size for chunk in range(3)] == sizes
+        assert [counts.kept[chunk][1].size for chunk in range(len(sizes))] == sizes
         lone = _Counts(freq, 5, sum(sizes), keep=False)
         assert shared_chunk(MODELS[0], lone, 0, _TRIAL_CHUNK).tobytes() == shared_chunk(
             MODELS[0], counts, 0, _TRIAL_CHUNK).tobytes()
@@ -276,7 +308,7 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
     def test_results_equal_run_lda_per_model(self, freq):
-        cfg = tt.LdaConfig(trials=2 * _TRIAL_CHUNK + 1_000, seed=5)
+        cfg = tt.LdaConfig(trials=sum(chunk_sizes(freq)), seed=5)
         expected = [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS]
         for workers in (1, 2):
             assert tt.run_lda_many(MODELS, freq, cfg, workers=workers) == expected
@@ -302,6 +334,41 @@ class TestSharedPass:
                             (tt.PoissonFreq(6.0), tt.LdaConfig(trials=6_000, seed=5))]:
             with pytest.raises(ValueError, match="counts were drawn for another"):
                 tt.run_lda(MODELS[0], freq, other, counts=counts)
+
+    def test_kept_counts_take_their_narrowest_width(self, records):
+        # int64 counts would take 8 bytes a trial; lambda = 60 keeps 1, lambda = 300 keeps 2
+        cfg = tt.LdaConfig(trials=_TRIAL_CHUNK + 1_000, seed=2)
+        for lam, width in [(60.0, 1), (300.0, 2)]:
+            tt.run_lda_many(MODELS[:2], tt.PoissonFreq(lam), cfg, workers=1)
+            kept = [counts for _, counts in records[-1].kept.values()]
+            assert sum(map(len, kept)) == cfg.trials
+            assert [counts.itemsize for counts in kept] == [width] * len(kept)
+
+    def test_models_of_a_run_reuse_its_draws_buffers(self, records):
+        # three full chunks at lambda = 60 draw 245,760 +- 1,500 severities each, far inside a
+        # buffer's eighth of headroom, so no buffer is regrown once it is made
+        cfg, freq = tt.LdaConfig(trials=3 * _TRIAL_CHUNK, seed=4), tt.PoissonFreq(60.0)
+        results = tt.run_lda_many(MODELS[:3], freq, cfg, workers=2)
+        (record,) = records
+        used = {id(buffer) for buffer in record.used}  # record.used keeps each buffer, so ids stay unique
+        assert len(record.used) == 3 * 3 and len(used) <= 2
+        free = [record.buffers.get() for _ in range(record.buffers.qsize())]
+        assert 1 <= len(free) <= 2 and {id(buffer) for buffer in free} <= used
+        assert results == [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS[:3]]
+
+    def test_shared_buffers_under_frequent_thread_switches(self, records):
+        # four workers on two cores, switching every microsecond: a buffer handed to two chunks
+        # at once would mix their draws and change the capitals
+        cfg, freq = tt.LdaConfig(trials=8 * _TRIAL_CHUNK, seed=6), tt.PoissonFreq(8.0)
+        expected = [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS[:3]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = tt.run_lda_many(MODELS[:3], freq, cfg, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+        assert records[-1].buffers.qsize() <= 4
 
     @pytest.mark.parametrize("name", ["exp4", "expn100", "normal"])
     def test_chunk_memory_peaks_near_one_draws_array(self, name):
