@@ -41,7 +41,6 @@ from .dist import ExpNParams, NormalParams, _require_int, _require_positive, che
 from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
-    LossCsvError,
     aggregate,
     parse_csv,
     parse_pre_aggregated,
@@ -52,7 +51,6 @@ from .lda import (
     NegativeBinomialFreq,
     NormalApproxFreq,
     PoissonFreq,
-    UnknownModelError,
     _resolve_workers,
     annual_frequency,
     compare_models,
@@ -69,16 +67,6 @@ def _mode_arg(value: str) -> str:
     if value not in _MODES:
         raise argparse.ArgumentTypeError(f"mode must be one of {', '.join(_MODES)}")
     return value
-
-
-def _density_model_arg(value: str) -> str:
-    try:
-        if parse_model_spec(value)[1] is not None:
-            return value
-    except ValueError as exc:
-        if not isinstance(exc, UnknownModelError):  # an ExpN spec whose power is refused
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    raise argparse.ArgumentTypeError(f"density model must be exp4 or expn:<power>, got {value!r}")
 
 
 def _usage(check, *args):
@@ -208,8 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density", help="fitted vs empirical density overlay data")
     add_common(p_den)
-    p_den.add_argument("--model", type=_density_model_arg, default="exp4",
-                       help="exp4 or expn:<power>")
+    p_den.add_argument("--power", type=_power_arg, default=4)
     p_den.add_argument("--grid-points", type=_grid_points_arg, default=201,
                        help="grid size, at least 2")
 
@@ -223,7 +210,7 @@ def _load_losses(args) -> AggregatedLossSet:
     if args.mode == "pre":
         if span is None:
             raise ValueError("--mode pre requires --span-years")
-        return AggregatedLossSet(tuple(parse_pre_aggregated(path)), span, label, "pre-aggregated")
+        return AggregatedLossSet(parse_pre_aggregated(path), span, label, "pre-aggregated")
     loss_set = aggregate(parse_csv(path, permissive=args.permissive), mode=args.mode, label=label)
     return loss_set if span is None else replace(loss_set, span_years=span)
 
@@ -284,7 +271,7 @@ def _reject_lines(payload: dict) -> list[str]:
 
 def _sim_config(args) -> LdaConfig:
     """The simulation settings; a bad THINTAIL_THREADS fails here, before the input is read."""
-    _resolve_workers(None)
+    _resolve_workers()
     return LdaConfig(trials=args.trials, percentile=args.percentile, seed=args.seed)
 
 
@@ -416,7 +403,7 @@ def _curve(args):
 def _density(args):
     loss_set = _load_losses(args)
     losses = np.asarray(loss_set.losses)
-    result = fit_expn(losses, parse_model_spec(args.model)[1])
+    result = fit_expn(losses, args.power)
     scaled, _ = scale_losses(losses)
 
     grid = np.linspace(0.0, 1.2 * float(scaled.max()), args.grid_points)
@@ -462,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, argv)
-    except (ValueError, RuntimeError, LossCsvError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -160,7 +160,7 @@ def _require_losses(losses, least: int = 2) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
     if arr.size < least:
-        raise ValueError(f"need at least {least} losses, got {arr.size}")
+        raise ValueError(f"need at least {least} {'loss' if least == 1 else 'losses'}, got {arr.size}")
     if not np.isfinite(arr).all() or (arr <= 0.0).any():
         raise ValueError("losses must be finite and > 0")
     return arr

@@ -1,9 +1,10 @@
 """Loss-data ingestion: CSV parsing, aggregation by originating event or
 accounting period, and summary statistics.
 
-Input schema (UTF-8 CSV): header ``amount,date,event_id,category`` with
-the last two columns optional; dates are ISO-8601; amounts are mEUR and
-must be positive.  Unknown columns are rejected unless ``permissive``.
+Input schema (UTF-8 CSV, with or without a byte-order mark): header
+``amount,date,event_id,category`` with the last two columns optional;
+dates are ISO-8601; amounts are mEUR and must be positive.  Unknown
+columns are rejected unless ``permissive``.
 Fields past the header's schema columns are ignored.
 Pre-aggregated inputs are a one-column ``amount`` CSV plus an explicit
 observation span in years.
@@ -175,17 +176,16 @@ class AggregatedLossSet:
     aggregation_mode: str = "pre-aggregated"
 
     def __post_init__(self):
-        if len(self.losses) == 0:
-            raise ValueError("aggregated loss set must not be empty")
-        _require_losses(self.losses, least=1)  # one loss is a set; the fits ask for 2
+        # stored as a tuple of floats, whatever sequence is given; one loss is a set, the fits ask for 2
+        object.__setattr__(self, "losses", tuple(_require_losses(self.losses, least=1).tolist()))
         _positive_fields(self, "span_years")
 
 
 @contextmanager
 def _text(source):
-    """A text stream over ``source``; a path is opened (and closed) here."""
+    """A text stream over ``source``; a path is opened (and closed) here, dropping a UTF-8 byte-order mark."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
+        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
             yield handle
     elif isinstance(source, io.TextIOBase):
         yield source
@@ -461,7 +461,7 @@ def aggregate(table: LossTable | list[LossRecord], mode: str, label: str = "") -
     sums = [math.fsum(amounts[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
 
     return AggregatedLossSet(
-        losses=tuple(sums),
+        losses=sums,
         span_years=span_years_of(table),
         label=label,
         aggregation_mode=mode_name,

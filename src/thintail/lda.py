@@ -9,17 +9,18 @@ linear interpolation between order statistics.
 Reproducibility contract: trials are partitioned into fixed-size
 chunks, each driven by its own SFC64 stream seeded from
 ``SeedSequence(seed, spawn_key=(chunk,))``, numpy's independent
-parallel streams; one thread pool fills them, whatever the worker
-count.  A chunk draws its event counts first and then its severities
-from the stream state right after the counts.  ``run_lda_many``, which
+parallel streams; one thread pool of THINTAIL_THREADS workers fills
+them, whatever the count.  A chunk draws its event counts first and
+then its severities from the stream state right after the counts, and
+the run's record (``_Counts``) keeps both.  ``run_lda_many``, which
 ``compare`` and ``curve --with-capital`` call once for all their
-models, runs ``run_lda`` per model: the first run keeps each chunk's
-counts and that state, and the later runs restore them.  The run's
-record of them (``_Counts``) also holds the draws buffers, so one run
-allocates its simulation memory once, not once per model.  A model's
-annual-loss array therefore depends only on (seed, trials) — never on
-the worker count, the scheduling or the other models of the run — and
-the capital is bit-identical for 1 or many workers.
+models, runs ``run_lda`` per model on one record: the first run draws
+each chunk's counts, and the later runs restore them with that state.
+The record also holds the draws buffers, so one run allocates its
+simulation memory once, not once per model.  A model's annual-loss
+array therefore depends only on (seed, trials) — never on the worker
+count, the scheduling or the other models of the run — and the capital
+is bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
@@ -175,32 +176,30 @@ class _Counts:
     """The simulation memory of one run: each chunk's event counts, the
     first draws of its stream, and the draws buffers its chunks fill.
 
-    A chunk's first run draws its counts; with ``keep`` set, it keeps them,
-    at the narrowest unsigned width that holds them (1 byte a trial up to
-    255 events, 2 up to 65,535), with the stream state right after them,
-    and every later run of the chunk restores that state instead of
-    drawing again.  The draws buffers are a free list: a chunk takes one,
-    fills it and gives it back, so every model of the run reuses the same
-    buffers, one per worker at most.
+    A chunk's first run draws its counts and keeps them, at the narrowest
+    unsigned width that holds them (1 byte a trial up to 255 events, 2 up
+    to 65,535), with the stream state right after them; every later run
+    of the chunk restores that state instead of drawing again.  The draws
+    buffers are a free list: a chunk takes one, fills it and gives it
+    back, so every model of the run reuses the same buffers, one per
+    worker at most.
     """
 
-    def __init__(self, freq: FrequencyModel, seed: int, trials: int, keep: bool):
-        self.key = (freq, seed, trials)
-        self.keep = keep
+    def __init__(self, freq: FrequencyModel, seed: int):
+        self.freq = freq
+        self.seed = seed
         self.kept: dict[int, tuple[dict, np.ndarray]] = {}
         self.buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
 
     def stream(self, chunk: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
         """The chunk's stream, positioned after its ``size`` counts, and the counts as int64."""
-        freq, seed, _ = self.key
-        rng = _chunk_rng(seed, chunk)
+        rng = _chunk_rng(self.seed, chunk)
         if chunk in self.kept:
             state, counts = self.kept[chunk]
             rng.bit_generator.state = state
             return rng, counts.astype(np.int64)
-        counts = np.asarray(freq.draw(rng, size), dtype=np.int64)
-        if self.keep:
-            self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
+        counts = np.asarray(self.freq.draw(rng, size), dtype=np.int64)
+        self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
         return rng, counts
 
     @contextmanager
@@ -224,46 +223,42 @@ class _Counts:
             self.buffers.put(buffer)
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        text = os.environ.get("THINTAIL_THREADS", "1")
-        try:
-            workers = int(text)
-        except ValueError:
-            raise ValueError(f"THINTAIL_THREADS must be an integer, got {text!r}") from None
-    return max(1, workers)
+def _resolve_workers() -> int:
+    """THINTAIL_THREADS, the simulation worker count: an integer >= 1, and 1 when it is unset."""
+    text = os.environ.get("THINTAIL_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"THINTAIL_THREADS must be an integer, got {text!r}") from None
+    return _require_int("THINTAIL_THREADS", workers, 1)
 
 
 def run_lda(
     severity: SeverityModel,
     freq: FrequencyModel,
     cfg: LdaConfig = LdaConfig(),
-    workers: int | None = None,
     *,
-    counts: _Counts | None = None,
+    _run: _Counts | None = None,
 ) -> CapitalResult:
     """Simulate annual aggregate losses and return the capital percentile.
 
-    A pool of ``workers`` threads (default THINTAIL_THREADS, at least 1)
-    fills the fixed chunk grid; results are bit-identical for any count.
-    Each chunk draws its counts first, then the severities; ``counts`` is
-    the record of them, with the draws buffers, that ``run_lda_many``
-    shares among its models.
+    A pool of THINTAIL_THREADS worker threads (default 1) fills the fixed
+    chunk grid; results are bit-identical for any count.  Each chunk
+    draws its counts first, then the severities; ``_run`` is the record
+    of them, with the draws buffers, that ``run_lda_many`` shares among
+    its models.  A lone run keeps its counts too: about 1 byte a trial.
     """
     trials = int(cfg.trials)
-    if counts is None:
-        counts = _Counts(freq, cfg.seed, trials, keep=False)
-    elif counts.key != (freq, cfg.seed, trials):
-        raise ValueError("counts were drawn for another frequency, seed or trial count")
+    run = _Counts(freq, cfg.seed) if _run is None else _run
     annual = np.empty(trials, dtype=float)
 
     def fill(chunk: int):
         out = annual[chunk * _TRIAL_CHUNK : (chunk + 1) * _TRIAL_CHUNK]
-        rng, drawn = counts.stream(chunk, out.size)
-        with counts.draws(int(drawn.sum()) + 1) as draws:
+        rng, drawn = run.stream(chunk, out.size)
+        with run.draws(int(drawn.sum()) + 1) as draws:
             _chunk_losses(severity, rng, drawn, out, draws)
 
-    with ThreadPoolExecutor(max_workers=_resolve_workers(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=_resolve_workers()) as pool:
         list(pool.map(fill, range((trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK)))
 
     if not np.isfinite(annual).all():
@@ -271,12 +266,7 @@ def run_lda(
     return _capital(annual, freq, cfg)
 
 
-def run_lda_many(
-    severities,
-    freq: FrequencyModel,
-    cfg: LdaConfig = LdaConfig(),
-    workers: int | None = None,
-) -> list[CapitalResult]:
+def run_lda_many(severities, freq: FrequencyModel, cfg: LdaConfig = LdaConfig()) -> list[CapitalResult]:
     """``run_lda(severity, freq, cfg)`` for each model of ``severities``, with the counts drawn once.
 
     The first model's run draws every chunk's counts and keeps them with
@@ -287,8 +277,8 @@ def run_lda_many(
     per worker (about 2 MB at lambda = 60) and one model's annual losses
     are held at a time, however many models there are.
     """
-    counts = _Counts(freq, cfg.seed, int(cfg.trials), keep=True)
-    return [run_lda(severity, freq, cfg, workers, counts=counts) for severity in severities]
+    run = _Counts(freq, cfg.seed)
+    return [run_lda(severity, freq, cfg, _run=run) for severity in severities]
 
 
 def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> CapitalResult:
@@ -317,10 +307,6 @@ def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> Capita
 # model comparison (count / sum / capital / area table)
 # ---------------------------------------------------------------------------
 
-class UnknownModelError(ValueError):
-    """A model spec whose name is none of exp4, normal and expn:<power>."""
-
-
 def parse_model_spec(spec: str) -> tuple[str, int | None]:
     """(report name, ExpN power) of 'exp4' (power 4), 'expn:<even power>' or 'normal' (None)."""
     text = spec.strip().lower()
@@ -334,7 +320,7 @@ def parse_model_spec(spec: str) -> tuple[str, int | None]:
         except ValueError:
             raise ValueError(f"bad power in model spec {spec!r}") from None
         return ("expn", check_even_power(n))
-    raise UnknownModelError(f"unknown model name {spec!r} (expected exp4, normal, or expn:<power>)")
+    raise ValueError(f"unknown model name {spec!r} (expected exp4, normal, or expn:<power>)")
 
 
 @dataclass(frozen=True)

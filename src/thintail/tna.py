@@ -71,7 +71,8 @@ class TnaResult:
         return decisions_for_area(self.area)
 
     def rejected_at(self, level_percent: float) -> bool:
-        return self.reject[level_percent]
+        """The two-tailed decision at any level in (0, 100), taken as ``decisions_for_area`` takes it."""
+        return bool(_check_area(self.area) > critical_value(level_percent))
 
 
 def empirical_from_losses(losses) -> tuple[np.ndarray, np.ndarray]:

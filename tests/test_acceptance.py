@@ -242,12 +242,13 @@ def test_criterion_9_fit_recovery():
     )
 
 
-def test_criterion_10_worker_reproducibility():
+def test_criterion_10_worker_reproducibility(monkeypatch):
     sev = tt.SeverityModel(tt.Exp4Params(1.72), scaling_mean=55.0)
     cfg = tt.LdaConfig(trials=50_000, seed=31337)
-    capitals = [
-        tt.run_lda(sev, tt.PoissonFreq(5.0), cfg, workers=w).capital for w in (1, 2, 8)
-    ]
+    capitals = []
+    for w in (1, 2, 8):
+        monkeypatch.setenv("THINTAIL_THREADS", str(w))
+        capitals.append(tt.run_lda(sev, tt.PoissonFreq(5.0), cfg).capital)
     ok = capitals[0] == capitals[1] == capitals[2]
     assert report(10, ok, f"capitals across 1/2/8 workers: {capitals}")
 

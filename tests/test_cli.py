@@ -358,28 +358,32 @@ class TestDensityCommand:
         assert peak_count(emp) >= 2
         assert peak_count(fit) <= 1
 
-    @pytest.mark.parametrize("model", ["normal", "cauchy"])
-    def test_normal_model_is_usage_error(self, pre_file, tmp_path, capsys, model):
+    @pytest.mark.parametrize("power, reason", [
+        ("0", "n must be an integer >= 1, got 0"),
+        ("x", "invalid int value: 'x'"),
+        ("expn:8", "invalid int value: 'expn:8'"),
+    ], ids=["0", "x", "expn:8"])
+    def test_refused_power_says_why(self, pre_file, tmp_path, capsys, power, reason):
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
             run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                 "--model", model, "--out-dir", out])
+                 "--power", power, "--out-dir", out])
         assert exc.value.code == 2
-        line = capsys.readouterr().err.splitlines()[-1]
-        assert line.endswith(f"argument --model: density model must be exp4 or expn:<power>, got {model!r}")
-        assert "normal" not in line.removesuffix(f"got {model!r}")
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --power: {reason}")
         assert not out.exists()
 
-    @pytest.mark.parametrize("model, reason", [
-        ("expn:3", "ExpN power must be a positive even integer, got 3"),
-        ("expn:abc", "bad power in model spec 'expn:abc'"),
-    ], ids=["expn:3", "expn:abc"])
-    def test_refused_power_says_why(self, pre_file, tmp_path, capsys, model, reason):
-        with pytest.raises(SystemExit) as exc:
-            run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                 "--model", model, "--out-dir", tmp_path / "out"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(f"argument --model: {reason}")
+    @pytest.mark.parametrize("power", [3, 8])
+    def test_fit_column_is_the_density_of_the_fitted_power(self, pre_file, tmp_path, power):
+        # any power fit accepts, the odd 3 included
+        out = tmp_path / "out"
+        assert run(["density", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--power", str(power), "--grid-points", "11", "--out-dir", out]) == 0
+        with open(out / "density_data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        losses = [float(v) for v in pre_file.read_text().splitlines()[1:]]
+        params = tt.fit_expn(losses, power).model.params
+        assert params.n == power
+        assert [float(r[1]) for r in rows] == params.pdf(np.array([float(r[0]) for r in rows])).tolist()
 
     @pytest.mark.parametrize("points", ["-3", "0", "1"])
     def test_grid_points_below_two_is_usage_error(self, pre_file, tmp_path, capsys, points):
@@ -423,6 +427,7 @@ COMMA_FILE_OPTION_ERRORS = [
     (["gof", "--scale", "0"], {}, 1, "scale must be finite and > 0, got 0.0"),
     (["gof", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
     (["fit", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
+    (["density", "--power", "0"], {}, 2, "argument --power: n must be an integer >= 1, got 0"),
     (["fit", "--power", "4.0"], {}, 2, "argument --power: invalid int value: '4.0'"),
     (["fit", "--span-years", "-1"], {}, 1, "span_years must be finite and > 0, got -1.0"),
     (["fit", "--span-years", "inf"], {}, 1, "span_years must be finite and > 0, got inf"),
@@ -430,6 +435,7 @@ COMMA_FILE_OPTION_ERRORS = [
     (["compare"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["curve", "--with-capital"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
     (["curve"], {"THINTAIL_THREADS": "abc"}, 1, "THINTAIL_THREADS must be an integer, got 'abc'"),
+    (["capital"], {"THINTAIL_THREADS": "0"}, 1, "THINTAIL_THREADS must be an integer >= 1, got 0"),
 ]
 
 

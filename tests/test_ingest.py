@@ -280,7 +280,7 @@ class TestSummary:
         assert s.mean == pytest.approx((0.1 + 1208.0 + 92.7) / 3)
 
     def test_set_invariants(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 1 loss, got 0$"):
             tt.AggregatedLossSet(losses=(), span_years=1.0)
         with pytest.raises(ValueError):
             tt.AggregatedLossSet(losses=(1.0,), span_years=0.0)
@@ -289,6 +289,41 @@ class TestSummary:
     def test_loss_that_is_not_finite_and_positive_is_refused(self, losses):
         with pytest.raises(ValueError, match="^losses must be finite and > 0$"):
             tt.AggregatedLossSet(losses, span_years=5.0)
+
+    @pytest.mark.parametrize("losses", [np.array([1.0, 2.0]), [1.0, 2.0], (np.float64(1.0), 2)],
+                             ids=["array", "list", "numpy scalar and int"])
+    def test_losses_are_kept_as_a_tuple_of_floats(self, losses):
+        agg = tt.AggregatedLossSet(losses, span_years=5.0)
+        twin = tt.AggregatedLossSet((1.0, 2.0), span_years=5.0)
+        assert agg == twin and hash(agg) == hash(twin)
+        assert [type(value) for value in agg.losses] == [float, float]
+        stats = tt.summary(agg)
+        assert (type(stats.minimum), type(stats.maximum)) == (float, float)
+
+
+class TestByteOrderMark:
+    """A UTF-8 file that starts with a byte-order mark, as Excel's "CSV UTF-8" export writes, reads as its twin."""
+
+    @staticmethod
+    def twins(tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        return plain, marked
+
+    @pytest.mark.parametrize("tail, row_loops", [("", 0), (",,,\n", 2)], ids=["tokenizer", "row loop"])
+    def test_raw_payments(self, tmp_path, monkeypatch, tail, row_loops):
+        text = "amount,date,event_id,category\n12.5,2016-03-01,EV1,CPBP\n3.0,2016-04-01,EV2,\n" + tail
+        plain, marked = self.twins(tmp_path, text)
+        row_loop, ran = ingest._row_loop, []
+        monkeypatch.setattr(ingest, "_row_loop", lambda reader, width: ran.append(width) or row_loop(reader, width))
+        assert tt.parse_csv(marked) == tt.parse_csv(plain)
+        assert len(ran) == row_loops  # a ,,, row sends each file through the row loop
+
+    def test_pre_aggregated(self, tmp_path):
+        plain, marked = self.twins(tmp_path, "amount\n1.5\n2.0\n")
+        assert tt.parse_pre_aggregated(marked) == tt.parse_pre_aggregated(plain) == [1.5, 2.0]
 
 
 

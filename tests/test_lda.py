@@ -162,19 +162,28 @@ class TestRunLda:
         expected = 2.0 * poisson_quantile_by_summation(6.0, 0.999)
         assert abs(res.capital - expected) <= 2.0
 
-    def test_reproducible_across_worker_counts(self):
+    def test_reproducible_across_worker_counts(self, monkeypatch):
         sev = tt.SeverityModel(tt.Exp4Params(1.2), scaling_mean=30.0)
         cfg = tt.LdaConfig(trials=10_000, seed=123)
-        capitals = {
-            workers: tt.run_lda(sev, tt.PoissonFreq(5.0), cfg, workers=workers).capital
-            for workers in (1, 2, 8)
-        }
+        capitals = {}
+        for workers in (1, 2, 8):
+            monkeypatch.setenv("THINTAIL_THREADS", str(workers))
+            capitals[workers] = tt.run_lda(sev, tt.PoissonFreq(5.0), cfg).capital
         assert capitals[1] == capitals[2] == capitals[8]
 
-    @pytest.mark.parametrize("threads, workers", [("0", 1), ("-3", 1), ("2", 2)])
-    def test_threads_env_below_one_is_one_worker(self, monkeypatch, threads, workers):
+    @pytest.mark.parametrize("threads, workers", [(None, 1), ("1", 1), ("2", 2), (" 8 ", 8)])
+    def test_threads_env_is_the_worker_count(self, monkeypatch, threads, workers):
+        if threads is None:
+            monkeypatch.delenv("THINTAIL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("THINTAIL_THREADS", threads)
+        assert _resolve_workers() == workers
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_env_below_one_is_refused(self, monkeypatch, threads):
         monkeypatch.setenv("THINTAIL_THREADS", threads)
-        assert _resolve_workers(None) == workers
+        with pytest.raises(ValueError, match=f"^THINTAIL_THREADS must be an integer >= 1, got {threads}$"):
+            _resolve_workers()
 
     def test_seed_changes_result(self):
         sev = tt.SeverityModel(tt.Exp4Params(1.2))
@@ -295,30 +304,32 @@ class TestSharedPass:
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
     def test_chunks_equal_each_models_own_draws(self, freq):
         sizes = chunk_sizes(freq)  # the last chunk is short
-        counts = _Counts(freq, 5, sum(sizes), keep=True)
+        counts = _Counts(freq, 5)
         for chunk, size in enumerate(sizes):
             for model in MODELS:  # the first model draws the counts, the others restore them
                 expected = own_chunk(model, freq, 5, chunk, size)
                 assert shared_chunk(model, counts, chunk, size).tobytes() == expected.tobytes()
         assert [counts.kept[chunk][1].size for chunk in range(len(sizes))] == sizes
-        lone = _Counts(freq, 5, sum(sizes), keep=False)
+        lone = _Counts(freq, 5)
         assert shared_chunk(MODELS[0], lone, 0, _TRIAL_CHUNK).tobytes() == shared_chunk(
             MODELS[0], counts, 0, _TRIAL_CHUNK).tobytes()
-        assert lone.kept == {}
+        assert list(lone.kept) == [0] and lone.kept[0][1].tobytes() == counts.kept[0][1].tobytes()
 
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
-    def test_results_equal_run_lda_per_model(self, freq):
+    def test_results_equal_run_lda_per_model(self, freq, monkeypatch):
         cfg = tt.LdaConfig(trials=sum(chunk_sizes(freq)), seed=5)
-        expected = [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS]
-        for workers in (1, 2):
-            assert tt.run_lda_many(MODELS, freq, cfg, workers=workers) == expected
+        monkeypatch.setenv("THINTAIL_THREADS", "1")
+        expected = [tt.run_lda(model, freq, cfg) for model in MODELS]
+        for workers in ("1", "2"):
+            monkeypatch.setenv("THINTAIL_THREADS", workers)
+            assert tt.run_lda_many(MODELS, freq, cfg) == expected
 
     def test_chunks_without_events(self):
         freq, trials = tt.PoissonFreq(1e-4), 2 * _TRIAL_CHUNK + 1_808
         sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_808]
         events = [int(freq.draw(_chunk_rng(0, chunk), size).sum()) for chunk, size in enumerate(sizes)]
         assert events == [0, 1, 0]  # chunks 0 and 2 have no events at all
-        counts = _Counts(freq, 0, trials, keep=True)
+        counts = _Counts(freq, 0)
         for chunk, size in enumerate(sizes):
             for model in MODELS:
                 row = shared_chunk(model, counts, chunk, size)
@@ -327,44 +338,41 @@ class TestSharedPass:
         cfg = tt.LdaConfig(trials=trials, seed=0)
         assert tt.run_lda_many(MODELS, freq, cfg) == [tt.run_lda(m, freq, cfg) for m in MODELS]
 
-    def test_counts_of_another_run_are_refused(self):
-        cfg = tt.LdaConfig(trials=5_000, seed=5)
-        counts = _Counts(tt.PoissonFreq(6.0), 5, 5_000, keep=True)
-        for freq, other in [(tt.PoissonFreq(7.0), cfg), (tt.PoissonFreq(6.0), tt.LdaConfig(trials=5_000, seed=6)),
-                            (tt.PoissonFreq(6.0), tt.LdaConfig(trials=6_000, seed=5))]:
-            with pytest.raises(ValueError, match="counts were drawn for another"):
-                tt.run_lda(MODELS[0], freq, other, counts=counts)
-
-    def test_kept_counts_take_their_narrowest_width(self, records):
+    def test_kept_counts_take_their_narrowest_width(self, records, monkeypatch):
         # int64 counts would take 8 bytes a trial; lambda = 60 keeps 1, lambda = 300 keeps 2
         cfg = tt.LdaConfig(trials=_TRIAL_CHUNK + 1_000, seed=2)
+        monkeypatch.setenv("THINTAIL_THREADS", "1")
         for lam, width in [(60.0, 1), (300.0, 2)]:
-            tt.run_lda_many(MODELS[:2], tt.PoissonFreq(lam), cfg, workers=1)
+            tt.run_lda_many(MODELS[:2], tt.PoissonFreq(lam), cfg)
             kept = [counts for _, counts in records[-1].kept.values()]
             assert sum(map(len, kept)) == cfg.trials
             assert [counts.itemsize for counts in kept] == [width] * len(kept)
 
-    def test_models_of_a_run_reuse_its_draws_buffers(self, records):
+    def test_models_of_a_run_reuse_its_draws_buffers(self, records, monkeypatch):
         # three full chunks at lambda = 60 draw 245,760 +- 1,500 severities each, far inside a
         # buffer's eighth of headroom, so no buffer is regrown once it is made
         cfg, freq = tt.LdaConfig(trials=3 * _TRIAL_CHUNK, seed=4), tt.PoissonFreq(60.0)
-        results = tt.run_lda_many(MODELS[:3], freq, cfg, workers=2)
+        monkeypatch.setenv("THINTAIL_THREADS", "2")
+        results = tt.run_lda_many(MODELS[:3], freq, cfg)
         (record,) = records
         used = {id(buffer) for buffer in record.used}  # record.used keeps each buffer, so ids stay unique
         assert len(record.used) == 3 * 3 and len(used) <= 2
         free = [record.buffers.get() for _ in range(record.buffers.qsize())]
         assert 1 <= len(free) <= 2 and {id(buffer) for buffer in free} <= used
-        assert results == [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS[:3]]
+        monkeypatch.setenv("THINTAIL_THREADS", "1")
+        assert results == [tt.run_lda(model, freq, cfg) for model in MODELS[:3]]
 
-    def test_shared_buffers_under_frequent_thread_switches(self, records):
+    def test_shared_buffers_under_frequent_thread_switches(self, records, monkeypatch):
         # four workers on two cores, switching every microsecond: a buffer handed to two chunks
         # at once would mix their draws and change the capitals
         cfg, freq = tt.LdaConfig(trials=8 * _TRIAL_CHUNK, seed=6), tt.PoissonFreq(8.0)
-        expected = [tt.run_lda(model, freq, cfg, workers=1) for model in MODELS[:3]]
+        monkeypatch.setenv("THINTAIL_THREADS", "1")
+        expected = [tt.run_lda(model, freq, cfg) for model in MODELS[:3]]
+        monkeypatch.setenv("THINTAIL_THREADS", "4")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = tt.run_lda_many(MODELS[:3], freq, cfg, workers=4)
+            results = tt.run_lda_many(MODELS[:3], freq, cfg)
         finally:
             sys.setswitchinterval(interval)
         assert results == expected
@@ -394,17 +402,18 @@ class TestSharedPass:
             tracemalloc.stop()
         assert peak < 1.25 * draws_bytes
 
-    def test_many_models_hold_one_annual_array_at_a_time(self):
+    def test_many_models_hold_one_annual_array_at_a_time(self, monkeypatch):
         # 9 models at 40,000 trials: a (models, trials) array alone would be 9 trials' worth
-        # of 8-byte values.  The count pass, one model's annual losses and np.quantile's
-        # copy of them peak at about 3.1 (2.1 for nine run_lda calls, with no count pass).
+        # of 8-byte values.  The kept counts, one model's annual losses and np.quantile's
+        # copy of them peak at about 2.45, as nine run_lda calls, each keeping its own counts, do.
         trials, freq = 40_000, tt.PoissonFreq(2.0)
         cfg = tt.LdaConfig(trials=trials, seed=1)
         models = [tt.SeverityModel(tt.ExpNParams(1.0, n), 10.0) for n in range(2, 20, 2)]
-        tt.run_lda_many(models[:1], freq, cfg, workers=1)  # warm up
+        monkeypatch.setenv("THINTAIL_THREADS", "1")
+        tt.run_lda_many(models[:1], freq, cfg)  # warm up
         tracemalloc.start()
         try:
-            tt.run_lda_many(models, freq, cfg, workers=1)
+            tt.run_lda_many(models, freq, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

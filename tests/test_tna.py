@@ -229,6 +229,24 @@ class TestTnaTest:
         assert tt.TnaResult(t5, 30, 0).reject == decisions
         assert decisions_for_area(np.nextafter(t5, 1.0))[5.0] is True
 
+    @pytest.mark.parametrize("area", [0.0, 0.01, 0.0282, 0.05, 0.0682, 0.08, 0.5])
+    def test_rejected_at_any_level_compares_with_its_critical_value(self, area):
+        result = tt.TnaResult(area, 30, 3)
+        assert {level: result.rejected_at(level) for level in (1.0, 5.0, 10.0)} == result.reject
+        for level in (0.5, 2.5, 7.5, 50.0):
+            assert result.rejected_at(level) is (area > tt.critical_value(level))
+        assert tt.TnaResult(0.05, 30, 3).rejected_at(2.5)
+
+    @pytest.mark.parametrize("level", [0.0, 100.0, -5.0, 150.0, math.nan])
+    def test_rejected_at_refuses_a_level_outside_0_100(self, level):
+        with pytest.raises(ValueError, match="^level_percent must lie in \\(0, 100\\)"):
+            tt.TnaResult(0.05, 30, 3).rejected_at(level)
+
+    @pytest.mark.parametrize("area", [-0.1, 0.6, math.nan])
+    def test_rejected_at_refuses_an_area_decisions_refuse(self, area):
+        with pytest.raises(ValueError, match="^area must lie in \\[0, 1/2\\]"):
+            tt.TnaResult(area, 30, 3).rejected_at(2.5)
+
     def test_statistic_scale_invariance_binary_exact(self):
         rng = np.random.default_rng(31)
         losses = tt.Exp4Params(1.2).sample(25, rng) * 40.0
