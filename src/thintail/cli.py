@@ -37,7 +37,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .dist import ExpNParams, NormalParams, _require_int, _require_positive, check_even_power, check_power
+from .dist import (ExpNParams, NormalParams, _require_int, _require_positive, _resolve_workers, check_even_power,
+                   check_power)
 from .fit import fit_expn, scale_losses
 from .ingest import (
     AggregatedLossSet,
@@ -51,7 +52,6 @@ from .lda import (
     NegativeBinomialFreq,
     NormalApproxFreq,
     PoissonFreq,
-    _resolve_workers,
     annual_frequency,
     compare_models,
     parse_model_spec,
@@ -449,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args, argv)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

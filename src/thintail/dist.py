@@ -60,8 +60,10 @@ second array of ``count`` doubles is made.  The draws are made in place
 Inverse-CDF draws are the quantile of uniforms, ``quantile(rng.random(count))``.
 
 Distribution parameter objects are immutable.  Sampling takes an
-explicit ``numpy.random.Generator``; callers own their streams, and
-parallel use requires independently seeded substreams.
+explicit ``numpy.random.Generator``; callers own their streams.  Every
+simulation runs on one seeded chunk grid, ``_run_chunks``: chunk k draws
+from its own SFC64 stream, the seed's ``SeedSequence`` at spawn key (k,),
+on THINTAIL_THREADS workers, so its values never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -505,3 +509,30 @@ class SeverityModel:
         out = self.params.sample(count, rng, out)
         out *= self.scaling_mean
         return out
+
+
+# ---------------------------------------------------------------------------
+# the seeded chunk grid every simulation runs on
+# ---------------------------------------------------------------------------
+
+def _resolve_workers() -> int:
+    """THINTAIL_THREADS, the simulation worker count: an integer >= 1, and 1 when it is unset."""
+    text = os.environ.get("THINTAIL_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ValueError(f"THINTAIL_THREADS must be an integer, got {text!r}") from None
+    return _require_int("THINTAIL_THREADS", workers, 1)
+
+
+def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
+    # spawn key (chunk,) gives each chunk the stream SeedSequence.spawn would hand it
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+
+
+def _run_chunks(seed: int, out: np.ndarray, rows: int, fill) -> None:
+    """``fill(k, _chunk_rng(seed, k), out[k * rows : (k + 1) * rows])`` for every chunk k of ``out``,
+    on a pool of THINTAIL_THREADS workers: ``out`` never depends on the worker count."""
+    with ThreadPoolExecutor(max_workers=_resolve_workers()) as pool:
+        list(pool.map(lambda k: fill(k, _chunk_rng(seed, k), out[k * rows : (k + 1) * rows]),
+                      range(-(-len(out) // rows))))

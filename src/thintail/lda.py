@@ -6,21 +6,18 @@ draws z severities (in mEUR, after de-scaling), and sums them; the
 capital is the percentile of the simulated annual losses, estimated by
 linear interpolation between order statistics.
 
-Reproducibility contract: trials are partitioned into fixed-size
-chunks, each driven by its own SFC64 stream seeded from
-``SeedSequence(seed, spawn_key=(chunk,))``, numpy's independent
-parallel streams; one thread pool of THINTAIL_THREADS workers fills
-them, whatever the count.  A chunk draws its event counts first and
-then its severities from the stream state right after the counts, and
-the run's record (``_Counts``) keeps both.  ``run_lda_many``, which
-``compare`` and ``curve --with-capital`` call once for all their
-models, runs ``run_lda`` per model on one record: the first run draws
-each chunk's counts, and the later runs restore them with that state.
-The record also holds the draws buffers, so one run allocates its
-simulation memory once, not once per model.  A model's annual-loss
-array therefore depends only on (seed, trials) — never on the worker
-count, the scheduling or the other models of the run — and the capital
-is bit-identical for 1 or many workers.
+Reproducibility contract: trials run in chunks of 4096 on the one seeded
+chunk grid, ``dist._run_chunks``, each on its own stream.  A chunk draws
+its event counts first and then its severities from the stream state
+right after the counts, and the run's record (``_Counts``) keeps both.
+``run_lda_many``, which ``compare`` and ``curve --with-capital`` call
+once for all their models, runs ``run_lda`` per model on one record: the
+first run draws each chunk's counts, and the later runs restore them
+with that state.  The record also holds the draws buffers, so one run
+allocates its simulation memory once, not once per model.  A model's
+annual-loss array therefore depends only on (seed, trials) — never on
+the worker count, the scheduling or the other models of the run — and
+the capital is bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
@@ -31,16 +28,14 @@ percentiles is below 1% of the capital.
 from __future__ import annotations
 
 import math
-import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import (NormalParams, SeverityModel, _positive_fields, _require_between, _require_int, _require_losses,
-                   _require_positive, check_even_power)
+                   _require_positive, _run_chunks, check_even_power)
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -150,11 +145,6 @@ def annual_frequency(loss_count: int, years: float) -> float:
     return _require_int("loss_count", loss_count, 1) / _require_positive("years", years)
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    # spawn key (chunk,) gives each chunk the stream SeedSequence.spawn would hand it
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
-
-
 def _chunk_losses(severity: SeverityModel, rng: np.random.Generator, counts: np.ndarray, out: np.ndarray,
                   draws: np.ndarray) -> None:
     """Annual losses of one chunk into ``out``: each trial's severities, drawn from ``rng``, summed.
@@ -176,31 +166,29 @@ class _Counts:
     """The simulation memory of one run: each chunk's event counts, the
     first draws of its stream, and the draws buffers its chunks fill.
 
-    A chunk's first run draws its counts and keeps them, at the narrowest
-    unsigned width that holds them (1 byte a trial up to 255 events, 2 up
-    to 65,535), with the stream state right after them; every later run
-    of the chunk restores that state instead of drawing again.  The draws
-    buffers are a free list: a chunk takes one, fills it and gives it
-    back, so every model of the run reuses the same buffers, one per
-    worker at most.
+    A chunk's first run draws its counts from the stream the grid hands
+    it and keeps them, at the narrowest unsigned width that holds them
+    (1 byte a trial up to 255 events, 2 up to 65,535), with the stream
+    state right after them; every later run of the chunk restores that
+    state into its stream instead of drawing again.  The draws buffers
+    are a free list: a chunk takes one, fills it and gives it back, so
+    every model of the run reuses the same buffers, one per worker at most.
     """
 
-    def __init__(self, freq: FrequencyModel, seed: int):
+    def __init__(self, freq: FrequencyModel):
         self.freq = freq
-        self.seed = seed
         self.kept: dict[int, tuple[dict, np.ndarray]] = {}
         self.buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
 
-    def stream(self, chunk: int, size: int) -> tuple[np.random.Generator, np.ndarray]:
-        """The chunk's stream, positioned after its ``size`` counts, and the counts as int64."""
-        rng = _chunk_rng(self.seed, chunk)
+    def stream(self, chunk: int, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The chunk's ``size`` counts as int64, with its stream ``rng`` moved to the state after them."""
         if chunk in self.kept:
             state, counts = self.kept[chunk]
             rng.bit_generator.state = state
-            return rng, counts.astype(np.int64)
+            return counts.astype(np.int64)
         counts = np.asarray(self.freq.draw(rng, size), dtype=np.int64)
         self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
-        return rng, counts
+        return counts
 
     @contextmanager
     def draws(self, size: int):
@@ -223,16 +211,6 @@ class _Counts:
             self.buffers.put(buffer)
 
 
-def _resolve_workers() -> int:
-    """THINTAIL_THREADS, the simulation worker count: an integer >= 1, and 1 when it is unset."""
-    text = os.environ.get("THINTAIL_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        raise ValueError(f"THINTAIL_THREADS must be an integer, got {text!r}") from None
-    return _require_int("THINTAIL_THREADS", workers, 1)
-
-
 def run_lda(
     severity: SeverityModel,
     freq: FrequencyModel,
@@ -242,24 +220,22 @@ def run_lda(
 ) -> CapitalResult:
     """Simulate annual aggregate losses and return the capital percentile.
 
-    A pool of THINTAIL_THREADS worker threads (default 1) fills the fixed
-    chunk grid; results are bit-identical for any count.  Each chunk
-    draws its counts first, then the severities; ``_run`` is the record
-    of them, with the draws buffers, that ``run_lda_many`` shares among
-    its models.  A lone run keeps its counts too: about 1 byte a trial.
+    The chunks run on ``dist._run_chunks``, the one seeded chunk grid,
+    with THINTAIL_THREADS workers (default 1); results are bit-identical
+    for any count.  Each chunk draws its counts first, then the
+    severities, from the stream the grid hands it; ``_run`` is the record
+    of the counts, with the draws buffers, that ``run_lda_many`` shares
+    among its models.  A lone run keeps its counts too: about 1 byte a trial.
     """
-    trials = int(cfg.trials)
-    run = _Counts(freq, cfg.seed) if _run is None else _run
-    annual = np.empty(trials, dtype=float)
+    run = _Counts(freq) if _run is None else _run
+    annual = np.empty(int(cfg.trials), dtype=float)
 
-    def fill(chunk: int):
-        out = annual[chunk * _TRIAL_CHUNK : (chunk + 1) * _TRIAL_CHUNK]
-        rng, drawn = run.stream(chunk, out.size)
-        with run.draws(int(drawn.sum()) + 1) as draws:
-            _chunk_losses(severity, rng, drawn, out, draws)
+    def fill(chunk: int, rng: np.random.Generator, out: np.ndarray):
+        counts = run.stream(chunk, rng, out.size)
+        with run.draws(int(counts.sum()) + 1) as draws:
+            _chunk_losses(severity, rng, counts, out, draws)
 
-    with ThreadPoolExecutor(max_workers=_resolve_workers()) as pool:
-        list(pool.map(fill, range((trials + _TRIAL_CHUNK - 1) // _TRIAL_CHUNK)))
+    _run_chunks(cfg.seed, annual, _TRIAL_CHUNK, fill)
 
     if not np.isfinite(annual).all():
         raise RuntimeError("annual loss sums overflowed; check severity parameters")
@@ -277,7 +253,7 @@ def run_lda_many(severities, freq: FrequencyModel, cfg: LdaConfig = LdaConfig())
     per worker (about 2 MB at lambda = 60) and one model's annual losses
     are held at a time, however many models there are.
     """
-    run = _Counts(freq, cfg.seed)
+    run = _Counts(freq)
     return [run_lda(severity, freq, cfg, _run=run) for severity in severities]
 
 

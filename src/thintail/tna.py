@@ -23,7 +23,8 @@ n = 10, 0.25 for n = 30, 0.046 for n = 75 and 0.0008 for n = 200.
 specified continuous model: the statistic is then distribution-free,
 its law depends only on n, and sqrt(n) times the area tends to the
 integral of |B(t)| for a Brownian bridge B (Shepp, Ann. Probab. 10
-(1982) 234-239).  It is simulated on demand; no fit, ``tna_test`` or
+(1982) 234-239).  It is simulated on demand on the seeded chunk grid
+(``dist._run_chunks``) from one fixed seed; no fit, ``tna_test`` or
 command uses it.
 """
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import _require_between, _require_int, _require_losses, _require_real
+from .dist import _require_between, _require_int, _require_losses, _require_real, _run_chunks
 
 __all__ = [
     "TnaResult",
@@ -173,7 +174,7 @@ def decisions_for_area(area: float) -> dict[float, bool]:
     return {level: bool(area > critical_value(level)) for level in DEFAULT_LEVELS}
 
 
-_NULL_KEY = 0x7468696E7461696C  # fixed Philox key ("thintail"): no caller stream is touched
+_NULL_SEED = 0x7468696E7461696C  # fixed chunk-grid seed ("thintail"): no caller stream is touched
 _NULL_REPLICATIONS = 100_000  # MC error of the attained size below 0.1 pp
 _NULL_CHUNK_POINTS = 1 << 18  # uniforms per chunk, to bound memory for large n
 
@@ -181,14 +182,14 @@ _NULL_CHUNK_POINTS = 1 << 18  # uniforms per chunk, to bound memory for large n
 def null_critical_value(level_percent: float, n_points: int) -> float:
     """Upper ``level_percent`` point of the area's null law for ``n_points`` points.
 
-    Under a fully specified continuous model F(x_i) are sorted uniforms,
-    so the law depends only on ``n_points``.  The value is the empirical
-    quantile of 100,000 simulated areas from a fixed-key stream, simulated
-    on first use and cached per n, so every level at one n reads the same
-    areas.  Each cached n holds 0.8 MB; the 8 most recently used n are
-    kept.  Rejecting when the area strictly exceeds it gives a test of
-    size ``level_percent``.  A fitted scale needs a parametric bootstrap
-    instead.
+    Under a fully specified continuous model F(x_i) are sorted uniforms, so
+    the law depends only on ``n_points``.  The value is the empirical quantile
+    of 100,000 areas simulated from one fixed seed on the seeded chunk grid,
+    the same for any THINTAIL_THREADS, on first use and cached per n, so every
+    level at one n reads the same areas.  Each cached n holds 0.8 MB; the 8
+    most recently used n are kept.  Rejecting when the area strictly exceeds
+    it gives a test of size ``level_percent``.  A fitted scale needs a
+    parametric bootstrap instead.
     """
     level = _require_between("level_percent", level_percent, 0, 100)
     return float(np.quantile(_null_areas(_require_int("n_points", n_points, 2)), 1.0 - level / 100.0))
@@ -197,14 +198,13 @@ def null_critical_value(level_percent: float, n_points: int) -> float:
 @functools.lru_cache(maxsize=8)
 def _null_areas(n: int) -> np.ndarray:
     """The areas of 100,000 sorted-uniform samples of ``n`` points, read-only."""
-    rng = np.random.Generator(np.random.Philox(key=_NULL_KEY))
     ys = (np.arange(1, n + 1) - 0.5) / n
-    rows = max(1, _NULL_CHUNK_POINTS // n)
     areas = np.empty(_NULL_REPLICATIONS)
-    for start in range(0, _NULL_REPLICATIONS, rows):
-        stop = min(start + rows, _NULL_REPLICATIONS)
-        uniforms = np.sort(rng.random((stop - start, n)), axis=-1)
-        areas[start:stop] = _polyline_areas(uniforms, ys)[0]
+
+    def fill(chunk: int, rng: np.random.Generator, out: np.ndarray):
+        out[:] = _polyline_areas(np.sort(rng.random((out.size, n)), axis=-1), ys)[0]
+
+    _run_chunks(_NULL_SEED, areas, max(1, _NULL_CHUNK_POINTS // n), fill)
     areas.flags.writeable = False
     return areas
 

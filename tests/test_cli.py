@@ -144,6 +144,20 @@ class TestCapitalCommand:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_is_an_error_line(self, pre_file, tmp_path, capsys, monkeypatch):
+        # numpy's allocation failure is a MemoryError; raising one here keeps the host's memory out of it
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000000,) and data type float64")
+
+        monkeypatch.setattr("thintail.cli.run_lda", no_memory)
+        out = tmp_path / "out"
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--trials", "3000000000", "--out-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: Unable to allocate 22.4 GiB for an array with shape "
+                                           "(3000000000,) and data type float64\n")
+        assert not out.exists()
+
     def test_event_mode_pipeline(self, event_file, tmp_path):
         out = tmp_path / "out"
         code = run(["capital", "--input", event_file, "--mode", "event",

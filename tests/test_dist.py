@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
-from thintail.dist import _expn_cdf, check_even_power, check_power
+from thintail.dist import _chunk_rng, _expn_cdf, _run_chunks, check_even_power, check_power
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -715,3 +715,20 @@ def test_sample_count_that_is_not_an_integer_is_refused(draw, count):
     with pytest.raises(ValueError, match=f"^count must be an integer >= [01], got {re.escape(repr(count))}$"):
         draw(count, np.random.default_rng(0))
     assert draw(np.int64(3), np.random.default_rng(0)).shape == (3,)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("length, rows, sizes", [(10, 4, [4, 4, 2]), (8, 4, [4, 4]), (3, 4, [3])])
+def test_chunk_grid_hands_every_row_to_one_fill(monkeypatch, workers, length, rows, sizes):
+    # a short last chunk, a whole number of chunks, and an out shorter than one chunk
+    monkeypatch.setenv("THINTAIL_THREADS", workers)
+    out = np.zeros(length)
+    calls = []
+
+    def fill(chunk, rng, rows_out):
+        calls.append((chunk, rows_out.size, rng.random()))
+        rows_out += 1.0
+
+    _run_chunks(11, out, rows, fill)
+    assert sorted(calls) == [(k, size, _chunk_rng(11, k).random()) for k, size in enumerate(sizes)]
+    assert (out == 1.0).all()

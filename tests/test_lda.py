@@ -10,7 +10,8 @@ import pytest
 
 import thintail as tt
 from thintail import lda
-from thintail.lda import _TRIAL_CHUNK, _chunk_losses, _chunk_rng, _Counts, _resolve_workers, parse_model_spec
+from thintail.dist import _chunk_rng, _resolve_workers
+from thintail.lda import _TRIAL_CHUNK, _chunk_losses, _Counts, parse_model_spec
 
 
 def poisson_quantile_by_summation(lam: float, p: float) -> int:
@@ -268,9 +269,10 @@ def own_chunk(severity, freq, seed: int, chunk: int, size: int) -> np.ndarray:
     return sums
 
 
-def shared_chunk(severity, counts, chunk: int, size: int) -> np.ndarray:
+def shared_chunk(severity, counts, seed: int, chunk: int, size: int) -> np.ndarray:
     """One chunk's annual losses as ``run_lda`` draws them with the record ``counts``."""
-    rng, drawn = counts.stream(chunk, size)
+    rng = _chunk_rng(seed, chunk)
+    drawn = counts.stream(chunk, rng, size)
     out = np.full(size, np.nan)
     _chunk_losses(severity, rng, drawn, out, np.full(int(drawn.sum()) + 1, np.nan))
     return out
@@ -304,15 +306,15 @@ class TestSharedPass:
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
     def test_chunks_equal_each_models_own_draws(self, freq):
         sizes = chunk_sizes(freq)  # the last chunk is short
-        counts = _Counts(freq, 5)
+        counts = _Counts(freq)
         for chunk, size in enumerate(sizes):
             for model in MODELS:  # the first model draws the counts, the others restore them
                 expected = own_chunk(model, freq, 5, chunk, size)
-                assert shared_chunk(model, counts, chunk, size).tobytes() == expected.tobytes()
+                assert shared_chunk(model, counts, 5, chunk, size).tobytes() == expected.tobytes()
         assert [counts.kept[chunk][1].size for chunk in range(len(sizes))] == sizes
-        lone = _Counts(freq, 5)
-        assert shared_chunk(MODELS[0], lone, 0, _TRIAL_CHUNK).tobytes() == shared_chunk(
-            MODELS[0], counts, 0, _TRIAL_CHUNK).tobytes()
+        lone = _Counts(freq)
+        assert shared_chunk(MODELS[0], lone, 5, 0, _TRIAL_CHUNK).tobytes() == shared_chunk(
+            MODELS[0], counts, 5, 0, _TRIAL_CHUNK).tobytes()
         assert list(lone.kept) == [0] and lone.kept[0][1].tobytes() == counts.kept[0][1].tobytes()
 
     @pytest.mark.parametrize("freq", list(FREQUENCIES.values()), ids=list(FREQUENCIES))
@@ -329,10 +331,10 @@ class TestSharedPass:
         sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_808]
         events = [int(freq.draw(_chunk_rng(0, chunk), size).sum()) for chunk, size in enumerate(sizes)]
         assert events == [0, 1, 0]  # chunks 0 and 2 have no events at all
-        counts = _Counts(freq, 0)
+        counts = _Counts(freq)
         for chunk, size in enumerate(sizes):
             for model in MODELS:
-                row = shared_chunk(model, counts, chunk, size)
+                row = shared_chunk(model, counts, 0, chunk, size)
                 assert row.tobytes() == own_chunk(model, freq, 0, chunk, size).tobytes()
                 assert (row == 0.0).all() == (events[chunk] == 0)
         cfg = tt.LdaConfig(trials=trials, seed=0)

@@ -308,6 +308,24 @@ class TestNullCriticalValue:
         assert values == [float(np.quantile(_null_areas(17), 1.0 - level / 100.0)) for level in (1.0, 5.0, 10.0)]
         assert not _null_areas(17).flags.writeable
 
+    def test_same_for_any_worker_count(self, monkeypatch):
+        from thintail.tna import _null_areas
+
+        values = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("THINTAIL_THREADS", workers)
+            _null_areas.cache_clear()
+            values.append(tt.null_critical_value(5.0, 12))
+        assert values[0] == values[1]
+
+    def test_bad_threads_env_names_itself(self, monkeypatch):
+        from thintail.tna import _null_areas
+
+        monkeypatch.setenv("THINTAIL_THREADS", "abc")
+        _null_areas.cache_clear()
+        with pytest.raises(ValueError, match="^THINTAIL_THREADS must be an integer, got 'abc'$"):
+            tt.null_critical_value(5.0, 12)
+
     @pytest.mark.parametrize("n", [10, 30, 100])
     def test_root_n_scaling_at_5pc(self, n):
         assert 0.55 <= math.sqrt(n) * tt.null_critical_value(5.0, n) <= 0.59
