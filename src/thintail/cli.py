@@ -210,7 +210,7 @@ def _load_losses(args) -> AggregatedLossSet:
     if args.mode == "pre":
         if span is None:
             raise ValueError("--mode pre requires --span-years")
-        return AggregatedLossSet(parse_pre_aggregated(path), span, label, "pre-aggregated")
+        return AggregatedLossSet(parse_pre_aggregated(path), span, label)
     loss_set = aggregate(parse_csv(path, permissive=args.permissive), mode=args.mode, label=label)
     return loss_set if span is None else replace(loss_set, span_years=span)
 
@@ -257,7 +257,7 @@ def _tna_fields(tna: TnaResult) -> dict:
     """Area, attained significance, and the decisions ``tna_test`` took keyed '1%', '5%', '10%'."""
     return {
         "tna_area": tna.area,
-        "attained_significance": invert_significance(min(tna.area, 0.5)),
+        "attained_significance": invert_significance(tna.area),
         "reject": {f"{level:g}%": rejected for level, rejected in tna.reject.items()},
     }
 
@@ -289,7 +289,6 @@ def _fit_payload(loss_set: AggregatedLossSet, power: int) -> tuple[dict, object]
         "scaling_mean": result.scaling_mean,
         **_tna_fields(result.tna),
         "evaluations": result.evaluations,
-        "converged": result.converged,
         "at_boundary": result.at_boundary,
     }
     return payload, result

@@ -297,7 +297,7 @@ class ExpNParams(SeverityParams):
 
     def __post_init__(self):
         _positive_fields(self, "s")
-        check_power(self.n)
+        object.__setattr__(self, "n", check_power(self.n))
 
     def _pdf(self, x):
         log_norm = math.log(self.s) + math.log(2.0) / self.n + math.lgamma(1.0 + 1.0 / self.n)

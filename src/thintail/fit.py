@@ -58,10 +58,10 @@ class FitResult:
 
     ``s_hat`` is the scale on the mean-scaled axis; multiply by
     ``scaling_mean`` (property ``s_hat_raw``) for loss units.  The search
-    stops only once its bracket is narrower than the tolerance, so
-    ``converged`` is false exactly when ``s_hat`` lies within the
-    tolerance of an end of the search bracket (``at_boundary``): no
-    interior minimum was found.
+    stops only once its bracket is narrower than the tolerance, so the
+    one flag is ``at_boundary``: true exactly when ``s_hat`` lies within
+    the tolerance of an end of the search bracket, where no interior
+    minimum was found.
     """
 
     s_hat: float
@@ -70,10 +70,6 @@ class FitResult:
     tna: TnaResult
     evaluations: int
     at_boundary: bool
-
-    @property
-    def converged(self) -> bool:
-        return not self.at_boundary
 
     @property
     def s_hat_raw(self) -> float:
@@ -92,7 +88,10 @@ def scale_losses(losses) -> tuple[np.ndarray, float]:
 
 
 def fit_expn(losses, n: int = 4) -> FitResult:
-    """Fit ExpN(s, n) to mean-scaled ``losses`` by minimizing the enclosed area."""
+    """Fit ExpN(s, n) to mean-scaled ``losses`` by minimizing the enclosed area.
+
+    A scale at an end of the search bracket sets ``at_boundary`` and warns.
+    """
     return _fit(losses, [n])[0]
 
 

@@ -25,12 +25,14 @@ prove that the row loop reads the text the same way (a field that fills
 its width, text outside Latin-1, a NUL or a ``\\x1c``-``\\x1f`` anywhere,
 which numpy and ``float`` read differently), it raises ``ValueError``
 and the same rows are read again by a per-row loop over ``csv.reader``.
-That loop is the only producer of :class:`LossCsvError` diagnostics, so
-their messages and line numbers (the CSV record number, header = line 1)
-do not depend on the tokenizer.  It is also the general path for rows the schema allows
+That loop is the only producer of :class:`LossCsvError` diagnostics for
+rows, so their messages and line numbers (the CSV record number, header =
+line 1) do not depend on the tokenizer.  It is also the general path for rows the schema allows
 but the tokenizer refuses: blank rows of delimiters such as ``,,,``,
 whitespace-only lines, and rows with fewer fields than the header.  A
-text stream that cannot seek back is read by the row loop alone.
+text stream that cannot seek back is read by the row loop alone.  Bytes
+that are not UTF-8 fail in either path, and ``_text`` names the line of
+the first one.
 
 :func:`aggregate` groups a table by integer keys (event-id rank, or a
 month/quarter/year index derived from the day ordinals) with one stable
@@ -45,7 +47,7 @@ import csv
 import io
 import math
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
@@ -56,7 +58,6 @@ import numpy as np
 from .dist import _positive_fields, _require_losses
 
 __all__ = [
-    "BASEL_CATEGORIES",
     "LossRecord",
     "LossTable",
     "AggregatedLossSet",
@@ -173,7 +174,6 @@ class AggregatedLossSet:
     losses: tuple[float, ...]
     span_years: float
     label: str = ""
-    aggregation_mode: str = "pre-aggregated"
 
     def __post_init__(self):
         # stored as a tuple of floats, whatever sequence is given; one loss is a set, the fits ask for 2
@@ -183,14 +183,32 @@ class AggregatedLossSet:
 
 @contextmanager
 def _text(source):
-    """A text stream over ``source``; a path is opened (and closed) here, dropping a UTF-8 byte-order mark."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as handle:
-            yield handle
-    elif isinstance(source, io.TextIOBase):
-        yield source
-    else:
+    """A text stream over ``source``; a path is opened (and closed) here, dropping a UTF-8 byte-order mark.
+
+    Text that does not decode raises :class:`LossCsvError`; for a path it names the line of the first bad byte.
+    """
+    path = isinstance(source, (str, Path))
+    if not path and not isinstance(source, io.TextIOBase):
         raise TypeError(f"expected a path or text stream, got {type(source)!r}")
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") if path else nullcontext(source) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        raise LossCsvError([f"line {_first_bad_line(source)}: not UTF-8 text" if path else "not UTF-8 text"]) from None
+
+
+def _first_bad_line(path) -> int:
+    """The line of ``path`` that holds its first byte that is not UTF-8; a line ends at LF, CR LF or CR.
+    No UTF-8 sequence holds an LF byte, so each LF-ended piece decodes on its own."""
+    lineno = 1
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno + line.count(b"\r", 0, exc.start)
+            lineno += line.endswith(b"\n") + line.count(b"\r") - line.endswith(b"\r\n")
+    return lineno
 
 
 class _Days(dict):
@@ -445,10 +463,8 @@ def aggregate(table: LossTable | list[LossRecord], mode: str, label: str = "") -
         rank = np.empty(len(table.event_ids), dtype=np.int64)
         rank[sorted(range(len(table.event_ids)), key=table.event_ids.__getitem__)] = np.arange(len(rank))
         keys = rank[table.event_codes]
-        mode_name = "by-event"
     elif mode.startswith("period:"):
         keys = _period_keys(table.days, mode.split(":", 1)[1])
-        mode_name = "by-period"
     else:
         raise ValueError(f"mode must be 'event' or 'period:<granularity>', got {mode!r}")
 
@@ -460,12 +476,7 @@ def aggregate(table: LossTable | list[LossRecord], mode: str, label: str = "") -
     amounts = table.amounts[np.argsort(keys, kind="stable")].tolist()
     sums = [math.fsum(amounts[lo:hi]) for lo, hi in zip([0, *ends[:-1]], ends)]
 
-    return AggregatedLossSet(
-        losses=sums,
-        span_years=span_years_of(table),
-        label=label,
-        aggregation_mode=mode_name,
-    )
+    return AggregatedLossSet(losses=sums, span_years=span_years_of(table), label=label)
 
 
 class LossSummary(NamedTuple):

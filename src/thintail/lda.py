@@ -43,17 +43,13 @@ __all__ = [
     "PoissonFreq",
     "NegativeBinomialFreq",
     "NormalApproxFreq",
-    "FrequencyModel",
     "LdaConfig",
     "CapitalResult",
-    "ModelComparison",
-    "ComparisonRow",
     "annual_frequency",
     "run_lda",
     "run_lda_many",
     "compare_models",
     "percentile_vs_n",
-    "parse_model_spec",
 ]
 
 _TRIAL_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on workers
@@ -122,9 +118,11 @@ class LdaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int("trials", self.trials, 1000)
-        _require_between("percentile", self.percentile, 0, 1)
-        if _require_int("seed", self.seed, 0) >= 2**128:  # the seed range the CLI documents
+        # stored as the int and float the checks return, so a numpy scalar never reaches a report
+        object.__setattr__(self, "trials", _require_int("trials", self.trials, 1000))
+        object.__setattr__(self, "percentile", _require_between("percentile", self.percentile, 0, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
+        if self.seed >= 2**128:  # the seed range the CLI documents
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
 
 

@@ -14,7 +14,8 @@ A(p) = 2*sqrt(2)*p*(1 - sqrt(2)*p) (``significance_area``).  Every
 decision is two-tailed: ``critical_value`` at p% is A(p/200); a
 one-tailed value is ``significance_area(p / 100)``.  The null hypothesis
 "the data follow the candidate distribution" is rejected at p% when the
-statistic strictly exceeds the critical value.  A(p) is a sample-size-free threshold, not a test of
+statistic strictly exceeds the critical value; ``TnaResult.rejected_at``
+is that one rule.  A(p) is a sample-size-free threshold, not a test of
 size p: under a fully specified null the area shrinks like 1/sqrt(n),
 and A(0.025) = 0.0682 rejects true-model samples at a rate of 0.64 for
 n = 10, 0.25 for n = 30, 0.046 for n = 75 and 0.0008 for n = 200.
@@ -40,13 +41,11 @@ from .dist import _require_between, _require_int, _require_losses, _require_real
 
 __all__ = [
     "TnaResult",
-    "DEFAULT_LEVELS",
     "empirical_from_losses",
     "enclosed_area",
     "significance_area",
     "critical_value",
     "invert_significance",
-    "decisions_for_area",
     "null_critical_value",
     "tna_test",
 ]
@@ -59,8 +58,12 @@ DEFAULT_LEVELS = (1.0, 5.0, 10.0)
 class TnaResult:
     """Enclosed-area statistic with the standard accept/reject decisions.
 
-    ``reject`` maps the two-tailed level in percent to True when the
-    null is rejected there (area strictly above the critical value).
+    ``rejected_at(level)`` is the one rejection rule: at a two-tailed level
+    in percent the null is rejected when the area strictly exceeds the
+    paper's sample-size-free ``critical_value(level)`` (its actual size
+    depends on n; see the module docstring), so it survives an equal area.
+    An area outside [0, 1/2], NaN included, is refused.  ``reject`` holds
+    the decisions at ``DEFAULT_LEVELS``.
     """
 
     area: float
@@ -69,10 +72,10 @@ class TnaResult:
 
     @property
     def reject(self) -> dict[float, bool]:
-        return decisions_for_area(self.area)
+        return {level: self.rejected_at(level) for level in DEFAULT_LEVELS}
 
     def rejected_at(self, level_percent: float) -> bool:
-        """The two-tailed decision at any level in (0, 100), taken as ``decisions_for_area`` takes it."""
+        """The two-tailed decision at any level in (0, 100)."""
         return bool(_check_area(self.area) > critical_value(level_percent))
 
 
@@ -162,18 +165,6 @@ def invert_significance(area: float) -> float:
     return (1.0 - math.sqrt(1.0 - 2.0 * _check_area(area))) / (2.0 * _SQRT2)
 
 
-def decisions_for_area(area: float) -> dict[float, bool]:
-    """Two-tailed reject decisions; the null survives area == critical value.
-
-    Decisions are taken at ``DEFAULT_LEVELS`` with the paper's
-    sample-size-free ``critical_value``, whose actual size depends on n
-    (see the module docstring); ``null_critical_value`` is the calibrated
-    threshold for n points.  An area outside [0, 1/2], NaN included, is refused.
-    """
-    area = _check_area(area)
-    return {level: bool(area > critical_value(level)) for level in DEFAULT_LEVELS}
-
-
 _NULL_SEED = 0x7468696E7461696C  # fixed chunk-grid seed ("thintail"): no caller stream is touched
 _NULL_REPLICATIONS = 100_000  # MC error of the attained size below 0.1 pp
 _NULL_CHUNK_POINTS = 1 << 18  # uniforms per chunk, to bound memory for large n
@@ -212,9 +203,8 @@ def _null_areas(n: int) -> np.ndarray:
 def tna_test(losses, model) -> TnaResult:
     """Run the enclosed-area test of ``losses`` against anything with a ``cdf`` on their axis.
 
-    Decisions are two-tailed at ``DEFAULT_LEVELS`` (1%, 5% and 10%), the
-    levels every report prints; the null survives a statistic exactly
-    equal to the critical value.
+    Its ``reject`` holds the decisions ``rejected_at`` takes at
+    ``DEFAULT_LEVELS`` (1%, 5% and 10%), the levels every report prints.
     """
     x, y = empirical_from_losses(losses)
     area, crossings = _checked_polyline_areas(np.asarray(model.cdf(x), dtype=float), y)

@@ -94,6 +94,16 @@ class TestFitCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: line 2: field larger than field limit (131072)\n"
 
+    @pytest.mark.parametrize("mode", [["--mode", "event"], ["--mode", "pre", "--span-years", "5"]])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys, mode):
+        path = tmp_path / "latin1.csv"
+        header = b"amount,date,event_id" if mode[1] == "event" else b"amount"
+        row = b"1.5,2016-01-01,EV1" if mode[1] == "event" else b"1.5"
+        path.write_bytes(b"\n".join([header, row, row + b"\xe9", row]) + b"\n")
+        assert run(["fit", "--input", path, *mode, "--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
+
     def test_field_past_the_header_is_not_an_event_id(self, tmp_path, capsys):
         path = tmp_path / "events.csv"
         path.write_text("amount,date\n1.5,2016-01-01,EV1\n2.5,2016-02-01,EV2\n")
@@ -537,7 +547,7 @@ PINNED_ARGS = {
 PINNED_MODES = {"pre_file": ["--mode", "pre", "--span-years", "5"], "event_file": ["--mode", "event"]}
 PINNED_OUTPUTS = {
     ("pre_file", "fit"): (
-        "03477c93aa20e5304f45791c9489fddf975fb61673b37625c8e4c2a667bdccad",
+        "22aa80f0a4f263617b1cb5e614bb7b790eb6358f33cc15352df16a6c257c638f",
         'fit [losses] power=4: s_hat=1.72351 (raw 80.0001 mEUR), scaling_mean=46.4169, area=0.0000, attained=0.0000\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
     ),
     ("pre_file", "gof"): (
@@ -561,7 +571,7 @@ PINNED_OUTPUTS = {
         'density [losses]: wrote 201 grid rows to <out>/density_data.csv\n',
     ),
     ("event_file", "fit"): (
-        "b9a14ef7675599f3c5cde69171bf59c71304537c21d88caedb7b3906f3a4e7a1",
+        "a1f389d51e6cbd884ee5dfeb8a5e346420420bff00215430b4beb4125376b9b6",
         'fit [events] power=4: s_hat=1.58084 (raw 78.5994 mEUR), scaling_mean=49.7201, area=0.1008, attained=0.0376\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
     ),
     ("event_file", "gof"): (

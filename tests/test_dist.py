@@ -183,6 +183,10 @@ class TestExpN:
             diff = np.abs(tt.ExpNParams(s, 4).cdf(xs) - tt.Exp4Params(s).cdf(xs)).max()
             assert diff < 1e-12
 
+    def test_checked_power_is_stored_as_int(self):
+        params = tt.ExpNParams(1.0, np.int64(4))
+        assert type(params.n) is int and params == tt.ExpNParams(1.0, 4)
+
     def test_n1_density_at_zero(self):
         assert tt.ExpNParams(1.0, 1).pdf(0.0) == pytest.approx(0.5, rel=1e-14)
 

@@ -53,7 +53,6 @@ class TestFitExp4:
     def test_quantile_matched_recovery(self):
         fr = tt.fit_expn(quantile_matched(30, 1.0))
         assert fr.s_hat_raw == pytest.approx(1.0, abs=0.01)
-        assert fr.converged
         assert not fr.at_boundary
 
     def test_random_sample_recovery_reasonable(self):
@@ -155,7 +154,7 @@ class TestFitExpN:
         losses = quantile_matched(30, 1.0)
         area4 = tt.fit_expn(losses).tna.area
         fr100 = tt.fit_expn(losses, 100)
-        assert fr100.converged
+        assert not fr100.at_boundary
         assert fr100.tna.area > area4
 
     def test_config_validation(self):
@@ -227,13 +226,13 @@ class TestPinnedFits:
         got = (repr(fr.s_hat), fr.evaluations, repr(fr.tna.area), fr.tna.crossings, fr.at_boundary)
         assert got == PINNED_FITS[key]
 
-    @pytest.mark.parametrize("name, converged", [("seeded30", True), ("boundary", False)])
-    def test_converged_means_an_interior_minimum(self, name, converged):
+    @pytest.mark.parametrize("name, at_boundary", [("seeded30", False), ("boundary", True)])
+    def test_at_boundary_means_no_interior_minimum(self, name, at_boundary):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fr = tt.fit_expn(_pinned_losses(name), 4)
-        assert fr.converged is converged
-        assert fr.at_boundary is not converged
+        assert fr.at_boundary is at_boundary
+        assert not hasattr(fr, "converged")  # the fit's one flag is at_boundary
 
 
 class TestLockstepSearch:

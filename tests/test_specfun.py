@@ -2,8 +2,7 @@
 
 The ExpN CDF (``ExpNParams(s, n).cdf`` and the fit's kernel ``_expn_cdf``) at
 u = x^n / (2 s^n) is P(1/n, u) = ``scipy.special.gammainc`` below u = 1/n + 1
-and 1 - Q(1/n, u) from there up, with Q called through
-``thintail.dist.regularized_upper_gamma`` (``scipy.special.gammaincc``);
+and 1 - Q(1/n, u) = 1 - ``scipy.special.gammaincc`` from there up;
 the upper incomplete gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
 The normaliser of ``ExpNParams(s, n).pdf`` takes log Gamma from ``math.lgamma``.
 
@@ -23,7 +22,7 @@ from scipy.special import gammainc, gammaincc
 
 import mpmath
 
-from thintail.dist import ExpNParams, _expn_cdf, regularized_upper_gamma
+from thintail.dist import ExpNParams, _expn_cdf
 
 # mpmath, 40 digits
 GAMMA_QUARTER = 3.625609908221908311931
@@ -34,7 +33,7 @@ Q_QUARTER_FIVE = 0.0004920251244463400829434  # Q(1/4, 5)
 
 def upper_inc_gamma(a, x):
     """Gamma(a, x) = Q(a, x) * Gamma(a)."""
-    return regularized_upper_gamma(a, x) * math.gamma(a)
+    return gammaincc(a, x) * math.gamma(a)
 
 
 class TestLogGamma:
@@ -120,28 +119,28 @@ class TestUpperIncGamma:
 
 class TestRegularizedUpper:
     def test_at_zero_is_one(self):
-        assert regularized_upper_gamma(0.25, 0.0) == 1.0
+        assert gammaincc(0.25, 0.0) == 1.0
 
     def test_half_at_log_two(self):
-        assert regularized_upper_gamma(1.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
+        assert gammaincc(1.0, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
 
     def test_quarter_five_frozen(self):
-        assert regularized_upper_gamma(0.25, 5.0) == pytest.approx(Q_QUARTER_FIVE, rel=1e-12)
+        assert gammaincc(0.25, 5.0) == pytest.approx(Q_QUARTER_FIVE, rel=1e-12)
 
     def test_bounds_everywhere(self):
         xs = np.concatenate((np.geomspace(1e-12, 700.0, 80), [0.0, np.inf]))
         for a in (0.01, 0.25, 1.0, 3.0, 10.0):
-            q = regularized_upper_gamma(a, xs)
+            q = gammaincc(a, xs)
             assert ((q >= 0.0) & (q <= 1.0)).all()
 
     def test_underflow_flushes_to_zero(self):
-        assert regularized_upper_gamma(0.25, 750.0) == 0.0
-        assert regularized_upper_gamma(0.25, np.inf) == 0.0
+        assert gammaincc(0.25, 750.0) == 0.0
+        assert gammaincc(0.25, np.inf) == 0.0
 
     def test_scalar_and_array_shapes(self):
-        scalar = regularized_upper_gamma(0.5, 1.0)
+        scalar = gammaincc(0.5, 1.0)
         assert isinstance(scalar, float)
-        arr = regularized_upper_gamma(0.5, np.array([[0.5, 1.0], [2.0, 3.0]]))
+        arr = gammaincc(0.5, np.array([[0.5, 1.0], [2.0, 3.0]]))
         assert arr.shape == (2, 2)
 
     @given(
@@ -151,8 +150,8 @@ class TestRegularizedUpper:
     )
     @settings(max_examples=150, deadline=None)
     def test_monotone_decreasing_property(self, a, x1, dx):
-        q1 = regularized_upper_gamma(a, x1)
-        q2 = regularized_upper_gamma(a, x1 + dx)
+        q1 = gammaincc(a, x1)
+        q2 = gammaincc(a, x1 + dx)
         assert q2 <= q1
         # strict where the decrease is representable in float64
         if 1e-12 < q1 < 1.0 - 1e-12:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 import thintail as tt
-from thintail.tna import _checked_polyline_areas, _polyline_areas, decisions_for_area
+from thintail.tna import _checked_polyline_areas, _polyline_areas
 
 
 def dense_area_oracle(points, step=1e-5):
@@ -193,7 +193,8 @@ class TestInvertSignificance:
     @pytest.mark.parametrize("area", [float("nan"), -0.01, 0.51, "0.1"])
     def test_decisions_refuse_what_inversion_refuses(self, area):
         # a NaN area compares false with every critical value, so it read "accept" at every level
-        for decide in (tt.invert_significance, decisions_for_area, lambda a: tt.TnaResult(a, 30, 0).reject):
+        for decide in (tt.invert_significance, lambda a: tt.TnaResult(a, 30, 0).reject,
+                       lambda a: tt.TnaResult(a, 30, 0).rejected_at(5.0)):
             with pytest.raises(ValueError, match="^area must"):
                 decide(area)
 
@@ -224,10 +225,10 @@ class TestTnaTest:
     def test_boundary_area_accepts(self):
         # the null survives a statistic exactly equal to the critical value
         t5 = tt.critical_value(5.0)
-        decisions = decisions_for_area(t5)
+        decisions = tt.TnaResult(t5, 30, 0).reject
         assert decisions[5.0] is False
-        assert tt.TnaResult(t5, 30, 0).reject == decisions
-        assert decisions_for_area(np.nextafter(t5, 1.0))[5.0] is True
+        assert tt.TnaResult(t5, 30, 0).rejected_at(5.0) is False
+        assert tt.TnaResult(np.nextafter(t5, 1.0), 30, 0).reject[5.0] is True
 
     @pytest.mark.parametrize("area", [0.0, 0.01, 0.0282, 0.05, 0.0682, 0.08, 0.5])
     def test_rejected_at_any_level_compares_with_its_critical_value(self, area):
