@@ -43,20 +43,27 @@ n = 100), both would lose precision or underflow to 0.  There the CDF
 is linear to double precision, F(x) = x f(0) (1 - x^n/(2 s^n)/(n+1)
 + ...), so the CDF returns x f(0) and the quantile p / f(0).
 
-The power-exponential sampler draws X = s * (2 G)^(1/n) with
-G ~ Gamma(1/n, 1) (a change of variables shows this has the CDF above).
-G is drawn as G1 * U^n with G1 ~ Gamma(1 + 1/n, 1) and U ~ Uniform[0, 1)
-independent (Stuart, Biometrika 1962), so X = s * (2 G1)^(1/n) * U:
-- numpy draws a gamma of shape >= 1 by Marsaglia-Tsang, about one normal
-  and one uniform per draw, where shape < 1 takes a slower rejection loop;
-- U carries the far lower tail at the resolution of a uniform double,
-  where a Gamma(1/n) draw would fall below the smallest normal double
-  and lose its digits (at n = 100 some would be exactly 0).
-The RNG calls are one ``standard_gamma(1 + 1/n, count)`` block, then the
-``count`` uniforms, drawn in blocks of 2^14 into one small buffer: the
-stream and the values are those of one ``random(count)`` block, but no
-second array of ``count`` doubles is made.  The draws are made in place
-(``sample(count, rng, out=...)`` fills a caller's buffer).
+The power-exponential sampler is an exact ziggurat (Marsaglia and Tsang,
+J. Stat. Softw. 5(8), 2000) for the decreasing density exp(-x^n / 2) on
+x >= 0, scaled by s.  Its table, 256 layers of equal area v, is built on
+a power's first draw and cached per power (``_expn_ziggurat``).  The
+build bisects in t = x^n / 2 with plain ``math`` arithmetic, since x
+itself is within 1e-5 of 1 over the whole table at n = 10^6.  Layer 0 is
+the rectangle [0, r] x [0, f(r)] with the tail beyond r; layer i >= 1 is
+[0, x_i] x [f(x_i), f(x_(i+1))], with x_1 = r and f at x_256 = 0 being 1.
+- The rectangle pass (``_Ziggurat.rectangles``) fills ``out`` in blocks
+  of 2^15: one uniform per draw, times 256, gives the layer (its integer
+  part) and the fraction of the layer's width; a draw inside the next
+  layer's width is accepted, which is about 99% of them.  Each thread
+  keeps one set of block buffers (``_block_scratch``).
+- A rejected draw of layer i >= 1 takes the wedge test, one more uniform
+  for its height; one that fails it is drawn again from the start.
+  Layer 0's overflow past r takes the exact tail sampler: T = X^n / 2
+  given T > t_r is t_r + E, E ~ Exp(1), kept with probability
+  (T / t_r)^(1/n - 1) (``_Ziggurat.settle``).
+The rejected draws are redrawn after the whole pass, in position order,
+from the same stream, so the draws depend only on the stream and the
+count.
 Inverse-CDF draws are the quantile of uniforms, ``quantile(rng.random(count))``.
 
 Distribution parameter objects are immutable.  Sampling takes an
@@ -68,10 +75,12 @@ on THINTAIL_THREADS workers, so its values never depend on the worker count.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -93,7 +102,9 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
-_UNIFORM_BLOCK = 2**14  # uniforms per block of the ExpN sampler
+_LAYERS = 256  # equal-area layers of the ExpN ziggurat
+_BLOCK = 2**15  # draws per block of the ExpN rectangle pass
+_scratch = threading.local()  # each thread's block buffers of the rectangle pass
 
 
 def _require_scalar(name: str, value) -> None:
@@ -245,6 +256,115 @@ def _expn_cdf(x: np.ndarray, s, n) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class _Ziggurat:
+    """The ziggurat table of exp(-x^n / 2) on x >= 0 (see the module docstring), read-only.
+
+    ``width[i]`` is layer i's width (v / f(r) for layer 0, else x_i) and
+    ``inner[i]`` the next layer's width x_(i+1), 0 for the top layer;
+    ``heights[i]`` is f(x_i) for i >= 1, and ``heights[256]`` is f(0) = 1.
+    """
+
+    n: int
+    t_r: float
+    width: np.ndarray
+    inner: np.ndarray
+    heights: np.ndarray
+
+    def rectangles(self, out: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Fill ``out`` with candidate draws; return the positions the rectangles rejected, and their layers."""
+        layer, gathered, reject = _block_scratch()
+        positions, layers = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for lo in range(0, out.size, _BLOCK):
+            block = out[lo : lo + _BLOCK]
+            if block.size < layer.size:  # the last block is short
+                layer, gathered, reject = layer[: block.size], gathered[: block.size], reject[: block.size]
+            rng.random(out=block)
+            block *= _LAYERS
+            np.copyto(layer, block, casting="unsafe")  # the integer part
+            block -= layer
+            np.take(self.width, layer, out=gathered, mode="wrap")
+            block *= gathered
+            np.take(self.inner, layer, out=gathered, mode="wrap")
+            np.greater_equal(block, gathered, out=reject)
+            rejected = np.flatnonzero(reject)
+            positions.append(rejected + lo)
+            layers.append(layer[rejected])
+        return np.concatenate(positions), np.concatenate(layers)
+
+    def settle(self, out: np.ndarray, pending: np.ndarray, layer: np.ndarray,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """One round for the rejected candidates at ``pending``, of layers ``layer``: tail draws for
+        layer 0, the wedge test for the others and fresh rectangle draws for those that fail it;
+        return the positions still rejected, and their layers."""
+        base = layer == 0
+        if base.any():
+            out[pending[base]] = self._tail(np.count_nonzero(base), rng)
+            pending, layer = pending[~base], layer[~base]
+        low = self.heights[layer]
+        height = low + rng.random(pending.size) * (self.heights[layer + 1] - low)
+        # x < r in a wedge, so x^n < 2 t_r does not overflow
+        pending = pending[height >= np.exp(-0.5 * np.power(out[pending], self.n))]
+        fresh = np.empty(pending.size)
+        rejected, layer = self.rectangles(fresh, rng)
+        out[pending] = fresh
+        return pending[rejected], layer
+
+    def _tail(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """``count`` draws of X given X > r, through T = X^n / 2 = t_r + E, kept with probability (T / t_r)^(1/n - 1)."""
+        t = np.empty(count)
+        todo = np.arange(count)
+        while todo.size:
+            candidate = self.t_r + rng.standard_exponential(todo.size)
+            kept = rng.random(todo.size) < np.power(candidate / self.t_r, 1.0 / self.n - 1.0)
+            t[todo[kept]] = candidate[kept]
+            todo = todo[~kept]
+        return np.power(2.0 * t, 1.0 / self.n)
+
+
+def _block_scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's buffers for one rectangle-pass block: layer indices, gathered table values, reject flags."""
+    if not hasattr(_scratch, "buffers"):
+        _scratch.buffers = (np.empty(_BLOCK, np.intp), np.empty(_BLOCK), np.empty(_BLOCK, bool))
+    return _scratch.buffers
+
+
+@functools.lru_cache(maxsize=128)
+def _expn_ziggurat(n: int) -> _Ziggurat:
+    """The ziggurat table of ExpN(1, n), built by bisection on t_r = r^n / 2 until the top layer reaches f(0) = 1."""
+    a = 1.0 / n
+    area = _expn_unit_norm(n)  # the integral of exp(-x^n / 2) over x >= 0
+
+    def x_at(t: float) -> float:
+        return math.exp(a * math.log(2.0 * t))
+
+    def layers(t_r: float):
+        """(v, [x_1..x_255], [f(x_1)..f(x_255)], f at x_256) of the table with base t_r; None past f(0)."""
+        r, f_r = x_at(t_r), math.exp(-t_r)
+        v = r * f_r + area * float(regularized_upper_gamma(a, t_r))
+        xs, fs = [r], [f_r]
+        for _ in range(_LAYERS - 2):
+            f = fs[-1] + v / xs[-1]
+            if f >= 1.0:
+                return None
+            xs.append(x_at(-math.log(f)))
+            fs.append(f)
+        return v, xs, fs, fs[-1] + v / xs[-1]
+
+    low, high = 1e-12, 60.0  # the first overshoots f(0), the second stops far short of it
+    while (mid := 0.5 * (low + high)) not in (low, high):
+        table = layers(mid)
+        if table is None or table[3] > 1.0:
+            low = mid
+        else:
+            high = mid
+    v, xs, fs, _ = layers(high)
+    arrays = (np.array([v / fs[0], *xs]), np.array([*xs, 0.0]), np.array([0.0, *fs, 1.0]))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Ziggurat(n, high, *arrays)
+
+
 # ---------------------------------------------------------------------------
 # parameter records, one per family
 # ---------------------------------------------------------------------------
@@ -315,15 +435,10 @@ class ExpNParams(SeverityParams):
         return self.s * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
 
     def _draw(self, out, rng):
-        a = 1.0 / self.n
-        rng.standard_gamma(1.0 + a, out=out)
-        out *= 2.0
-        np.power(out, a, out=out)
-        # every gamma precedes every uniform; blocks of uniforms make no second array of out's length
-        u = np.empty(min(out.size, _UNIFORM_BLOCK))
-        for lo in range(0, out.size, u.size):
-            block = out[lo : lo + u.size]
-            block *= rng.random(out=u[: block.size])
+        zig = _expn_ziggurat(self.n)
+        pending, layer = zig.rectangles(out, rng)
+        while pending.size:
+            pending, layer = zig.settle(out, pending, layer, rng)
         out *= self.s
 
 

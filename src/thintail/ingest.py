@@ -382,6 +382,8 @@ def parse_csv(source, permissive: bool = False) -> LossTable:
         if start is not None:
             try:
                 return _tokenized(handle, start, width)
+            except UnicodeDecodeError:
+                raise  # the row loop would decode the file again only to fail on the same byte
             except ValueError:
                 handle.seek(start)
                 reader = csv.reader(handle)

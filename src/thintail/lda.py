@@ -9,7 +9,9 @@ linear interpolation between order statistics.
 Reproducibility contract: trials run in chunks of 4096 on the one seeded
 chunk grid, ``dist._run_chunks``, each on its own stream.  A chunk draws
 its event counts first and then its severities from the stream state
-right after the counts, and the run's record (``_Counts``) keeps both.
+right after the counts, one ``sample`` call per group of consecutive
+trials whose draws start within the same 2^17 draws (``_trial_groups``),
+and the run's record (``_Counts``) keeps both.
 ``run_lda_many``, which ``compare`` and ``curve --with-capital`` call
 once for all their models, runs ``run_lda`` per model on one record: the
 first run draws each chunk's counts, and the later runs restore them
@@ -54,6 +56,7 @@ __all__ = [
 
 _TRIAL_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on workers
 _BATCHES = 20  # batch-means blocks behind stderr_estimate and converged
+_GROUP_DRAWS = 2**17  # a trial group's severities start within this many draws (1 MB)
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,17 @@ def annual_frequency(loss_count: int, years: float) -> float:
     return _require_int("loss_count", loss_count, 1) / _require_positive("years", years)
 
 
+def _trial_groups(counts: np.ndarray) -> list[tuple[int, int]]:
+    """The trial ranges [lo, hi) of a chunk whose draws start in the same stretch of ``_GROUP_DRAWS``
+    draws: each group draws at most ``_GROUP_DRAWS`` severities plus its last trial's count."""
+    stretch = (np.cumsum(counts) - counts) // _GROUP_DRAWS
+    bounds = [0, *(np.flatnonzero(np.diff(stretch)) + 1).tolist(), counts.size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _chunk_losses(severity: SeverityModel, rng: np.random.Generator, counts: np.ndarray, out: np.ndarray,
                   draws: np.ndarray) -> None:
-    """Annual losses of one chunk into ``out``: each trial's severities, drawn from ``rng``, summed.
+    """Annual losses of a chunk's trials into ``out``: each trial's severities, drawn from ``rng``, summed.
 
     The draws go into ``draws``, ``counts.sum() + 1`` long, whose last slot
     becomes the 0.0 that ``reduceat`` reads when the last trials have no
@@ -193,7 +204,7 @@ class _Counts:
         """A buffer of ``size`` doubles from the free list, given back when the block ends.
 
         A buffer too small is replaced by one an eighth larger than ``size``,
-        so it is seldom regrown: a fresh buffer per chunk (about 2 MB at
+        so it is seldom regrown: a fresh buffer per chunk (about 1 MB at
         lambda = 60) faults its pages in again, and many small regrowths
         grow the heap.
         """
@@ -221,7 +232,8 @@ def run_lda(
     The chunks run on ``dist._run_chunks``, the one seeded chunk grid,
     with THINTAIL_THREADS workers (default 1); results are bit-identical
     for any count.  Each chunk draws its counts first, then the
-    severities, from the stream the grid hands it; ``_run`` is the record
+    severities, a trial group at a time (``_trial_groups``), from the
+    stream the grid hands it; ``_run`` is the record
     of the counts, with the draws buffers, that ``run_lda_many`` shares
     among its models.  A lone run keeps its counts too: about 1 byte a trial.
     """
@@ -230,8 +242,10 @@ def run_lda(
 
     def fill(chunk: int, rng: np.random.Generator, out: np.ndarray):
         counts = run.stream(chunk, rng, out.size)
-        with run.draws(int(counts.sum()) + 1) as draws:
-            _chunk_losses(severity, rng, counts, out, draws)
+        groups = [(lo, hi, int(counts[lo:hi].sum())) for lo, hi in _trial_groups(counts)]
+        with run.draws(max(total for _, _, total in groups) + 1) as draws:
+            for lo, hi, total in groups:
+                _chunk_losses(severity, rng, counts[lo:hi], out[lo:hi], draws[: total + 1])
 
     _run_chunks(cfg.seed, annual, _TRIAL_CHUNK, fill)
 
@@ -248,7 +262,7 @@ def run_lda_many(severities, freq: FrequencyModel, cfg: LdaConfig = LdaConfig())
     severities from that state, so every result equals the model's own
     ``run_lda`` bit for bit.  The counts (1 byte a trial up to 255 events
     a trial, as at lambda = 60; 2 bytes up to 65,535), one draws buffer
-    per worker (about 2 MB at lambda = 60) and one model's annual losses
+    per worker (about 1 MB at lambda = 60) and one model's annual losses
     are held at a time, however many models there are.
     """
     run = _Counts(freq)

@@ -555,16 +555,16 @@ PINNED_OUTPUTS = {
         'gof [losses] power=4 scale=1.7: area=0.0052, attained=0.0019\n  1% two-tailed: accept\n  5% two-tailed: accept\n  10% two-tailed: accept\n',
     ),
     ("pre_file", "capital"): (
-        "d0a39c61e6e874ea843cd775e10228fabbe821020831cda21b173bd422f35d5d",
-        'capital [losses]: count=30 sum=1392.5 capital=826.6 tna=0.000 (lambda=6, trials=2000, converged=False)\n',
+        "dbd00ea3d0c1cf56e537cce41582c49da463cf60d2226ee6255f74f51995fd99",
+        'capital [losses]: count=30 sum=1392.5 capital=819.9 tna=0.000 (lambda=6, trials=2000, converged=False)\n',
     ),
     ("pre_file", "compare"): (
-        "baa702d4d5752c2652f848369a54703134e54ef326bfc1878b03a4f0764d3710",
-        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nlosses,30,1392.5055381354548,826.6300383673253,2.414762976506688e-07,840.2512914561119,719.4653161815455\n',
+        "3c465e7149e5f6ebf2d67c284f4a29539612425bd05eacae63a208affcaf6c56",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nlosses,30,1392.5055381354548,819.928473414071,2.414762976506688e-07,840.2512914561119,769.8654132698434\n',
     ),
     ("pre_file", "curve"): (
-        "afc3601d301cd2c50b3d089cac95f1f754e12df80f05b103ff6dade236b4ea94",
-        'n=  4 q999=137.6031 capital=826.63\nn=  8 q999=109.8408 capital=776.17\n',
+        "f3a4fc469a616efe254c972c2644579c5449ea36ef9972d550a6c1572cf3e67a",
+        'n=  4 q999=137.6031 capital=819.93\nn=  8 q999=109.8408 capital=777.65\n',
     ),
     ("pre_file", "density"): (
         "15b082888ed3b898441c2310f86d4ecb2c9681132f0c056939ec262437812a8e",
@@ -579,16 +579,16 @@ PINNED_OUTPUTS = {
         'gof [events] power=4 scale=1.7: area=0.1039, attained=0.0389\n  1% two-tailed: reject\n  5% two-tailed: reject\n  10% two-tailed: accept\n',
     ),
     ("event_file", "capital"): (
-        "0d8687d94c79e920952d4781ba209921cb7b029926cdf46f586f54c349ffc4f8",
-        'capital [events]: count=12 sum=596.6 capital=497.9 tna=0.101 (lambda=2.49, trials=2000, converged=False)\n',
+        "a3a75b248348e312c693dbb9427350febee11e370b1c6a94188fff9d0a8e46d7",
+        'capital [events]: count=12 sum=596.6 capital=447.0 tna=0.101 (lambda=2.49, trials=2000, converged=False)\n',
     ),
     ("event_file", "compare"): (
-        "841f936c85d91a9e9b16642b69a83c6f76c4aef58913cdd41dcce36d86e4f868",
-        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nevents,12,596.6413,497.92911067568656,0.10079530399722,455.1296026349199,491.46255964318476\n',
+        "9457391ca5f957cd3ad7159ea6af625279e97facb0032c0cdeb6fca5e4ad4c22",
+        'dataset,count,sum,capital,tna,normal_capital,expn_capital\nevents,12,596.6413,446.96070753405957,0.10079530399722,455.1296026349199,472.37117651162924\n',
     ),
     ("event_file", "curve"): (
-        "40de6d171ae82fe98cd089444ad6b02f87ad69b2c5f53ddf47913fb08cadfe99",
-        'n=  4 q999=135.1940 capital=497.93\nn=  8 q999=109.3865 capital=429.51\n',
+        "75c6f83ab6b4b72cc6109be839ed52c7d5df40217c77453a4aab220187e30742",
+        'n=  4 q999=135.1940 capital=446.96\nn=  8 q999=109.3865 capital=462.96\n',
     ),
     ("event_file", "density"): (
         "f9d1d3c8b8f49f8cbc53fb0e24c01e2b260da3f285e38dced94a17fb316ad3b1",

@@ -22,7 +22,8 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
-from thintail.dist import _chunk_rng, _expn_cdf, _run_chunks, check_even_power, check_power
+from thintail.dist import (_LAYERS, _chunk_rng, _expn_cdf, _expn_ziggurat, _run_chunks, check_even_power,
+                           check_power)
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -282,7 +283,8 @@ class TestExpN:
     def test_gamma_draws_follow_cdf_in_far_lower_tail(self):
         # At n = 100, X < 8.4e-4 s for about 8e-4 of draws, where G ~ Gamma(1/100) would
         # fall below the smallest normal double (a direct Gamma(1/100) draw returns many
-        # of them as 0).  The uniform factor U of s (2 G1)^(1/n) U carries this tail.
+        # of them as 0).  The ziggurat draws them as a fraction of a layer's width, in
+        # steps of 2^-45 of it.
         s, k = 2.0, 2_000_000
         draws = tt.ExpNParams(s, 100).sample(k, np.random.default_rng(20))
         assert (draws > 0.0).all()
@@ -291,7 +293,7 @@ class TestExpN:
             band = 5.0 * math.sqrt(k * p * (1.0 - p))
             assert abs(np.count_nonzero(draws < r * s) - k * p) < band
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 20, 100])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 20, 100, 1000, 10**6])
     def test_gamma_sampler_ks(self, n):
         k, s = 200_000, 1.7
         draws = np.sort(tt.ExpNParams(s, n).sample(k, np.random.default_rng(n)))
@@ -496,18 +498,19 @@ FAMILY_RECORDS = {
 # little-endian float64, for k = 1, 7, 4096, frozen from the per-family sampler as it
 # stood before the families got their own methods.  They pin each family's draws and
 # RNG call order (the truncated Normal resamples at k = 4096), on which capital being
-# bit-identical across releases rests.  exp4, expn1 and expn100 were frozen again when
-# the ExpN sampler moved to s (2 G1)^(1/n) U with G1 ~ Gamma(1 + 1/n).
+# bit-identical across releases rests.  exp4, expn1 and expn100 record the ExpN ziggurat:
+# its rectangle uniforms, then its rejects' wedge, tail and fresh draws (at k = 4096 the
+# tail is met at n = 1 and 4); they were frozen again each time the ExpN sampler changed.
 FAMILY_DRAWS_SHA256 = {
-    "exp4": ("4d71693ef849990becb34762b73c0ddaea64a1d598a10e572b2a9d1008c3e1f8",
-             "de50a8f4dd01dafa34acc4b378c26d1b48715f8257501ae73c3b3041a62994ed",
-             "995479c56832d605fb8739c5ee9a517537bd8d584df7b75788b7aabd5fd9add9"),
-    "expn1": ("6e427aa4bb9b3f0bf2763524399d05b6e7f5b1773dcd9b94e1c3a3e1ba9ffa37",
-              "df5d27a625457b18849b3177e11246953043d57aba79cfb09f3056e55a789080",
-              "27b7c5a68772f8332844c11e3c4c602aa7e47da1140d9594b56f8e10e9011cb1"),
-    "expn100": ("8eac37f8cd12672c7036934c34fcef1efa5d89a5ad6d315fc1f3a32612ffd737",
-                "ee039c2ededa47cb7590bfc2dfed63bed8b252040f4b36467e0f2d4b83a5ff5b",
-                "3d7ee64b5161d853293af2b3a954c715d5eed4a8d53024a9ab87df4e2d77046f"),
+    "exp4": ("12a3e6b94d4c4f9832cb8cbd62a2dd6c8892bb7e0ef6acce9312724639897b6c",
+             "5e842aa5efd8cba0cb77c354f4ad3ae3faa9f7cb88813eec18ef60e0c15acd6a",
+             "d87e0ded51174cdb16a66aabfd2bef7dc37141c8dafceee73b62dda08b4a99bc"),
+    "expn1": ("f70824138d1d6bfd0c716d3ebfb0041e8ca353175b13c000f1081c85370a81f8",
+              "24e4023ef8a56ba27c47319ec680d3a1b784340915d9d60b70b20052e1205b99",
+              "19b1a512a5f019c0a267c998cd51a789a06ddb0cecee8ace675602febc816b72"),
+    "expn100": ("44b36d0d8c487b79693792cbbd958a664768b588ab229aa68d1f831d8fdfc3d8",
+                "85355159fb193672c0e779dc5265e4eb457f73cf3fff5f70413b18a1412196e4",
+                "9405014efb9edb02d7e2f478e143db3515ee840f7f223ea38d85b14fe49642c2"),
     "normal": ("ca89f7157e8d87fa314f4da271eb2dc9c2d959c59c00b6bc7ac6538a13abe523",
                "df7c29a060cf52cf655bfa26cf1adc33ef8d3dd3f5ab01c3f39061934d74a4b5",
                "7f5dec4454350a69aadb5104f1188e478a4ed2da48ab978ff827b9e9bb1aec2e"),
@@ -584,15 +587,120 @@ class TestSeverityModelPerFamily:
         assert params.sample(k, np.random.default_rng(k)).shape == (k,)
 
 
-@pytest.mark.parametrize("k", [1, 2**14, 2**14 + 1, 3 * 2**14 + 5])
-@pytest.mark.parametrize("s, n", [(1.3, 4), (0.9, 100)])
-def test_expn_draws_all_gammas_then_all_uniforms(s, n, k):
-    # the uniforms come in blocks, yet the stream and the arithmetic are those of one
-    # standard_gamma block followed by one random block
-    rng = np.random.default_rng(k)
-    g, u = rng.standard_gamma(1.0 + 1.0 / n, size=k), rng.random(k)
-    expected = np.power(2.0 * g, 1.0 / n) * u * s
-    assert tt.ExpNParams(s, n).sample(k, np.random.default_rng(k)).tobytes() == expected.tobytes()
+def reference_expn_draws(s, n, k, rng):
+    """ExpN(s, n) draws by the ziggurat of ``_expn_ziggurat(n)``, on whole arrays with no blocks: the k
+    rectangle uniforms, then rounds over the rejected positions in increasing order (tail draws for
+    layer 0, one wedge uniform for each other reject, fresh rectangle uniforms for the wedge failures)."""
+    zig = _expn_ziggurat(n)
+    u = rng.random(k) * 256
+    layer = u.astype(np.intp)
+    x = (u - layer) * zig.width[layer]
+    pending = np.flatnonzero(x >= zig.inner[layer])
+    while pending.size:
+        tail = pending[layer[pending] == 0]
+        t = np.empty(tail.size)
+        todo = np.arange(tail.size)
+        while todo.size:
+            candidate = zig.t_r + rng.standard_exponential(todo.size)
+            kept = rng.random(todo.size) < (candidate / zig.t_r) ** (1.0 / n - 1.0)
+            t[todo[kept]] = candidate[kept]
+            todo = todo[~kept]
+        x[tail] = (2.0 * t) ** (1.0 / n)
+        wedge = pending[layer[pending] != 0]
+        low, high = zig.heights[layer[wedge]], zig.heights[layer[wedge] + 1]
+        failed = wedge[low + rng.random(wedge.size) * (high - low) >= np.exp(-0.5 * x[wedge] ** n)]
+        u = rng.random(failed.size) * 256
+        layer[failed] = u.astype(np.intp)
+        x[failed] = (u - layer[failed]) * zig.width[layer[failed]]
+        pending = failed[x[failed] >= zig.inner[layer[failed]]]
+    return x * s
+
+
+# n = 1 takes every tail candidate; n = 10^6 puts the whole table within 1e-5 of x = 1
+ZIGGURAT_POWERS = [1, 2, 3, 4, 100, 1000, 10**6]
+
+
+@pytest.mark.parametrize("n", ZIGGURAT_POWERS)
+class TestExpNZiggurat:
+    """The ExpN sampler is an exact ziggurat: its table, its draws and the stream order it keeps."""
+
+    def test_table_closes_with_equal_layers(self, n):
+        zig = _expn_ziggurat(n)
+        norm = 2.0 ** (1.0 / n) * math.gamma(1.0 + 1.0 / n)  # the integral of exp(-x^n / 2)
+        r = zig.width[1]
+        assert r == pytest.approx((2.0 * zig.t_r) ** (1.0 / n), rel=1e-15)
+        assert np.array_equal(zig.inner[:-1], zig.width[1:]) and zig.inner[-1] == 0.0
+        assert np.all(np.diff(zig.width[1:]) < 0.0)
+        # a rounded x_i carries a relative error of n ulps into t = x_i^n / 2 <= t_r, and t times that into f
+        rtol = 1e-12 + zig.t_r * n * 2.3e-16
+        assert np.allclose(zig.heights[1:-1], np.exp(-0.5 * zig.width[1:] ** n), rtol=rtol, atol=0.0)
+        v = r * math.exp(-zig.t_r) + norm * (1.0 - float(_expn_cdf(np.array(r), 1.0, n)))
+        areas = np.append(zig.width[0] * zig.heights[1], zig.width[1:] * np.diff(zig.heights[1:]))
+        assert np.allclose(areas, v, rtol=1e-9, atol=0.0)  # the top layer's included
+        assert zig.heights[-1] == 1.0  # the top layer reaches f(0)
+        assert _LAYERS * v > norm  # the layers cover the density
+
+    def test_tail_path_alone_passes_ks(self, n):
+        # X given X > r, against (F(x) - F(r)) / (1 - F(r))
+        k, zig = 50_000, _expn_ziggurat(n)
+        r = zig.width[1]
+        draws = np.sort(zig._tail(k, np.random.default_rng(7 + n)))
+        assert draws[0] > r
+        f_r = float(_expn_cdf(np.array(r), 1.0, n))
+        cdf_vals = (_expn_cdf(draws, 1.0, n) - f_r) / (1.0 - f_r)
+        d = max((np.arange(1, k + 1) / k - cdf_vals).max(), (cdf_vals - np.arange(0, k) / k).max())
+        assert d < 1.63 / math.sqrt(k)
+
+    def test_first_two_moments(self, n):
+        # E[X^j] = s^j 2^(j/n) Gamma((j+1)/n) / Gamma(1/n); each sample mean within 5 standard errors
+        k, s = 400_000, 0.8
+        draws = tt.ExpNParams(s, n).sample(k, np.random.default_rng(100 + n))
+
+        def moment(j):
+            return s**j * math.exp(j / n * math.log(2.0) + math.lgamma((j + 1) / n) - math.lgamma(1.0 / n))
+
+        for j in (1, 2):
+            band = 5.0 * math.sqrt((moment(2 * j) - moment(j) ** 2) / k)
+            assert abs(np.mean(draws**j) - moment(j)) < band
+
+    @pytest.mark.parametrize("k", [1, 2**15, 2**15 + 1, 3 * 2**15 + 5])
+    def test_stream_order_matches_a_reference_sampler(self, n, k):
+        # the rectangle pass runs in blocks, yet the draws and the stream after them are those
+        # of the whole-array reference: all rectangle uniforms first, then the rejects in order
+        rng, expected_rng = np.random.default_rng(k), np.random.default_rng(k)
+        draws = tt.ExpNParams(1.3, n).sample(k, rng)
+        assert draws.tobytes() == reference_expn_draws(1.3, n, k, expected_rng).tobytes()
+        assert rng.random() == expected_rng.random()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_two_million_draws_pass_ks(n):
+    # the wedges hold about 1% of the layers' area: accepting every wedge candidate gives
+    # D = 0.0017 (n = 1) and 0.0014 (n = 4) here, past the 1% critical value 0.00115
+    k = 2_000_000
+    draws = np.sort(tt.ExpNParams(1.0, n).sample(k, np.random.default_rng(5)))
+    cdf_vals = _expn_cdf(draws, 1.0, n)
+    d = max((np.arange(1, k + 1) / k - cdf_vals).max(), (cdf_vals - np.arange(0, k) / k).max())
+    assert d < 1.63 / math.sqrt(k)
+
+
+def test_reference_sampler_meets_every_reject_path():
+    # at its largest size the stream-order test meets the tail and over 100 wedge tests at n = 4
+    zig = _expn_ziggurat(4)
+    u = np.random.default_rng(3 * 2**15 + 5).random(3 * 2**15 + 5) * 256
+    layer = u.astype(np.intp)
+    rejected = layer[(u - layer) * zig.width[layer] >= zig.inner[layer]]
+    assert (rejected == 0).any() and (rejected > 0).sum() > 100
+
+
+def test_ziggurat_tables_are_built_on_first_draw_and_kept():
+    _expn_ziggurat.cache_clear()
+    tt.ExpNParams(1.0, 6)  # a record builds nothing
+    assert _expn_ziggurat.cache_info().currsize == 0
+    tt.ExpNParams(1.0, 6).sample(3, np.random.default_rng(0))
+    tt.ExpNParams(2.0, 6).sample(3, np.random.default_rng(0))
+    assert _expn_ziggurat.cache_info().currsize == 1
+    assert not _expn_ziggurat(6).width.flags.writeable
 
 
 @pytest.mark.parametrize("out", [np.empty(4), np.empty((1, 5))], ids=["short", "2-d"])

@@ -358,6 +358,20 @@ class TestNotUtf8:
             with pytest.raises(LossCsvError, match="^line 4: not UTF-8 text$"):
                 tt.parse_pre_aggregated(path)
 
+    def test_raw_payments_do_not_fall_back_to_the_row_loop(self, tmp_path, monkeypatch):
+        # Line 1501 lies past the header's first decoded buffer, so the tokenizer meets the bad byte;
+        # the row loop would only decode the file again and fail on the same byte.
+        bad_line = 1501
+        path = self.write(tmp_path, b"amount,date,event_id,category", b"1.5,2016-01-01,EV1,", bad_line)
+
+        def row_loop(reader, width):
+            raise AssertionError("the row loop re-read a file that is not UTF-8")
+
+        monkeypatch.setattr(ingest, "_row_loop", row_loop)
+        with pytest.raises(LossCsvError) as info:
+            tt.parse_csv(path)
+        assert info.value.diagnostics == [f"line {bad_line}: not UTF-8 text"]
+
     def test_a_stream_says_only_that_it_is_not_utf8(self, tmp_path):
         path = self.write(tmp_path, b"amount", b"1.5", 3)
         with open(path, encoding="utf-8", newline="") as handle:

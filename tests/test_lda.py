@@ -268,22 +268,29 @@ def chunk_sizes(freq) -> list[int]:
 
 
 def own_chunk(severity, freq, seed: int, chunk: int, size: int) -> np.ndarray:
-    """One chunk's annual losses as a run of ``severity`` alone draws them: its own counts,
-    then one ``sample`` block, summed per trial."""
+    """One chunk's annual losses as a run of ``severity`` alone draws them: its own counts, then
+    one ``sample`` block per group of trials whose first draws lie in the same 2^17 draws, each
+    group summed per trial."""
     rng = _chunk_rng(seed, chunk)
     counts = freq.draw(rng, size)
-    draws = severity.sample(int(counts.sum()), rng)
-    sums = np.add.reduceat(np.concatenate((draws, [0.0])), np.concatenate(([0], np.cumsum(counts)[:-1])))
+    stretch = (np.cumsum(counts) - counts) // 2**17
+    sums = []
+    for k in np.unique(stretch):
+        group = counts[stretch == k]
+        draws = np.append(severity.sample(int(group.sum()), rng), 0.0)
+        sums.append(np.add.reduceat(draws, np.concatenate(([0], np.cumsum(group)[:-1]))))
+    sums = np.concatenate(sums)
     sums[counts == 0] = 0.0
     return sums
 
 
 def shared_chunk(severity, counts, seed: int, chunk: int, size: int) -> np.ndarray:
-    """One chunk's annual losses as ``run_lda`` draws them with the record ``counts``."""
+    """One chunk's annual losses as ``run_lda`` draws them with the record ``counts``, a trial group at a time."""
     rng = _chunk_rng(seed, chunk)
     drawn = counts.stream(chunk, rng, size)
     out = np.full(size, np.nan)
-    _chunk_losses(severity, rng, drawn, out, np.full(int(drawn.sum()) + 1, np.nan))
+    for lo, hi in lda._trial_groups(drawn):
+        _chunk_losses(severity, rng, drawn[lo:hi], out[lo:hi], np.full(int(drawn[lo:hi].sum()) + 1, np.nan))
     return out
 
 
@@ -335,6 +342,15 @@ class TestSharedPass:
             monkeypatch.setenv("THINTAIL_THREADS", workers)
             assert tt.run_lda_many(MODELS, freq, cfg) == expected
 
+    def test_run_lda_draws_a_chunk_one_trial_group_at_a_time(self, monkeypatch):
+        # lambda = 60 draws about 246,000 severities a chunk: two groups of trials
+        freq, cfg = tt.PoissonFreq(60.0), tt.LdaConfig(trials=_TRIAL_CHUNK + 1_000, seed=3)
+        assert len(lda._trial_groups(freq.draw(_chunk_rng(3, 0), _TRIAL_CHUNK))) == 2
+        monkeypatch.setenv("THINTAIL_THREADS", "2")
+        for model in MODELS:
+            annual = np.concatenate([own_chunk(model, freq, 3, 0, _TRIAL_CHUNK), own_chunk(model, freq, 3, 1, 1_000)])
+            assert tt.run_lda(model, freq, cfg) == lda._capital(annual, freq, cfg)
+
     def test_chunks_without_events(self):
         freq, trials = tt.PoissonFreq(1e-4), 2 * _TRIAL_CHUNK + 1_808
         sizes = [_TRIAL_CHUNK, _TRIAL_CHUNK, 1_808]
@@ -360,8 +376,8 @@ class TestSharedPass:
             assert [counts.itemsize for counts in kept] == [width] * len(kept)
 
     def test_models_of_a_run_reuse_its_draws_buffers(self, records, monkeypatch):
-        # three full chunks at lambda = 60 draw 245,760 +- 1,500 severities each, far inside a
-        # buffer's eighth of headroom, so no buffer is regrown once it is made
+        # three full chunks at lambda = 60 draw two trial groups each, none past 2^17 draws plus
+        # one trial's, far inside a buffer's eighth of headroom, so no buffer is regrown once it is made
         cfg, freq = tt.LdaConfig(trials=3 * _TRIAL_CHUNK, seed=4), tt.PoissonFreq(60.0)
         monkeypatch.setenv("THINTAIL_THREADS", "2")
         results = tt.run_lda_many(MODELS[:3], freq, cfg)
@@ -391,10 +407,11 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("name", ["exp4", "expn100", "normal"])
     def test_chunk_memory_peaks_near_one_draws_array(self, name):
-        # lambda = 60 draws about 246,000 severities (1.96 MB) per chunk.  Its buffer and
-        # 2^14-uniform blocks peak at 1.10 draws arrays (ExpN) and 1.17 (Normal, whose redraw
-        # mask is per draw); a full-length uniform array, or a copy of the draws for reduceat,
-        # would add a whole draws array and reach about 2.05.
+        # lambda = 60 draws about 246,000 severities (1.96 MB) per chunk.  Its buffer peaks at
+        # 1.10 draws arrays (exp4) and 1.06 (expn100) with the ziggurat's rejects and the trial
+        # offsets, and at 1.15 with Normal, whose redraw mask is per draw; a full-length uniform
+        # array, or a copy of the draws for reduceat, would add a whole draws array and reach
+        # about 2.05.  The ziggurat's block buffers (0.56 MB a thread) are made by the warm-up.
         freq, model = tt.PoissonFreq(60.0), tt.SeverityModel(SEVERITIES[name], 30.0)
         draws_bytes = 8 * int(freq.draw(_chunk_rng(42, 3), _TRIAL_CHUNK).sum())
         out = np.empty(_TRIAL_CHUNK)
@@ -429,6 +446,28 @@ class TestSharedPass:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * trials
+
+
+class TestTrialGroups:
+    """A chunk's trials are drawn in groups whose first draws start in the same 2^17 draws."""
+
+    def test_groups_split_where_a_trial_starts_in_the_next_stretch(self, monkeypatch):
+        monkeypatch.setattr(lda, "_GROUP_DRAWS", 10)
+        # trials start at draws 0, 3, 7, 12, 12, 14, 34: stretches 0, 0, 0, 1, 1, 1, 3
+        counts = np.array([3, 4, 5, 0, 2, 20, 1])
+        assert lda._trial_groups(counts) == [(0, 3), (3, 6), (6, 7)]
+        assert lda._trial_groups(np.zeros(5, dtype=np.int64)) == [(0, 5)]
+        assert lda._trial_groups(np.array([25])) == [(0, 1)]
+
+    @pytest.mark.parametrize("lam", [0.5, 60.0, 300.0, 5_000.0])
+    def test_groups_cover_the_chunk_in_order_and_stay_bounded(self, lam):
+        counts = tt.PoissonFreq(lam).draw(_chunk_rng(1, 0), _TRIAL_CHUNK)
+        groups = lda._trial_groups(counts)
+        assert groups[0][0] == 0 and groups[-1][1] == counts.size
+        assert all(hi > lo for lo, hi in groups) and all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        for lo, hi in groups:
+            assert counts[lo:hi].sum() <= lda._GROUP_DRAWS + counts[hi - 1]
+        assert len(groups) == -(-int(counts.sum()) // lda._GROUP_DRAWS) or len(groups) < 2
 
 
 class TestParseModelSpec:
