@@ -134,7 +134,13 @@ def _freq_arg(value: str):
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``: every command, but options only for those named in ``argv``.
+
+    argparse takes the command as one whole argv item equal to its name, so a command not
+    named in ``argv`` never parses its options; the top-level help and usage name each
+    command by what ``add_parser`` alone gives them.  Options are most of the build's time.
+    """
     parser = argparse.ArgumentParser(
         prog="thintail",
         description="Operational-risk capital for aggregated conduct-risk losses "
@@ -142,6 +148,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, summary: str) -> argparse.ArgumentParser | None:
+        """Add command ``name``; its parser, to add options to, if ``argv`` names it, else None.
+
+        An unnamed command's parser never parses nor prints help, so it gets no ``-h`` either.
+        """
+        named = name in argv
+        p = sub.add_parser(name, help=summary, add_help=named)
+        return p if named else None
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--input", required=True, help="loss CSV file")
@@ -163,42 +178,42 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=LdaConfig.seed)
         p.add_argument("--percentile", type=float, default=LdaConfig.percentile)
 
-    p_fit = sub.add_parser("fit", help="fit the ExpN scale and report goodness of fit")
-    add_common(p_fit)
-    p_fit.add_argument("--power", type=_power_arg, default=4)
+    if p_fit := command("fit", "fit the ExpN scale and report goodness of fit"):
+        add_common(p_fit)
+        p_fit.add_argument("--power", type=_power_arg, default=4)
 
-    p_gof = sub.add_parser("gof", help="test a given scale without fitting")
-    add_common(p_gof)
-    p_gof.add_argument("--power", type=_power_arg, default=4)
-    p_gof.add_argument("--scale", type=float, required=True,
-                       help="scale parameter on the mean-scaled axis")
+    if p_gof := command("gof", "test a given scale without fitting"):
+        add_common(p_gof)
+        p_gof.add_argument("--power", type=_power_arg, default=4)
+        p_gof.add_argument("--scale", type=float, required=True,
+                           help="scale parameter on the mean-scaled axis")
 
-    p_cap = sub.add_parser("capital", help="simulate the capital percentile")
-    add_common(p_cap)
-    add_sim(p_cap)
-    p_cap.add_argument("--power", type=_power_arg, default=4)
-    p_cap.add_argument("--freq", type=_freq_arg, default=("poisson", None),
-                       help="poisson, normal, or negbin:<dispersion>")
+    if p_cap := command("capital", "simulate the capital percentile"):
+        add_common(p_cap)
+        add_sim(p_cap)
+        p_cap.add_argument("--power", type=_power_arg, default=4)
+        p_cap.add_argument("--freq", type=_freq_arg, default=("poisson", None),
+                           help="poisson, normal, or negbin:<dispersion>")
 
-    p_cmp = sub.add_parser("compare", help="capital comparison across severity models")
-    add_common(p_cmp)
-    add_sim(p_cmp)
-    p_cmp.add_argument("--models", type=_models_arg, default="exp4,normal,expn:100",
-                       help="comma list: exp4, normal, expn:<power>")
+    if p_cmp := command("compare", "capital comparison across severity models"):
+        add_common(p_cmp)
+        add_sim(p_cmp)
+        p_cmp.add_argument("--models", type=_models_arg, default="exp4,normal,expn:100",
+                           help="comma list: exp4, normal, expn:<power>")
 
-    p_curve = sub.add_parser("curve", help="99.9th percentile of fitted ExpN vs power")
-    add_common(p_curve)
-    add_sim(p_curve)
-    p_curve.add_argument("--powers", type=_powers_arg, default="4,6,8,10,12,14,16,18,20",
-                         help="even powers: comma list, or range '4..20' stepping by 2")
-    p_curve.add_argument("--with-capital", action="store_true",
-                         help="add a simulated capital column")
+    if p_curve := command("curve", "99.9th percentile of fitted ExpN vs power"):
+        add_common(p_curve)
+        add_sim(p_curve)
+        p_curve.add_argument("--powers", type=_powers_arg, default="4,6,8,10,12,14,16,18,20",
+                             help="even powers: comma list, or range '4..20' stepping by 2")
+        p_curve.add_argument("--with-capital", action="store_true",
+                             help="add a simulated capital column")
 
-    p_den = sub.add_parser("density", help="fitted vs empirical density overlay data")
-    add_common(p_den)
-    p_den.add_argument("--power", type=_power_arg, default=4)
-    p_den.add_argument("--grid-points", type=_grid_points_arg, default=201,
-                       help="grid size, at least 2")
+    if p_den := command("density", "fitted vs empirical density overlay data"):
+        add_common(p_den)
+        p_den.add_argument("--power", type=_power_arg, default=4)
+        p_den.add_argument("--grid-points", type=_grid_points_arg, default=201,
+                           help="grid size, at least 2")
 
     return parser
 
@@ -445,7 +460,7 @@ def _run(args, argv: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return _run(args, argv)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:

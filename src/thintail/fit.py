@@ -50,6 +50,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
 _S_LO, _S_HI = 0.05, 10.0  # search bracket on the mean-scaled axis
 _TOL = 1e-5  # the search stops once a bracket is narrower than this
+_GRID = np.geomspace(_S_LO, _S_HI, _GRID_POINTS)  # the pre-scan's scales, shared by every search
+_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -153,12 +155,11 @@ def _search(x: np.ndarray, y: np.ndarray, powers: np.ndarray):
         return np.where(better, s, best_s), np.where(better, f, best_f)
 
     rows = np.arange(size)
-    grid = np.geomspace(_S_LO, _S_HI, _GRID_POINTS)
-    grid_vals = areas(rows, np.broadcast_to(grid, (size, _GRID_POINTS)))
+    grid_vals = areas(rows, np.broadcast_to(_GRID, (size, _GRID_POINTS)))
     k = np.argmin(grid_vals, axis=1)
-    best_s, best_f = grid[k], grid_vals[rows, k]
-    a = grid[np.maximum(k - 1, 0)]
-    b = grid[np.minimum(k + 1, _GRID_POINTS - 1)]
+    best_s, best_f = _GRID[k], grid_vals[rows, k]
+    a = _GRID[np.maximum(k - 1, 0)]
+    b = _GRID[np.minimum(k + 1, _GRID_POINTS - 1)]
 
     # golden-section refinement inside the pre-scan bracket; a row leaves the
     # loop, with its bracket and best point, once the bracket is within tol

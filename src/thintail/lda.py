@@ -57,6 +57,15 @@ __all__ = [
 _TRIAL_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on workers
 _BATCHES = 20  # batch-means blocks behind stderr_estimate and converged
 _GROUP_DRAWS = 2**17  # a trial group's severities start within this many draws (1 MB)
+# numpy's largest Poisson mean: int64's top less ten of its square roots, so that a count ten
+# standard deviations above the mean still fits int64; every frequency record refuses a mean above it
+_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def _require_lam(record) -> None:
+    """Refuse ``record.lam`` above ``_LAM_MAX``, as numpy's Poisson sampler does."""
+    if record.lam > _LAM_MAX:
+        raise ValueError(f"lam must lie in (0, {_LAM_MAX:g}], got {record.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,7 @@ class PoissonFreq:
 
     def __post_init__(self):
         _positive_fields(self, "lam")
+        _require_lam(self)
 
     @property
     def mean(self) -> float:
@@ -85,10 +95,18 @@ class NegativeBinomialFreq:
 
     def __post_init__(self):
         _positive_fields(self, "mean", "dispersion")
+        # numpy's own test: the gamma-mixed Poisson mean, ten standard deviations up, stays within _LAM_MAX
+        r, p = self.dispersion, self._p
+        if p == 0.0 or (1.0 - p) / p * (r + 10.0 * math.sqrt(r)) > _LAM_MAX:
+            limit = _LAM_MAX / (1.0 + 10.0 / math.sqrt(r))
+            raise ValueError(f"mean must lie in (0, {limit:g}] at dispersion {r:g}, got {self.mean!r}")
+
+    @property
+    def _p(self) -> float:
+        return self.dispersion / (self.dispersion + self.mean)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        p = self.dispersion / (self.dispersion + self.mean)
-        return rng.negative_binomial(self.dispersion, p, size)
+        return rng.negative_binomial(self.dispersion, self._p, size)
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,7 @@ class NormalApproxFreq:
 
     def __post_init__(self):
         _positive_fields(self, "lam")
+        _require_lam(self)  # a draw ten sd up still fits int64
 
     @property
     def mean(self) -> float:

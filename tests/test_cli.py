@@ -16,6 +16,7 @@ import pytest
 import scipy
 
 import thintail as tt
+from thintail import cli
 from thintail.cli import main
 
 
@@ -185,6 +186,19 @@ class TestCapitalCommand:
         assert code == 0
         report = json.loads((out / "capital_report.json").read_text())
         assert report["frequency"] == freq.split(":")[0]
+
+    @pytest.mark.parametrize("freq, field", [("poisson", "lam"), ("normal", "lam"), ("negbin:3", "mean")])
+    def test_event_rate_the_sampler_cannot_draw_is_an_error_line(self, pre_file, tmp_path, capsys, freq, field):
+        # 30 losses over 1e-300 years: lambda = 3e301, past numpy's Poisson and negative-binomial
+        # limits and past counts that fit int64
+        out = tmp_path / "out"
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "1e-300",
+                    "--freq", freq, "--out-dir", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must lie in (0, ")
+        assert err.endswith(f"got {tt.annual_frequency(30, 1e-300)!r}\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_frequency_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:
@@ -610,6 +624,38 @@ class TestPinnedOutputs:
         assert captured.out.replace(str(out), "<out>") == stdout
         assert captured.err == ""
         assert hashlib.sha256((out / report).read_bytes()).hexdigest() == digest
+
+
+# Each argv as main gets it; _build_parser adds options only for the commands an argv names.
+PARSER_ARGVS = [
+    ["--help"],
+    ["--version"],
+    [],
+    ["curv", "--input", "x.csv"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    *([command, "--input", "x.csv"] for command in cli._COMMANDS),
+    ["fit", "--input", "x.csv", "--power", "0"],
+    ["capital", "--input", "x.csv", "--freq", "negbin:3", "--trials", "2000", "--seed", "7"],
+    ["compare", "--input", "x.csv", "--label", "curve", "--models", "exp4,normal"],
+    ["curve", "--input", "x.csv", "--powers", "4..8", "--with-capital"],
+    ["curve", "--input", "x.csv", "--powers", "4,5"],
+    ["curve", "--input", "x.csv", "--power", "4"],
+    ["density", "--input", "x.csv", "--grid-points", "1"],
+    ["fit", "density", "--input", "x.csv"],
+    ["--", "fit", "--input", "x.csv"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=[" ".join(argv) for argv in PARSER_ARGVS])
+def test_parser_for_an_argv_parses_it_as_a_parser_with_every_command_does(argv, capsys):
+    def parse(parser):
+        try:
+            outcome = vars(parser.parse_args(argv))
+        except SystemExit as exc:  # help, version or a usage error
+            outcome = exc.code
+        return outcome, capsys.readouterr()
+
+    assert parse(cli._build_parser(argv)) == parse(cli._build_parser(list(cli._COMMANDS)))
 
 
 class TestVersion:

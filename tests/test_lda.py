@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import tracemalloc
 from contextlib import contextmanager
@@ -90,6 +91,39 @@ class TestFrequencyModels:
             tt.PoissonFreq(0.0)
         with pytest.raises(ValueError):
             tt.NegativeBinomialFreq(mean=1.0, dispersion=0.0)
+
+    @pytest.mark.parametrize("make", [tt.PoissonFreq, tt.NormalApproxFreq], ids=["poisson", "normal"])
+    def test_largest_rate_draws_and_the_next_is_refused(self, make):
+        # numpy's Poisson limit, which numpy itself accepts, and the largest mean whose counts ten sd up
+        # still fit int64
+        limit = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+        assert np.random.default_rng(3).poisson(limit, 4).min() > 0
+        counts = make(limit).draw(np.random.default_rng(4), 1000)
+        assert counts.dtype == np.int64 and (counts > 0.99 * limit).all()
+        for lam in (math.nextafter(limit, math.inf), 3e301):
+            with pytest.raises(ValueError, match=re.escape(f"lam must lie in (0, 9.22337e+18], got {lam!r}")):
+                make(lam)
+
+    @pytest.mark.parametrize("dispersion", [1e-10, 0.5, 3.0, 1e6, 1e18])
+    def test_negative_binomial_refuses_exactly_the_means_numpy_refuses(self, dispersion):
+        def numpy_draws(mean):
+            try:
+                np.random.default_rng(5).negative_binomial(dispersion, dispersion / (dispersion + mean), 4)
+            except ValueError as exc:
+                assert "n too large or p too small" in str(exc)
+                return False
+            return True
+
+        lo, hi = 1.0, 1e300  # numpy draws at lo and refuses hi: bisect to adjacent floats
+        while True:
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4 * lo else 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if numpy_draws(mid) else (lo, mid)
+        assert tt.NegativeBinomialFreq(lo, dispersion).draw(np.random.default_rng(6), 4).min() >= 0
+        with pytest.raises(ValueError, match=r"^mean must lie in \(0, [^\]]+\] at dispersion ") as exc:
+            tt.NegativeBinomialFreq(hi, dispersion)
+        assert str(exc.value).endswith(f" at dispersion {dispersion:g}, got {hi!r}")
 
 
 class TestLdaConfig:
