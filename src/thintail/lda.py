@@ -60,6 +60,7 @@ _GROUP_DRAWS = 2**17  # a trial group's severities start within this many draws 
 # numpy's largest Poisson mean: int64's top less ten of its square roots, so that a count ten
 # standard deviations above the mean still fits int64; every frequency record refuses a mean above it
 _LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+_NEGBIN_MEAN_RTOL = 1e-6  # largest relative error a negative-binomial record lets numpy's count mean have
 
 
 def _require_lam(record) -> None:
@@ -100,6 +101,11 @@ class NegativeBinomialFreq:
         if p == 0.0 or (1.0 - p) / p * (r + 10.0 * math.sqrt(r)) > _LAM_MAX:
             limit = _LAM_MAX / (1.0 + 10.0 / math.sqrt(r))
             raise ValueError(f"mean must lie in (0, {limit:g}] at dispersion {r:g}, got {self.mean!r}")
+        # numpy draws counts of mean r(1 - p)/p; once r >> mean, 1 - p is a few ulps and that mean drifts
+        drawn = r * (1.0 - p) / p
+        if abs(drawn - self.mean) > _NEGBIN_MEAN_RTOL * self.mean:
+            raise ValueError(f"dispersion must let numpy draw counts of mean {self.mean!r} to within "
+                             f"{_NEGBIN_MEAN_RTOL:g}, got {r!r} (numpy's mean is {drawn!r})")
 
     @property
     def _p(self) -> float:

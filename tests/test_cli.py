@@ -57,6 +57,7 @@ class TestFitCommand:
         assert report["s_hat_raw"] == pytest.approx(80.0, rel=0.01)
         assert report["power"] == 4
         assert report["reject"]["5%"] is False
+        assert report["at_boundary"] is False and "converged" not in report  # the fit's one flag
         assert (out / "fit_manifest.json").exists()
 
     def test_single_loss_fails_with_diagnostic(self, tmp_path, capsys):
@@ -200,6 +201,16 @@ class TestCapitalCommand:
         assert err.endswith(f"got {tt.annual_frequency(30, 1e-300)!r}\n") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_dispersion_that_moves_numpy_s_mean_is_an_error_line(self, pre_file, tmp_path, capsys):
+        # at lambda = 6 and dispersion 1e17, p rounds to 1 and numpy would draw no events at all
+        out = tmp_path / "out"
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
+                    "--freq", "negbin:1e17", "--out-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: dispersion must let numpy draw counts of mean 6.0 to within "
+                                           "1e-06, got 1e+17 (numpy's mean is 0.0)\n")
+        assert not out.exists()
+
     def test_bad_frequency_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:
             run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
@@ -222,17 +233,28 @@ class TestCapitalCommand:
         report = json.loads((out / "capital_report.json").read_text())
         assert report["count"] == 12 and report["lambda"] == 12 / 4
 
-    def test_threads_env_does_not_change_result(self, pre_file, tmp_path, monkeypatch):
-        args = ["capital", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                "--trials", "5000", "--seed", "3"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
+    # Each run writes the same report bytes with THINTAIL_THREADS unset (one worker) and at each worker count
+    # listed.  Over 0.1125 years the 30 losses are lambda = 267: a chunk draws about 1.1M severities a model in
+    # nine trial groups, and keeps its counts 2 bytes wide.
+    @pytest.mark.parametrize("argv, threads", [
+        (["capital", "--trials", "5000", "--seed", "3"], ["8"]),
+        (["capital", "--power", "100", "--trials", "20000"], ["2"]),
+        (["compare", "--trials", "20000"], ["2"]),
+        (["compare", "--span-years", "0.1125", "--trials", "20000"], ["2", "3"]),
+        (["curve", "--span-years", "0.1125", "--with-capital", "--trials", "20000"], ["2"]),
+    ], ids=["capital", "capital --power 100", "compare", "compare lambda 267", "curve --with-capital lambda 267"])
+    def test_threads_env_does_not_change_result(self, pre_file, tmp_path, monkeypatch, argv, threads):
+        command, *options = argv
         monkeypatch.delenv("THINTAIL_THREADS", raising=False)
-        assert run(args + ["--out-dir", out_a]) == 0
-        monkeypatch.setenv("THINTAIL_THREADS", "8")
-        assert run(args + ["--out-dir", out_b]) == 0
-        cap_a = json.loads((out_a / "capital_report.json").read_text())["capital"]
-        cap_b = json.loads((out_b / "capital_report.json").read_text())["capital"]
-        assert cap_a == cap_b
+        reports = []
+        for workers in [None, *threads]:
+            if workers is not None:
+                monkeypatch.setenv("THINTAIL_THREADS", workers)
+            out = tmp_path / f"threads{workers}"
+            assert run([command, "--input", pre_file, "--mode", "pre", "--span-years", "5", *options,
+                        "--out-dir", out]) == 0
+            reports.append((out / PINNED_ARGS[command][1]).read_bytes())
+        assert reports[1:] == reports[:1] * len(threads)
 
     def test_bad_threads_env_names_itself(self, pre_file, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("THINTAIL_THREADS", "abc")
@@ -255,14 +277,17 @@ class TestCompareCommand:
         assert int(rows[1][1]) == 30
         assert float(rows[1][3]) > 0.0
 
-    def test_single_model_single_capital_column(self, pre_file, tmp_path):
+    @pytest.mark.parametrize("models, columns", [("exp4", []), ("exp4,normal,normal", ["normal_capital"])],
+                             ids=["exp4", "exp4,normal,normal"])
+    def test_single_model_single_capital_column(self, pre_file, tmp_path, models, columns):
+        # a repeated model spec runs once
         out = tmp_path / "out"
         code = run(["compare", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                    "--trials", "2000", "--models", "exp4", "--out-dir", out])
+                    "--trials", "2000", "--models", models, "--out-dir", out])
         assert code == 0
         with open(out / "compare_table.csv", newline="") as fh:
             header = next(csv.reader(fh))
-        assert header == ["dataset", "count", "sum", "capital", "tna"]
+        assert header == ["dataset", "count", "sum", "capital", "tna", *columns]
 
     def test_unknown_model_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:
@@ -312,15 +337,17 @@ class TestCurveCommand:
             rows = list(csv.reader(fh))
         assert [int(r[0]) for r in rows[1:]] == list(range(4, 21, 2))
 
-    def test_range_steps_by_two_and_is_silent(self, pre_file, tmp_path, capsys):
+    @pytest.mark.parametrize("powers, expected", [("4..7", [4, 6]), ("4..20", list(range(4, 21, 2)))],
+                             ids=["4..7", "4..20"])
+    def test_range_steps_by_two_and_is_silent(self, pre_file, tmp_path, capsys, powers, expected):
         out = tmp_path / "out"
         code = run(["curve", "--input", pre_file, "--mode", "pre", "--span-years", "5",
-                    "--powers", "4..7", "--out-dir", out])
+                    "--powers", powers, "--out-dir", out])
         assert code == 0
         assert capsys.readouterr().err == ""
         with open(out / "curve_data.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [int(r[0]) for r in rows[1:]] == [4, 6]
+        assert [int(r[0]) for r in rows[1:]] == expected
 
     @pytest.mark.parametrize("powers, reason", [
         ("4,5,6", "ExpN power must be a positive even integer, got 5"),
@@ -456,7 +483,9 @@ class TestDensityCommand:
 
 # Each bad option value, on a file whose line 3 is refused: the option is reported, not the line.
 # A value argparse refuses is a usage error (status 2), one the command refuses is status 1.
+# With no bad option, the file's line 3 is reported.
 COMMA_FILE_OPTION_ERRORS = [
+    (["fit"], {}, 1, "line 3: expected 1 field (amount), got 2"),
     (["capital", "--trials", "10"], {}, 1, "trials must be an integer >= 1000, got 10"),
     (["capital", "--percentile", "1.5"], {}, 1, "percentile must lie in (0, 1), got 1.5"),
     (["capital", "--percentile", "nan"], {}, 1, "percentile must lie in (0, 1), got nan"),
@@ -666,11 +695,38 @@ class TestVersion:
         assert tt.__version__ in capsys.readouterr().out
 
 
-def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_optimize():
-    # Each adds to every command's start-up; density imports gaussian_kde only when it runs.
+def python(*args):
+    """Run a fresh interpreter that imports this thintail."""
     src = str(Path(tt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+# The process's exit status: 0 with a report, 1 with one error line, 2 on a usage error; no out-dir
+# unless the run succeeds.  Each case starts an interpreter, which imports scipy.
+@pytest.mark.parametrize("options, status, stderr", [
+    ([], 0, ""),
+    (["--span-years", "inf"], 1, "error: span_years must be finite and > 0, got inf\n"),
+    (["--power", "0"], 2, "thintail fit: error: argument --power: n must be an integer >= 1, got 0\n"),
+], ids=["report", "error line", "usage error"])
+def test_exit_status_of_the_module_entry_point(pre_file, tmp_path, options, status, stderr):
+    out = tmp_path / "out"
+    done = python("-m", "thintail.cli", "fit", "--input", str(pre_file), "--mode", "pre", "--span-years", "5",
+                  *options, "--out-dir", str(out))
+    assert done.returncode == status
+    if status == 2:  # argparse prints the usage first
+        assert done.stderr.startswith("usage: thintail fit ") and done.stderr.endswith(f"\n{stderr}")
+    else:
+        assert done.stderr == stderr
+    if status == 0:
+        assert (out / "fit_report.json").stat().st_size > 0
+    else:
+        assert not out.exists()
+
+
+def test_importing_the_cli_loads_neither_scipy_stats_nor_scipy_optimize():
+    # Each adds to every command's start-up; density imports gaussian_kde only when it runs.
     code = "import sys, thintail.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

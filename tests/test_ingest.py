@@ -16,6 +16,14 @@ from thintail import ingest
 from thintail.ingest import LossCsvError, span_years_of, write_csv
 
 
+@pytest.fixture()
+def row_loop_calls(monkeypatch):
+    """The width of each call of ingest's row loop during the test, in order."""
+    row_loop, calls = ingest._row_loop, []
+    monkeypatch.setattr(ingest, "_row_loop", lambda reader, width: calls.append(width) or row_loop(reader, width))
+    return calls
+
+
 def stream(text: str) -> io.StringIO:
     return io.StringIO(text)
 
@@ -312,13 +320,11 @@ class TestByteOrderMark:
         return plain, marked
 
     @pytest.mark.parametrize("tail, row_loops", [("", 0), (",,,\n", 2)], ids=["tokenizer", "row loop"])
-    def test_raw_payments(self, tmp_path, monkeypatch, tail, row_loops):
+    def test_raw_payments(self, tmp_path, row_loop_calls, tail, row_loops):
         text = "amount,date,event_id,category\n12.5,2016-03-01,EV1,CPBP\n3.0,2016-04-01,EV2,\n" + tail
         plain, marked = self.twins(tmp_path, text)
-        row_loop, ran = ingest._row_loop, []
-        monkeypatch.setattr(ingest, "_row_loop", lambda reader, width: ran.append(width) or row_loop(reader, width))
         assert tt.parse_csv(marked) == tt.parse_csv(plain)
-        assert len(ran) == row_loops  # a ,,, row sends each file through the row loop
+        assert len(row_loop_calls) == row_loops  # a ,,, row sends each file through the row loop
 
     def test_pre_aggregated(self, tmp_path):
         plain, marked = self.twins(tmp_path, "amount\n1.5\n2.0\n")
@@ -602,9 +608,14 @@ class TestAggregateEquivalence:
         write_csv(records, path)
         return records, path
 
-    def test_write_parse_round_trip(self, payments):
+    @pytest.mark.parametrize("tail, row_loops", [("", 0), (",,,\n", 1)], ids=["tokenizer", "row loop"])
+    def test_write_parse_round_trip(self, payments, tmp_path, row_loop_calls, tail, row_loops):
+        # 20,000 rows are two tokenizer blocks; a ,,, row sends the whole file through the row loop instead
         records, path = payments
-        assert tt.parse_csv(path) == tt.LossTable.from_records(records)
+        copy = tmp_path / "payments.csv"
+        copy.write_bytes(path.read_bytes() + tail.encode())
+        assert tt.parse_csv(copy) == tt.LossTable.from_records(records)
+        assert len(row_loop_calls) == row_loops
 
     @pytest.mark.parametrize("mode", ["event", "period:month", "period:quarter", "period:year"])
     def test_parsed_table_records_and_reference_agree(self, payments, mode):

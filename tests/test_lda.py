@@ -69,6 +69,16 @@ class TestFrequencyModels:
         draws = freq.draw(rng, 400_000)
         assert draws.var() == pytest.approx(6.0, rel=0.03)
 
+    def test_negative_binomial_refuses_a_dispersion_that_moves_numpy_s_mean(self):
+        # numpy draws counts of mean r(1 - p)/p: at mean 6 that is 6.0000005 at r = 1e10 and 0 at 1e17
+        for dispersion in (1e7, 1e10):
+            assert tt.NegativeBinomialFreq(6.0, dispersion).dispersion == dispersion
+        for dispersion, drawn in [(1e14, 5.995204332976205), (1e17, 0.0)]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"dispersion must let numpy draw counts of mean 6.0 to within 1e-06, got {dispersion!r} "
+                    f"(numpy's mean is {drawn!r})")):
+                tt.NegativeBinomialFreq(6.0, dispersion)
+
     def test_normal_approx_rounding(self):
         rng = np.random.default_rng(3)
         freq = tt.NormalApproxFreq(2.0)
