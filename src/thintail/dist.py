@@ -19,7 +19,8 @@ bytes, bool or None; records store it as a float), ``_require_finite``
 ``_require_between`` (a real number in an open range), ``_require_int``
 (an integer >= a least value, not a bool or a float) and
 ``_require_losses`` (a 1-d sample of at least 2 losses, or of as many as
-its caller asks, each finite and > 0).
+its caller asks, each finite and > 0; or a 2-d batch of such samples,
+one a row, where its caller takes many).
 
 The power-exponential density on x > 0 is
 
@@ -169,15 +170,22 @@ def _require_int(name: str, value, least: int) -> int:
     return k
 
 
-def _require_losses(losses, least: int = 2) -> np.ndarray:
-    """``losses`` as a float array, if it is a 1-d sample of at least ``least`` losses, each finite and > 0."""
-    arr = np.asarray(losses, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"losses must be a 1-d sequence, got shape {arr.shape}")
-    if arr.size < least:
-        raise ValueError(f"need at least {least} {'loss' if least == 1 else 'losses'}, got {arr.size}")
-    if not np.isfinite(arr).all() or (arr <= 0.0).any():
-        raise ValueError("losses must be finite and > 0")
+def _require_losses(losses, least: int = 2, ndim: int | None = 1) -> np.ndarray:
+    """``losses`` as a C-ordered float array, if it is ``ndim``-d (1: one sample; 2: a batch of equal-length
+    samples, one a row; None: either, the sample being the last axis) and each sample holds at least
+    ``least`` losses, each finite and > 0."""
+    arr = np.asarray(losses, dtype=float, order="C")
+    if arr.ndim not in ((1, 2) if ndim is None else (ndim,)):
+        wanted = {1: "a 1-d sequence", 2: "a 2-d array of samples"}.get(ndim, "a 1-d sequence or a 2-d array")
+        raise ValueError(f"losses must be {wanted}, got shape {arr.shape}")
+    if arr.shape[-1] < least:
+        raise ValueError(f"need at least {least} {'loss' if least == 1 else 'losses'}, got {arr.shape[-1]}")
+    if arr.ndim == 2 and not arr.shape[0]:
+        raise ValueError("need at least 1 sample, got 0")
+    valid = np.isfinite(arr) & (arr > 0.0)
+    if not valid.all():
+        where = f"row {int(np.argmin(valid.all(axis=-1)))}: " if arr.ndim == 2 else ""
+        raise ValueError(f"{where}losses must be finite and > 0")
     return arr
 
 

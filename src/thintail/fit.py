@@ -16,15 +16,19 @@ steps, so a fit makes at most 16 + 2 + 28 + 1 = 47 objective
 evaluations.
 
 One search runs B rows in lockstep, a row being one power fitted to
-one sample (``curve`` fits nine powers of one sample).  The pre-scan is
-one objective evaluation over all rows and grid points, and each
-golden-section step is one evaluation over the rows whose bracket is
-still wider than the tolerance.  An evaluation is one call of the
-unchecked CDF kernel ``dist._expn_cdf``, bound here as ``expn_cdf``, the
-name the benchmark's ``dist.cdf`` span wraps: ``_fit`` checks the powers
-and losses once, and the scales come from the fixed bracket.  Every row
+one sample.  The sample is the last axis of the losses: one (m,) sample
+takes one power (``fit_expn``) or many (``fit_expn_many``; ``curve`` fits
+nine), and a (B, m) array of B equal-length samples takes one power per
+row (``fit_expn_samples``).  The pre-scan is one objective evaluation
+over all rows and grid points, and each golden-section step is one
+evaluation over the rows whose bracket is still wider than the
+tolerance.  An evaluation is one call of the unchecked CDF kernel
+``dist._expn_cdf``, bound here as ``expn_cdf``, the name the benchmark's
+``dist.cdf`` span wraps: ``_fit`` checks the powers and losses before
+the search, and the scales come from the fixed bracket.  Every row
 takes the same steps, in the same floating-point order, as a search of
-its own would, so ``fit_expn`` is the B = 1 case of ``fit_expn_many``.
+its own would, so ``fit_expn`` is the B = 1 case of ``fit_expn_many``
+and of ``fit_expn_samples``.
 Each row's TN-A area and crossings come from one more evaluation of all
 rows at their fitted scales, and its ``TnaResult`` is bit for bit what
 ``tna_test`` gives; that evaluation is not counted in ``evaluations``.
@@ -44,7 +48,7 @@ import numpy as np
 from .dist import ExpNParams, SeverityModel, _expn_cdf as expn_cdf, _require_losses, check_power
 from .tna import TnaResult, _checked_polyline_areas, empirical_from_losses
 
-__all__ = ["FitResult", "scale_losses", "fit_expn", "fit_expn_many"]
+__all__ = ["FitResult", "scale_losses", "fit_expn", "fit_expn_many", "fit_expn_samples"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 16
@@ -82,11 +86,30 @@ class FitResult:
         return SeverityModel(params=ExpNParams(self.s_hat, self.n), scaling_mean=self.scaling_mean)
 
 
-def scale_losses(losses) -> tuple[np.ndarray, float]:
-    """Divide each of at least 2 losses by the sample mean; returns (scaled, mean)."""
-    arr = _require_losses(losses)
-    mean = float(arr.mean())
-    return arr / mean, mean
+def scale_losses(losses) -> tuple[np.ndarray, float | np.ndarray]:
+    """Divide each of at least 2 losses by the sample mean; returns (scaled, mean).
+
+    The sample is the last axis: a (B, m) batch of samples gives each row
+    divided by its own mean, and the B means as an array, each row's the
+    bits of its own call.  A sample whose sum overflows, or whose least
+    loss divided by the mean underflows to 0, is refused, naming its row
+    in a batch.
+    """
+    arr = _require_losses(losses, ndim=None)
+    with np.errstate(over="ignore", under="ignore"):
+        mean = arr.mean(axis=-1, keepdims=True)
+        scaled = arr / mean
+    positive = scaled.min(axis=-1) > 0.0
+    if not positive.all():
+        row = int(np.argmin(positive))
+        where = f"row {row}: " if arr.ndim == 2 else ""
+        least, row_mean = float(np.atleast_2d(arr)[row].min()), float(mean.flat[row])
+        if math.isinf(row_mean):
+            raise ValueError(f"{where}the sum of the losses overflows a double, so they have no finite mean")
+        raise ValueError(f"{where}the least loss, {least!r}, divided by the mean, {row_mean!r}, "
+                         "underflows to 0; the losses span too wide a range")
+    mean = mean[..., 0]
+    return scaled, (float(mean) if arr.ndim == 1 else mean)
 
 
 def fit_expn(losses, n: int = 4) -> FitResult:
@@ -102,32 +125,42 @@ def fit_expn_many(losses, powers) -> list[FitResult]:
     return _fit(losses, list(powers))
 
 
-def _fit(losses, powers: list) -> list[FitResult]:
+def fit_expn_samples(samples, n: int = 4) -> list[FitResult]:
+    """``fit_expn(sample, n)`` for each sample, a row of the (B, m) array ``samples``, in one lockstep search."""
+    return _fit(samples, [n], ndim=2)
+
+
+def _fit(losses, powers: list, ndim: int = 1) -> list[FitResult]:
+    """The fits of ``ndim``-d ``losses``: one sample to each power, or each row of a batch to the one power."""
     if not powers:
         raise ValueError("need at least one power")
     powers = np.array([check_power(n) for n in powers])
-    scaled, mean = scale_losses(losses)
+    scaled, mean = scale_losses(_require_losses(losses, ndim=ndim))
     x, y = empirical_from_losses(scaled)
+    if x.ndim == 2:
+        powers = np.repeat(powers, len(x))
     s_hats, evaluations = _search(x, y, powers)
     areas, crossings = _checked_polyline_areas(expn_cdf(x, s_hats[:, None], powers[:, None]), y)
 
     results = []
-    for s_hat, n, count, area, crossed in zip(
-        s_hats.tolist(), powers.tolist(), evaluations.tolist(), areas.tolist(), crossings.tolist()
-    ):
+    for row, (s_hat, scaling_mean, n, count, area, crossed) in enumerate(zip(
+        s_hats.tolist(), np.broadcast_to(mean, powers.shape).tolist(), powers.tolist(), evaluations.tolist(),
+        areas.tolist(), crossings.tolist(),
+    )):
         at_boundary = (s_hat - _S_LO) <= _TOL or (_S_HI - s_hat) <= _TOL
         if at_boundary:
+            where = f"row {row}: " if x.ndim == 2 else ""
             warnings.warn(
-                f"fitted scale {s_hat:.6g} sits at the search boundary "
+                f"{where}fitted scale {s_hat:.6g} sits at the search boundary "
                 f"[{_S_LO}, {_S_HI}]; no interior minimum found",
                 RuntimeWarning,
                 stacklevel=3,
             )
         results.append(FitResult(
             s_hat=s_hat,
-            scaling_mean=mean,
+            scaling_mean=scaling_mean,
             n=n,
-            tna=TnaResult(area, x.size, crossed),
+            tna=TnaResult(area, x.shape[-1], crossed),
             evaluations=count,
             at_boundary=at_boundary,
         ))

@@ -24,7 +24,9 @@ the capital is bit-identical for 1 or many workers.
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
 the run is flagged converged when the 95% half-width of the block
-percentiles is below 1% of the capital.
+percentiles is below 1% of the capital.  Their spread is taken at an
+exact power-of-two scale below 1, so their squares cannot overflow at
+any loss scale.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ _GROUP_DRAWS = 2**17  # a trial group's severities start within this many draws 
 # standard deviations above the mean still fits int64; every frequency record refuses a mean above it
 _LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
 _NEGBIN_MEAN_RTOL = 1e-6  # largest relative error a negative-binomial record lets numpy's count mean have
+# largest draws buffer one trial may need, 8 bytes x (mean + 10 sd + 1) events, by the ten-sd rule
+# of _LAM_MAX; fixed, so the same run is refused on every host (1 GiB, a mean of about 1.3e8 events)
+_TRIAL_BYTES_MAX = 2**30
 
 
 def _require_lam(record) -> None:
@@ -82,6 +87,10 @@ class PoissonFreq:
     @property
     def mean(self) -> float:
         return self.lam
+
+    @property
+    def sd(self) -> float:
+        return math.sqrt(self.lam)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.poisson(self.lam, size)
@@ -108,6 +117,10 @@ class NegativeBinomialFreq:
                              f"{_NEGBIN_MEAN_RTOL:g}, got {r!r} (numpy's mean is {drawn!r})")
 
     @property
+    def sd(self) -> float:
+        return math.sqrt(self.mean + self.mean**2 / self.dispersion)
+
+    @property
     def _p(self) -> float:
         return self.dispersion / (self.dispersion + self.mean)
 
@@ -128,6 +141,10 @@ class NormalApproxFreq:
     @property
     def mean(self) -> float:
         return self.lam
+
+    @property
+    def sd(self) -> float:
+        return math.sqrt(self.lam)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raw = rng.normal(self.lam, math.sqrt(self.lam), size)
@@ -261,7 +278,14 @@ def run_lda(
     stream the grid hands it; ``_run`` is the record
     of the counts, with the draws buffers, that ``run_lda_many`` shares
     among its models.  A lone run keeps its counts too: about 1 byte a trial.
+    Before anything is drawn, a frequency whose one trial, ten standard
+    deviations above its mean, would need a draws buffer above
+    ``_TRIAL_BYTES_MAX`` (1 GiB) is refused.
     """
+    trial_bytes = 8.0 * (freq.mean + 10.0 * freq.sd + 1.0)
+    if trial_bytes > _TRIAL_BYTES_MAX:
+        raise ValueError(f"event rate {freq.mean:g} needs a draws buffer of {trial_bytes:.3g} bytes for one trial "
+                         f"(8 bytes x (mean + 10 sd + 1) events), above the {_TRIAL_BYTES_MAX} bytes allowed")
     run = _Counts(freq) if _run is None else _run
     annual = np.empty(int(cfg.trials), dtype=float)
 
@@ -298,11 +322,12 @@ def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> Capita
     """The capital percentile of one model's annual losses, with its batch-means diagnostics."""
     capital = float(np.quantile(annual, cfg.percentile))
 
-    block_pcts = [
-        float(np.quantile(block, cfg.percentile))
-        for block in np.array_split(annual, _BATCHES)
-    ]
-    stderr = float(np.std(block_pcts, ddof=1) / math.sqrt(len(block_pcts)))
+    block_pcts = np.array([np.quantile(block, cfg.percentile) for block in np.array_split(annual, _BATCHES)])
+    # the spread of the block percentiles scaled by an exact power of two below 1, so that their
+    # squares cannot overflow at any loss scale: the same bits as unscaled wherever those are finite
+    _, exponent = math.frexp(block_pcts.max())
+    spread = float(np.ldexp(np.std(np.ldexp(block_pcts, -exponent), ddof=1), exponent))
+    stderr = spread / math.sqrt(_BATCHES)
     half_width = 1.96 * stderr
     converged = half_width < 0.01 * capital if capital > 0.0 else True
 

@@ -7,7 +7,10 @@ is the area enclosed between the diagonal and the polyline through the
 mapped points: the polyline is closed with (0, 0) and (1, 1) (matching
 F(0) = 0 and F(inf) = 1), each segment is split where it crosses the
 diagonal, and the absolute trapezoid areas are summed.  Smaller is
-better; zero means every point sits on the diagonal.
+better; zero means every point sits on the diagonal.  The sample is the
+last axis: ``tna_test`` takes one (m,) sample, and ``tna_test_samples`` a
+(B, m) array of B samples, one a row, in one CDF call and one area
+evaluation; each row's result is its own ``tna_test`` bit for bit.
 
 The paper's significance levels come from the quadratic
 A(p) = 2*sqrt(2)*p*(1 - sqrt(2)*p) (``significance_area``).  Every
@@ -48,6 +51,7 @@ __all__ = [
     "invert_significance",
     "null_critical_value",
     "tna_test",
+    "tna_test_samples",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -80,9 +84,13 @@ class TnaResult:
 
 
 def empirical_from_losses(losses) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted losses ``x`` and their plotting positions y_i = (i - 0.5)/n."""
-    x = np.sort(_require_losses(losses))
-    y = (np.arange(1, x.size + 1) - 0.5) / x.size
+    """Sorted losses ``x`` and their plotting positions y_i = (i - 0.5)/m.
+
+    The sample is the last axis: a (B, m) batch of samples gives each row
+    sorted, and the m positions they share.
+    """
+    x = np.sort(_require_losses(losses, ndim=None))
+    y = (np.arange(1, x.shape[-1] + 1) - 0.5) / x.shape[-1]
     return x, y
 
 
@@ -206,6 +214,16 @@ def tna_test(losses, model) -> TnaResult:
     Its ``reject`` holds the decisions ``rejected_at`` takes at
     ``DEFAULT_LEVELS`` (1%, 5% and 10%), the levels every report prints.
     """
+    return _tna_results(_require_losses(losses), model)[0]
+
+
+def tna_test_samples(samples, model) -> list[TnaResult]:
+    """``tna_test(sample, model)`` for each sample, a row of the (B, m) array ``samples``, in one evaluation."""
+    return _tna_results(_require_losses(samples, ndim=2), model)
+
+
+def _tna_results(losses: np.ndarray, model) -> list[TnaResult]:
+    """The test of each sample, the last axis of ``losses``: one CDF call and one area call for all of them."""
     x, y = empirical_from_losses(losses)
-    area, crossings = _checked_polyline_areas(np.asarray(model.cdf(x), dtype=float), y)
-    return TnaResult(float(area), x.size, int(crossings))
+    areas, crossings = np.atleast_1d(*_checked_polyline_areas(np.asarray(model.cdf(x), dtype=float), y))
+    return [TnaResult(area, x.shape[-1], crossed) for area, crossed in zip(areas.tolist(), crossings.tolist())]

@@ -200,11 +200,10 @@ def test_criterion_8_tna_calibration():
     paper_crit = tt.critical_value(5.0)
     rng = np.random.default_rng(808)
     model = tt.SeverityModel(tt.Exp4Params(1.0))
+    results = tt.tna_test_samples([tt.Exp4Params(1.0).sample(30, rng) for _ in range(reps)], model)
     rejections = 0
     paper_rejections = 0
-    for _ in range(reps):
-        losses = tt.Exp4Params(1.0).sample(30, rng)
-        res = tt.tna_test(losses, model)
+    for res in results:
         assert res.rejected_at(5.0) == (res.area > paper_crit)
         rejections += res.area > crit
         paper_rejections += res.rejected_at(5.0)
@@ -223,9 +222,7 @@ def test_criterion_9_fit_recovery():
     hits_scaled = 0
     hits_raw = 0
     reps = 500
-    for _ in range(reps):
-        sample = tt.Exp4Params(true_s).sample(30, rng)
-        fr = tt.fit_expn(sample)
+    for fr in tt.fit_expn_samples([tt.Exp4Params(true_s).sample(30, rng) for _ in range(reps)]):
         hits_scaled += abs(fr.s_hat - scaled_truth) / scaled_truth < 0.15
         hits_raw += abs(fr.s_hat_raw - true_s) / true_s < 0.15
     rate = hits_scaled / reps

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,25 @@ class TestGofCommand:
         assert report["tna_area"] < 0.068  # close to the fitted optimum
 
 
+@pytest.mark.parametrize("command", [["fit"], ["gof", "--scale", "1"], ["density"], ["compare", "--models", "normal"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("losses, message", [
+    ("1e308\n1.5e308", "the sum of the losses overflows a double, so they have no finite mean"),
+    ("1e-300\n1e300\n3.0", "the least loss, 1e-300, divided by the mean, 3.3333333333333335e+299, "
+                           "underflows to 0; the losses span too wide a range"),
+], ids=["sum overflows", "least underflows"])
+def test_losses_a_double_cannot_scale_are_an_error_line(tmp_path, capsys, command, losses, message):
+    path = tmp_path / "losses.csv"
+    path.write_text(f"amount\n{losses}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run([*command, "--input", path, "--mode", "pre", "--span-years", "5", "--out-dir", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestCapitalCommand:
     def test_defaults_and_reproducibility(self, pre_file, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -210,6 +230,39 @@ class TestCapitalCommand:
         assert capsys.readouterr().err == ("error: dispersion must let numpy draw counts of mean 6.0 to within "
                                            "1e-06, got 1e+17 (numpy's mean is 0.0)\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("span, freq, message", [
+        ("3e-11", [], "event rate 1e+12 needs a draws buffer of 8e+12 bytes"),
+        ("3e-17", ["--freq", "negbin:3"], "event rate 1e+18 needs a draws buffer of 5.42e+19 bytes"),
+    ], ids=["poisson", "negbin"])
+    def test_rate_no_memory_holds_is_an_error_line(self, pre_file, tmp_path, capsys, monkeypatch, span, freq,
+                                                   message):
+        monkeypatch.setattr("thintail.lda._run_chunks", None)  # a draw would call it
+        out = tmp_path / "out"
+        code = run(["capital", "--input", pre_file, "--mode", "pre", "--span-years", span, *freq,
+                    "--out-dir", out])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {message} for one trial (8 bytes x (mean + 10 sd + 1) events), "
+                                           "above the 1073741824 bytes allowed\n")
+        assert not out.exists()
+
+    def test_huge_loss_scale_reports_a_finite_stderr(self, tmp_path, capsys):
+        ps = (np.arange(1, 31) - 0.5) / 30
+        path = tmp_path / "huge.csv"
+        losses = tt.Exp4Params(1.0).quantile(ps) * 1e200
+        path.write_text("amount\n" + "\n".join(repr(float(v)) for v in losses) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["capital", "--input", path, "--mode", "pre", "--span-years", "5", "--trials", "2000",
+                        "--out-dir", out]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads((out / "capital_report.json").read_text(), parse_constant=refuse)
+        assert 0.0 < report["stderr_estimate"] < report["capital"]
+        assert capsys.readouterr().err == ""
 
     def test_bad_frequency_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:

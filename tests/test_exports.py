@@ -33,11 +33,13 @@ EXPORTS = [
     "invert_significance",
     "null_critical_value",
     "tna_test",
+    "tna_test_samples",
     # fit
     "FitResult",
     "scale_losses",
     "fit_expn",
     "fit_expn_many",
+    "fit_expn_samples",
     # lda
     "PoissonFreq",
     "NegativeBinomialFreq",

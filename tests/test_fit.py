@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thintail as tt
-from thintail import fit
 from thintail.dist import ExpNParams
 
 # population mean of ExpN(1, n): 2^(1/n) * Gamma(2/n) / Gamma(1/n); for n=4
@@ -47,6 +46,25 @@ class TestScaleLosses:
     def test_invalid_inputs(self, bad):
         with pytest.raises(ValueError):
             tt.scale_losses(bad)
+
+    def test_batch_scales_each_row_by_its_own_mean(self):
+        scaled, means = tt.scale_losses([[2.0, 4.0], [1.0, 1.0]])
+        assert means.tolist() == [3.0, 1.0]
+        assert np.array_equal(scaled, [[2 / 3, 4 / 3], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("losses, message", [
+        ([1e308, 1.5e308], "^the sum of the losses overflows a double, so they have no finite mean$"),
+        ([1e-300, 1e300, 3.0],
+         r"^the least loss, 1e-300, divided by the mean, 3.3333333333333335e\+299, underflows to 0"),
+        ([[1.0, 2.0], [1e308, 1.5e308]], "^row 1: the sum of the losses overflows a double"),
+    ], ids=["sum overflows", "least underflows", "row"])
+    def test_losses_a_double_cannot_scale_are_refused_by_cause(self, losses, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                tt.scale_losses(losses)
+            with pytest.raises(ValueError, match=message):
+                tt.fit_expn_samples(losses) if np.ndim(losses) == 2 else tt.fit_expn(losses)
 
 
 class TestFitExp4:
@@ -114,7 +132,8 @@ class TestFitExp4:
     @pytest.mark.parametrize("entry", [
         lambda x: tt.fit_expn(x, 4),
         lambda x: tt.fit_expn_many(x, [4]),
-    ], ids=["fit_expn", "fit_expn_many"])
+        lambda x: tt.fit_expn_samples([x], 4),
+    ], ids=["fit_expn", "fit_expn_many", "fit_expn_samples"])
     def test_boundary_warning_points_at_the_caller(self, entry):
         with pytest.warns(RuntimeWarning, match="search boundary") as caught:
             entry([0.001] * 29 + [1000.0])
@@ -256,17 +275,6 @@ class TestLockstepSearch:
             assert fr.tna == tt.tna_test(scaled, tt.SeverityModel(ExpNParams(fr.s_hat, n)))
             assert fr.evaluations <= 47  # 16 grid points, 2 probes, 28 golden steps, 1 midpoint
 
-    def test_rows_may_hold_their_own_samples(self):
-        rng = np.random.default_rng(5)
-        samples = [tt.Exp4Params(s).sample(25, rng) for s in (0.5, 1.0, 3.0)]
-        scaled = [tt.scale_losses(x)[0] for x in samples]
-        xs, ys = zip(*(tt.empirical_from_losses(x) for x in scaled))
-        powers = np.array([4, 8, 100])
-        s_hats, evaluations = fit._search(np.stack(xs), ys[0], powers)
-        singles = [tt.fit_expn(x, int(n)) for x, n in zip(samples, powers)]
-        assert s_hats.tolist() == [fr.s_hat for fr in singles]
-        assert evaluations.tolist() == [fr.evaluations for fr in singles]
-
     def test_one_boundary_row_warns_for_itself_only(self):
         # two losses far above the rest: power 1 has an interior minimum, power 4 does not
         with pytest.warns(RuntimeWarning, match="search boundary") as caught:
@@ -277,3 +285,50 @@ class TestLockstepSearch:
     def test_needs_at_least_one_power(self):
         with pytest.raises(ValueError, match="at least one"):
             tt.fit_expn_many([1.0, 2.0], [])
+
+
+class TestManySamples:
+    """``fit_expn_samples`` and ``tna_test_samples``: one row a sample, each row its own call bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        # row means are pairwise sums, so sizes off a multiple of 8 and above 128 get their own draws
+        size=st.integers(2, 40) | st.integers(129, 300),
+        n=st.integers(1, 8) | st.integers(9, 120),
+    )
+    @example(seed=5, rows=1, size=30, n=4)
+    @example(seed=5, rows=3, size=131, n=100)
+    @settings(max_examples=20, deadline=None)
+    def test_each_row_equals_its_own_fit_and_test(self, seed, rows, size, n):
+        rng = np.random.default_rng(seed)
+        samples = np.round(rng.lognormal(0.0, 1.0, (rows, size)), int(rng.integers(0, 4))) + 0.01
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            results = tt.fit_expn_samples(samples, n)
+            assert results == [tt.fit_expn(x, n) for x in samples]
+        assert tt.scale_losses(samples)[1].tolist() == [fr.scaling_mean for fr in results]
+        model = results[0].model
+        assert tt.tna_test_samples(samples, model) == [tt.tna_test(x, model) for x in samples]
+
+    def test_one_boundary_row_warns_for_itself_only(self):
+        samples = [SEEDED30, [0.001] * 29 + [1000.0]]
+        with pytest.warns(RuntimeWarning, match="^row 1: fitted scale 0.05 sits at the search boundary") as caught:
+            results = tt.fit_expn_samples(samples)
+        assert [fr.at_boundary for fr in results] == [False, True]
+        assert [w.filename for w in caught] == [__file__]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: tt.fit_expn([[1.0, 2.0]]), r"1-d sequence, got shape \(1, 2\)"),
+        (lambda: tt.tna_test([[1.0, 2.0]], ExpNParams(1.0)), r"1-d sequence, got shape \(1, 2\)"),
+        (lambda: tt.compare_models([[1.0, 2.0]], 5.0, ["exp4"]), r"1-d sequence, got shape \(1, 2\)"),
+        (lambda: tt.AggregatedLossSet([[1.0, 2.0]], span_years=5.0), r"1-d sequence, got shape \(1, 2\)"),
+        (lambda: tt.fit_expn_samples([1.0, 2.0]), r"2-d array of samples, got shape \(2,\)"),
+        (lambda: tt.tna_test_samples([1.0, 2.0], ExpNParams(1.0)), r"2-d array of samples, got shape \(2,\)"),
+        (lambda: tt.fit_expn_samples(np.ones((0, 3))), "^need at least 1 sample, got 0$"),
+        (lambda: tt.fit_expn_samples([[1.0, 2.0], [3.0, 0.0]]), "^row 1: losses must be finite and > 0$"),
+    ], ids=["fit_expn", "tna_test", "compare_models", "AggregatedLossSet", "fit_expn_samples", "tna_test_samples",
+            "no rows", "bad row"])
+    def test_each_door_refuses_the_other_shape(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -277,6 +278,35 @@ class TestRunLda:
         sev = tt.SeverityModel(tt.PointMassParams(1e308))
         with pytest.raises(RuntimeError):
             tt.run_lda(sev, tt.PoissonFreq(6.0), tt.LdaConfig(trials=1_000, seed=0))
+
+    def test_stderr_stays_finite_at_any_loss_scale(self):
+        # 2^665 is about 4e200, where the squares of the block percentiles overflow; a power of two
+        # scales every draw exactly, so the stderr is the unit run's times that power
+        cfg, freq = tt.LdaConfig(trials=10_000, seed=3), tt.PoissonFreq(6.0)
+        unit = tt.run_lda(tt.SeverityModel(tt.Exp4Params(1.0)), freq, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = tt.run_lda(tt.SeverityModel(tt.Exp4Params(1.0), scaling_mean=2.0**665), freq, cfg)
+        assert big.stderr_estimate == unit.stderr_estimate * 2.0**665
+        assert big.converged == unit.converged
+
+    @pytest.mark.parametrize("freq, message", [
+        (tt.PoissonFreq(1e12), "event rate 1e+12 needs a draws buffer of 8e+12 bytes"),
+        (tt.NegativeBinomialFreq(1e18, 3.0), "event rate 1e+18 needs a draws buffer of 5.42e+19 bytes"),
+    ], ids=["poisson", "negbin"])
+    def test_rate_whose_one_trial_outgrows_the_bound_is_refused_before_any_draw(self, freq, message, monkeypatch):
+        monkeypatch.setattr(lda, "_run_chunks", None)  # a draw would call it
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} for one trial "
+                                             r"\(8 bytes x \(mean \+ 10 sd \+ 1\) events\), "
+                                             "above the 1073741824 bytes allowed$"):
+            tt.run_lda(tt.SeverityModel(tt.Exp4Params(1.0)), freq, tt.LdaConfig(trials=1_000))
+
+    def test_rate_at_the_trial_bound_runs(self, monkeypatch):
+        sev, cfg = tt.SeverityModel(tt.Exp4Params(1.0)), tt.LdaConfig(trials=1_000)
+        monkeypatch.setattr(lda, "_TRIAL_BYTES_MAX", 8.0 * (6.0 + 10.0 * math.sqrt(6.0) + 1.0))
+        assert tt.run_lda(sev, tt.PoissonFreq(6.0), cfg).trials == 1_000
+        with pytest.raises(ValueError, match="^event rate 6.001 needs a draws buffer"):
+            tt.run_lda(sev, tt.PoissonFreq(6.001), cfg)
 
     def test_result_records_inputs(self):
         sev = tt.SeverityModel(tt.Exp4Params(1.0))

@@ -50,11 +50,16 @@ class TestEmpirical:
         assert np.array_equal(x, [1.0, 1.0])
         assert y == pytest.approx([0.25, 0.75])
 
-    @pytest.mark.parametrize("bad", [[1.0, -2.0], [0.0, 1.0], [1.0, float("nan")], [[1.0, 2.0], [3.0, 4.0]]])
+    @pytest.mark.parametrize("bad", [[1.0, -2.0], [0.0, 1.0], [1.0, float("nan")], [[[1.0, 2.0], [3.0, 4.0]]]])
     def test_invalid_losses(self, bad):
-        message = "finite and > 0" if np.ndim(bad) == 1 else r"1-d sequence, got shape \(2, 2\)"
+        message = "finite and > 0" if np.ndim(bad) == 1 else r"1-d sequence or a 2-d array, got shape \(1, 2, 2\)"
         with pytest.raises(ValueError, match=message):
             tt.empirical_from_losses(bad)
+
+    def test_batch_sorts_each_row_and_shares_the_positions(self):
+        x, y = tt.empirical_from_losses([[3.0, 1.0, 2.0], [5.0, 6.0, 4.0]])
+        assert np.array_equal(x, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert np.array_equal(y, tt.empirical_from_losses([3.0, 1.0, 2.0])[1])
 
 
 class TestProbabilitySpace:
