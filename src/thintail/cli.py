@@ -277,6 +277,12 @@ def _tna_fields(tna: TnaResult) -> dict:
     }
 
 
+def _decimals(value: float, places: int) -> str:
+    """``value`` with ``places`` decimals below 1e15 in magnitude, else in ``.6g``: a summary line at a huge
+    loss scale prints six significant digits, not every digit of the integer part."""
+    return f"{value:.{places}f}" if abs(value) < 1e15 else f"{value:.6g}"
+
+
 def _reject_lines(payload: dict) -> list[str]:
     return [
         f"  {level} two-tailed: {'reject' if rejected else 'accept'}"
@@ -374,8 +380,8 @@ def _capital(args):
         "scaling_mean": fit_payload["scaling_mean"],
     }
     summary_line = (
-        f"capital [{payload['label']}]: count={payload['count']} sum={payload['sum']:.1f} "
-        f"capital={payload['capital']:.1f} tna={payload['tna_area']:.3f} "
+        f"capital [{payload['label']}]: count={payload['count']} sum={_decimals(payload['sum'], 1)} "
+        f"capital={_decimals(payload['capital'], 1)} tna={payload['tna_area']:.3f} "
         f"(lambda={payload['lambda']:.3g}, trials={payload['trials']}, "
         f"converged={payload['converged']})"
     )
@@ -408,7 +414,7 @@ def _curve(args):
     header = ["n", "q999", "capital"] if args.with_capital else ["n", "q999"]
     table = [header] + [[n, repr(q999), repr(capital)][: len(header)] for n, q999, capital in rows]
     lines = [
-        f"n={n:3d} q999={q999:.4f}" + (f" capital={capital:.2f}" if args.with_capital else "")
+        f"n={n:3d} q999={_decimals(q999, 4)}" + (f" capital={_decimals(capital, 2)}" if args.with_capital else "")
         for n, q999, capital in rows
     ]
     return "curve_data.csv", table, lines

@@ -9,8 +9,9 @@ one front door, ``SeverityParams``: it checks x, p or the count and
 calls the family's array-only ``_pdf``, ``_cdf``, ``_quantile`` or
 ``_draw``.  An ExpN evaluation is a call of its record,
 ``ExpNParams(s, n).cdf(x)``, which refuses an array ``s`` or ``n``; only
-the scale search in ``fit`` broadcasts arrays of scales and powers,
-through the unchecked CDF kernel ``_expn_cdf``.
+the scale search in ``fit`` and ``curve``'s q999 per power
+(``lda.percentile_vs_n``) broadcast arrays of scales and powers, through
+the unchecked kernels the record calls, ``_expn_cdf`` and ``_expn_quantile``.
 
 Each kind of checked input has one rule here, whose error names the
 parameter: ``_require_positive`` (a finite real number > 0, not a str,
@@ -30,8 +31,12 @@ with CDF P(1/n, u) = 1 - Q(1/n, u), u = x^n / (2 s^n), where P and Q are
 the regularized lower and upper incomplete gamma functions.  ``Exp4`` is
 ``ExpN`` at its default n = 4, and ``Exp4Params`` is an alias of ``ExpNParams``.
 
-Below u = 1/n + 1 the CDF is P = ``scipy.special.gammainc``, as 1 - Q
-cancels there; above, it is 1 - Q with Q = ``scipy.special.gammaincc``.
+The CDF is one call of P = ``scipy.special.gammainc`` over the whole
+broadcast shape, and its bits are those of the split at u = 1/n + 1
+into P below, where 1 - Q would cancel, and 1 - Q with Q =
+``scipy.special.gammaincc`` from there up: scipy's P (cephes' ``igam``)
+returns exactly 1 - ``igamc`` for u > max(1, a), and 1/n + 1 > max(1, 1/n).
+``tests/test_specfun.py`` pins both sides of the switch.
 The quantile is closed-form, x = s * (2 g)^(1/n) with g the inverse of
 P at shape 1/n: ``gammainccinv(1/n, 1 - p)`` for p > 0.5, where 1 - p is
 exact and the far tail keeps full precision, and ``gammaincinv(1/n, p)``
@@ -247,21 +252,39 @@ def _expn_exponent(x: np.ndarray, s, n) -> np.ndarray:
 
 
 def _expn_cdf(x: np.ndarray, s, n) -> np.ndarray:
-    """CDF of ExpN(s, n) at a float array ``x >= 0``, unchecked: P(1/n, u) below u = 1/n + 1,
-    else 1 - Q(1/n, u), u = x^n / (2 s^n); x f(0) where u is below the smallest normal double.
+    """CDF of ExpN(s, n) at a float array ``x >= 0``, unchecked: P(1/n, u), u = x^n / (2 s^n), in one
+    ``gammainc`` call, which from u = 1/n + 1 up is 1 - Q(1/n, u) bit for bit (see the module docstring);
+    x f(0) where u is below the smallest normal double.
 
     ``x``, a float array ``s`` and an integer array ``n`` broadcast together;
     each entry equals the scalar call on it, bit for bit.
     """
     u = _expn_exponent(x, s, n)
-    a = np.broadcast_to(1.0 / n, u.shape)
-    lower = u < a + 1.0
-    out = np.empty_like(u)
-    out[lower] = gammainc(a[lower], u[lower])
-    out[~lower] = 1.0 - regularized_upper_gamma(a[~lower], u[~lower])
+    out = gammainc(1.0 / n, u)
     if u.min(initial=np.inf) < _TINY:
         out = np.where(u < _TINY, (x / s) / _expn_unit_norm(n), out)
     return out
+
+
+def _expn_quantile(p: np.ndarray, s, n) -> np.ndarray:
+    """Quantile of ExpN(s, n) at a float array ``p`` in [0, 1), unchecked: s (2 g)^(1/n) with g the
+    inverse of P at shape 1/n, ``gammainccinv(1/n, 1 - p)`` for p > 0.5 and ``gammaincinv(1/n, p)``
+    otherwise; s p / f(0) where g is below the smallest normal double.
+
+    ``p``, a float array ``s`` and an integer array ``n`` broadcast together; each entry equals
+    the scalar call on it, bit for bit.  numpy takes a lone exponent 0.5 as a square root but
+    calls ``pow`` for an array of exponents, so an array ``n`` takes the root of its entries
+    equal to 2 as ``sqrt``, as ``_expn_exponent`` squares them.
+    """
+    p, a = np.broadcast_arrays(p, 1.0 / n)
+    upper = p > 0.5
+    g = np.empty(p.shape)
+    g[~upper] = gammaincinv(a[~upper], p[~upper])
+    g[upper] = gammainccinv(a[upper], 1.0 - p[upper])
+    root = np.power(2.0 * g, a)
+    if np.ndim(n) and (n == 2).any():
+        root = np.where(n == 2, np.sqrt(2.0 * g), root)
+    return s * np.where(g < _TINY, p * _expn_unit_norm(n), root)
 
 
 @dataclass(frozen=True)
@@ -436,11 +459,7 @@ class ExpNParams(SeverityParams):
         return _expn_cdf(x, self.s, self.n)
 
     def _quantile(self, p):
-        a, upper = 1.0 / self.n, p > 0.5
-        g = np.empty_like(p)
-        g[~upper] = gammaincinv(a, p[~upper])
-        g[upper] = gammainccinv(a, 1.0 - p[upper])
-        return self.s * np.where(g < _TINY, p * _expn_unit_norm(self.n), np.power(2.0 * g, a))
+        return _expn_quantile(p, self.s, self.n)
 
     def _draw(self, out, rng):
         zig = _expn_ziggurat(self.n)

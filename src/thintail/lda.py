@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (NormalParams, SeverityModel, _positive_fields, _require_between, _require_int, _require_losses,
-                   _require_positive, _run_chunks, check_even_power)
+from .dist import (NormalParams, SeverityModel, _expn_quantile, _positive_fields, _require_between, _require_int,
+                   _require_losses, _require_positive, _run_chunks, check_even_power)
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -435,6 +435,9 @@ def percentile_vs_n(
 
     Returns one (n, q999, capital) tuple per distinct n, ordered by n;
     capital is NaN when ``with_capital`` is off.  Powers must be even integers >= 2.
+    The powers are fitted in one lockstep search (``fit_expn_many``), and their
+    q999 values are one call of the quantile kernel ``dist._expn_quantile`` over
+    the fitted scales and powers, each the bits of its ``model.quantile(0.999)``.
     """
     values = sorted({check_even_power(n) for n in n_values})
     if not values:
@@ -442,10 +445,11 @@ def percentile_vs_n(
     arr = _require_losses(losses)
     freq = PoissonFreq(annual_frequency(arr.size, years))
 
-    models = [fr.model for fr in fit_expn_many(arr, values)]
+    fits = fit_expn_many(arr, values)
+    scaling_mean = fits[0].scaling_mean  # one sample, so one mean for every power
+    q999s = scaling_mean * _expn_quantile(0.999, np.array([fr.s_hat for fr in fits]), np.array(values))
     if with_capital:
-        capitals = [res.capital for res in run_lda_many(models, freq, cfg)]
+        capitals = [res.capital for res in run_lda_many([fr.model for fr in fits], freq, cfg)]
     else:
-        capitals = [float("nan")] * len(models)
-    return [(n, float(model.quantile(0.999)), capital)
-            for n, model, capital in zip(values, models, capitals)]
+        capitals = [float("nan")] * len(fits)
+    return list(zip(values, q999s.tolist(), capitals))

@@ -262,7 +262,12 @@ class TestCapitalCommand:
 
         report = json.loads((out / "capital_report.json").read_text(), parse_constant=refuse)
         assert 0.0 < report["stderr_estimate"] < report["capital"]
-        assert capsys.readouterr().err == ""
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # from 1e15 up the sum and capital print as .6g, not as 200-odd digits each
+        (line,) = captured.out.splitlines()
+        assert len(line) < 200
+        assert f"sum={report['sum']:.6g} capital={report['capital']:.6g} " in line
 
     def test_bad_frequency_is_usage_error(self, pre_file):
         with pytest.raises(SystemExit) as exc:
@@ -435,6 +440,24 @@ class TestCurveCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "q999", "capital"]
         assert all(float(r[2]) > 0 for r in rows[1:])
+
+    def test_huge_loss_scale_prints_short_lines(self, tmp_path, capsys):
+        ps = (np.arange(1, 31) - 0.5) / 30
+        path = tmp_path / "huge.csv"
+        losses = tt.Exp4Params(1.0).quantile(ps) * 1e200
+        path.write_text("amount\n" + "\n".join(repr(float(v)) for v in losses) + "\n")
+        out = tmp_path / "out"
+        assert run(["curve", "--input", path, "--mode", "pre", "--span-years", "5", "--powers", "4,8",
+                    "--with-capital", "--trials", "2000", "--out-dir", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        with open(out / "curve_data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        # from 1e15 up q999 and capital print as .6g, not as 200-odd digits each
+        assert captured.out.splitlines() == [
+            f"n={int(n):3d} q999={float(q999):.6g} capital={float(capital):.6g}" for n, q999, capital in rows
+        ]
+        assert all(len(line) < 200 for line in captured.out.splitlines())
 
 
 class TestDensityCommand:

@@ -22,8 +22,8 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 import thintail as tt
-from thintail.dist import (_LAYERS, _chunk_rng, _expn_cdf, _expn_ziggurat, _run_chunks, check_even_power,
-                           check_power)
+from thintail.dist import (_LAYERS, _chunk_rng, _expn_cdf, _expn_quantile, _expn_ziggurat, _run_chunks,
+                           check_even_power, check_power)
 
 # mpmath, 40 digits
 EXP4_PDF_AT_ZERO = 0.9277296085790008440027
@@ -248,6 +248,17 @@ class TestExpN:
             vec = tt.ExpNParams(3.0, n).quantile(ps)
             assert vec.shape == ps.shape
             assert [tt.ExpNParams(3.0, n).quantile(float(p)) for p in ps] == list(vec)
+        # the quantile kernel over broadcast scales and powers; p down to the linear lower-tail branch
+        # at n = 100, and a grid on which numpy's pow differs in the last bit from the sqrt of n = 2
+        ps = np.r_[0.0, 1e-300, 0.5, 0.5 + 1e-16, 1.0 - 1e-12, np.linspace(0.01, 0.99, 50)]
+        ss = np.array([0.05, 0.9, 10.0])
+        ns = np.array([1, 2, 3, 4, 12, 100])
+        got = _expn_quantile(ps, ss[:, None, None], ns[:, None])
+        assert got.shape == (3, 6, 55)
+        want = [[[tt.ExpNParams(float(s), int(n)).quantile(float(p)) for p in ps] for n in ns] for s in ss]
+        assert got.tolist() == want
+        assert _expn_quantile(0.999, ss, ns[:, None]).tolist() == [
+            [tt.ExpNParams(float(s), int(n)).quantile(0.999) for s in ss] for n in ns]
 
     def test_cdf_broadcasts_scales_and_powers_like_scalar_calls(self):
         # the fit's kernel; x down to the linear lower-tail branch at n = 100 (below about 8e-4 s)

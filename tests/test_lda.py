@@ -655,9 +655,11 @@ class TestPercentileVsN:
         cfg = tt.LdaConfig(trials=9_000, seed=2)
         rows = tt.percentile_vs_n(curve_losses, 5.0, [4, 10, 30], cfg)
         freq = tt.PoissonFreq(tt.annual_frequency(len(curve_losses), 5.0))
-        assert [c for _, _, c in rows] == [
-            tt.run_lda(tt.fit_expn(curve_losses, n).model, freq, cfg).capital for n in (4, 10, 30)
-        ]
+        models = [tt.fit_expn(curve_losses, n).model for n in (4, 10, 30)]
+        assert [c for _, _, c in rows] == [tt.run_lda(model, freq, cfg).capital for model in models]
+        # the one quantile-kernel call gives each power's q999 as its own model does
+        assert [type(q) for _, q, _ in rows] == [float] * 3
+        assert [q for _, q, _ in rows] == [model.quantile(0.999) for model in models]
 
     def test_numpy_integer_powers_accepted(self, curve_losses):
         rows = tt.percentile_vs_n(curve_losses, 5.0, np.array([6, 4]), with_capital=False)

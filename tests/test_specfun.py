@@ -1,9 +1,12 @@
 """Tests for the gamma-family special functions behind the ExpN family.
 
 The ExpN CDF (``ExpNParams(s, n).cdf`` and the fit's kernel ``_expn_cdf``) at
-u = x^n / (2 s^n) is P(1/n, u) = ``scipy.special.gammainc`` below u = 1/n + 1
-and 1 - Q(1/n, u) = 1 - ``scipy.special.gammaincc`` from there up;
-the upper incomplete gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
+u = x^n / (2 s^n) is P(1/n, u), one ``scipy.special.gammainc`` call.  Its bits
+are those of the split into P below u = 1/n + 1, where 1 - Q(1/n, u) would
+cancel, and 1 - Q = 1 - ``scipy.special.gammaincc`` from there up, because
+scipy's P (cephes' ``igam``) returns exactly 1 - ``igamc`` for u > max(1, a);
+``TestLowerRegularized`` pins both sides of the switch.
+The upper incomplete gamma function is Gamma(a, x) = Q(a, x) * Gamma(a).
 The normaliser of ``ExpNParams(s, n).pdf`` takes log Gamma from ``math.lgamma``.
 
 Reference values were frozen from a 40-digit mpmath evaluation and,
@@ -171,7 +174,7 @@ def mpmath_cdf(x, n):
 
 
 class TestLowerRegularized:
-    """P = ``gammainc``, which the ExpN CDF takes below u = 1/n + 1."""
+    """P = ``gammainc``, the ExpN CDF's one call: P itself below u = 1/n + 1, 1 - Q from there up."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 20, 50, 100])
     def test_against_mpmath_below_the_switch(self, n):
@@ -207,6 +210,22 @@ class TestLowerRegularized:
         u = 0.5 * np.power(np.float64(x) / s, n)
         assume(u >= 1.0 / n + 1.0)
         assert ExpNParams(s, n).cdf(x) == 1.0 - gammaincc(1.0 / n, u)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 12, 100, 1000])
+    def test_cdf_is_p_below_the_switch_and_one_minus_q_from_it_up(self, n):
+        # One gammainc call gives the bits of the split P | 1 - Q only while scipy's P is 1 - Q above the
+        # switch; a scipy that computes P otherwise there fails here, not only in moved report digests.
+        a, s = 1.0 / n, 1.7
+        edge = a + 1.0
+        us = edge * np.r_[np.geomspace(1e-3, 0.9, 30), 1.0 + np.linspace(-1e-6, 1e-6, 41), np.geomspace(1.1, 300.0, 30)]
+        xs = s * (2.0 * us) ** a
+        u = 0.5 * np.power(xs / s, n)  # the kernel's u, from x as it computes it
+        below = u < edge
+        near = np.abs(u / edge - 1.0) < 1e-6
+        assert (near & below).any() and (near & ~below).any()
+        got = _expn_cdf(xs, s, n)
+        assert got[below].tolist() == gammainc(a, u[below]).tolist()
+        assert got[~below].tolist() == (1.0 - gammaincc(a, u[~below])).tolist()
 
     def test_array_straddling_the_switch_equals_scalar_calls(self):
         # the fit's kernel, on the arrays of scales and powers its search passes
