@@ -92,8 +92,8 @@ def scale_losses(losses) -> tuple[np.ndarray, float | np.ndarray]:
     The sample is the last axis: a (B, m) batch of samples gives each row
     divided by its own mean, and the B means as an array, each row's the
     bits of its own call.  A sample whose sum overflows, or whose least
-    loss divided by the mean underflows to 0, is refused, naming its row
-    in a batch.
+    loss divided by the mean underflows to 0, is refused, naming the cause
+    and, in a batch, its row.
     """
     arr = _require_losses(losses, ndim=None)
     with np.errstate(over="ignore", under="ignore"):

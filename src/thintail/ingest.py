@@ -1,7 +1,8 @@
 """Loss-data ingestion: CSV parsing, aggregation by originating event or
 accounting period, and summary statistics.
 
-Input schema (UTF-8 CSV, with or without a byte-order mark): header
+Input schema (UTF-8 CSV, with or without the byte-order mark that Excel's
+"CSV UTF-8" export writes; the mark is dropped): header
 ``amount,date,event_id,category`` with the last two columns optional;
 dates are ISO-8601; amounts are mEUR and must be positive.  Unknown
 columns are rejected unless ``permissive``.
@@ -96,7 +97,7 @@ class LossCsvError(ValueError):
 
 @dataclass(frozen=True)
 class LossRecord:
-    """One raw loss payment (amount in mEUR)."""
+    """One raw loss payment (amount in mEUR, checked by ``dist``'s positive-number rule)."""
 
     amount: float
     date: date
@@ -169,14 +170,20 @@ def _table(amounts, days, event_codes, events, category_codes, categories) -> Lo
 
 @dataclass(frozen=True)
 class AggregatedLossSet:
-    """Aggregated losses (mEUR) with their observation span."""
+    """Aggregated losses (mEUR) with their observation span.
+
+    ``losses`` is kept as a tuple of floats, whatever sequence is given, so a
+    set compares and hashes by value.  It is checked by ``dist``'s loss-sample
+    rule with a least count of 1: a set of one loss is legal (the fits ask
+    for 2), and a NaN, infinite, zero or negative loss is refused at
+    construction.  ``span_years`` is checked by the positive-number rule.
+    """
 
     losses: tuple[float, ...]
     span_years: float
     label: str = ""
 
     def __post_init__(self):
-        # stored as a tuple of floats, whatever sequence is given; one loss is a set, the fits ask for 2
         object.__setattr__(self, "losses", tuple(_require_losses(self.losses, least=1).tolist()))
         _positive_fields(self, "span_years")
 
@@ -185,7 +192,8 @@ class AggregatedLossSet:
 def _text(source):
     """A text stream over ``source``; a path is opened (and closed) here, dropping a UTF-8 byte-order mark.
 
-    Text that does not decode raises :class:`LossCsvError`; for a path it names the line of the first bad byte.
+    Text that does not decode raises :class:`LossCsvError`: ``line N: not UTF-8 text`` for a path, N being the
+    line of the first bad byte, and only ``not UTF-8 text`` for a text stream the caller opened.
     """
     path = isinstance(source, (str, Path))
     if not path and not isinstance(source, io.TextIOBase):
@@ -257,7 +265,8 @@ def _rows(reader, problems: list[str]):
 
 def _amount_rows(reader, problems: list[str]):
     """``(line number, row, amount)`` of each row after the header that is not blank and whose first
-    field is an amount, finite and > 0; every other row that is not blank adds its problem."""
+    field is an amount, finite and > 0; every other row that is not blank adds its problem.  This is the one
+    amount rule of the row loop and of :func:`parse_pre_aggregated`."""
     for lineno, row in _rows(reader, problems):
         if not row or all(not cell.strip() for cell in row):
             continue

@@ -27,6 +27,13 @@ the run is flagged converged when the 95% half-width of the block
 percentiles is below 1% of the capital.  Their spread is taken at an
 exact power-of-two scale below 1, so their squares cannot overflow at
 any loss scale.
+
+The module also holds the model-comparison table behind ``compare``
+(``compare_models``; ``parse_model_spec`` is the one reader of a model
+spec such as ``exp4``, ``normal`` or ``expn:<power>``) and the
+percentile-vs-power study behind ``curve`` (``percentile_vs_n``).  The
+frequency records, ``LdaConfig`` and ``annual_frequency`` check their
+inputs with ``dist``'s rules.
 """
 
 from __future__ import annotations
@@ -58,7 +65,10 @@ __all__ = [
 
 _TRIAL_CHUNK = 4096  # trials per RNG substream; fixed so results never depend on workers
 _BATCHES = 20  # batch-means blocks behind stderr_estimate and converged
-_GROUP_DRAWS = 2**17  # a trial group's severities start within this many draws (1 MB)
+# a trial group's severities start within this many draws (1 MB of draws buffer). At lambda = 60 a chunk's
+# 246,000 draws come in two groups: groups of 2^16 ran the benchmark's compare_tail about 10% slower, as each
+# sample call's redraw round costs 50-160 us, and drawing whole chunks raised its peak RSS by up to 3 MB
+_GROUP_DRAWS = 2**17
 # numpy's largest Poisson mean: int64's top less ten of its square roots, so that a count ten
 # standard deviations above the mean still fits int64; every frequency record refuses a mean above it
 _LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
@@ -238,6 +248,8 @@ class _Counts:
             rng.bit_generator.state = state
             return counts.astype(np.int64)
         counts = np.asarray(self.freq.draw(rng, size), dtype=np.int64)
+        # the narrowest width, with draws buffers shared by every model, took the benchmark's compare_tail from
+        # 70.9 to 66.3 MB peak RSS against int64 counts and new buffers per model
         self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
         return counts
 
@@ -309,10 +321,10 @@ def run_lda_many(severities, freq: FrequencyModel, cfg: LdaConfig = LdaConfig())
     The first model's run draws every chunk's counts and keeps them with
     the stream state after them; each later model's ``run_lda`` draws its
     severities from that state, so every result equals the model's own
-    ``run_lda`` bit for bit.  The counts (1 byte a trial up to 255 events
-    a trial, as at lambda = 60; 2 bytes up to 65,535), one draws buffer
-    per worker (about 1 MB at lambda = 60) and one model's annual losses
-    are held at a time, however many models there are.
+    ``run_lda`` bit for bit.  The counts, at their narrowest width (see
+    ``_Counts``), one draws buffer per worker (about 1 MB at lambda = 60)
+    and one model's annual losses are held at a time, however many models
+    there are.
     """
     run = _Counts(freq)
     return [run_lda(severity, freq, cfg, _run=run) for severity in severities]

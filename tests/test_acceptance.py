@@ -17,8 +17,9 @@ the measurements behind each reading:
   change is printed for the record.
 * criterion 8: the paper's 5% threshold 0.0682 does not depend on n,
   but the area's null law shrinks like 1/sqrt(n), so at n=30 it rejects
-  ~24% of true-model samples (it is a 5% test only near n~=75).  The
-  size is checked for ``null_critical_value(5.0, 30)``, the simulated
+  0.25 of true-model samples (the ``thintail.tna`` docstring gives the
+  rate for each n).  The size is checked for
+  ``null_critical_value(5.0, 30)``, the simulated
   upper 5% point of the null law for 30 points; the decisions of
   ``tna_test`` still follow the paper's threshold, which is asserted
   sample by sample, and the paper-rule rate is printed for the record.

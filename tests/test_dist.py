@@ -82,6 +82,11 @@ class TestExp4Pdf:
 
     def test_peak_region_example(self):
         assert tt.Exp4Params(0.2).pdf(0.2) == pytest.approx(EXP4_PDF_02_02, rel=1e-13)
+        # the paper abstract's form exp(-x^4 / (2 s^2)) holds with its s = 0.2^2 (see the dist docstring)
+        params = tt.Exp4Params(0.2)
+        for x in (0.05, 0.1, 0.2, 0.25):
+            shape = math.exp(-(x**4) / (2 * (0.2 * 0.2) ** 2))
+            assert params.pdf(x) / params.pdf(0.0) == pytest.approx(shape, rel=1e-15)
 
     def test_decays_to_zero(self):
         assert tt.Exp4Params(1.0).pdf(50.0) == 0.0
