@@ -119,7 +119,7 @@ _LAYERS = 256  # equal-area layers of the ExpN ziggurat
 # draws per block of the ExpN rectangle pass, 17 bytes a draw of each thread's block buffers (0.56 MB):
 # 2^13 blocks ran the benchmark's compare_tail about 30% slower, and 2^17 blocks raised its peak RSS by 4 MB
 _BLOCK = 2**15
-_scratch = threading.local()  # each thread's block buffers of the rectangle pass
+_scratch = threading.local()  # each thread's simulation buffers: its rectangle-pass blocks and its draws
 
 
 def _require_scalar(name: str, value) -> None:
@@ -367,6 +367,16 @@ def _block_scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not hasattr(_scratch, "buffers"):
         _scratch.buffers = (np.empty(_BLOCK, np.intp), np.empty(_BLOCK), np.empty(_BLOCK, bool))
     return _scratch.buffers
+
+
+def _draws_scratch(size: int) -> np.ndarray:
+    """This thread's draws buffer, as its first ``size`` doubles.  One too small is replaced by one an eighth
+    larger than ``size``, so it is seldom regrown: a fresh buffer per chunk (about 1 MB at lambda = 60) faults
+    its pages in again, and many small regrowths grow the heap.  No other thread sees it; it dies with this one."""
+    buffer = getattr(_scratch, "draws", None)
+    if buffer is None or buffer.size < size:
+        buffer = _scratch.draws = np.empty(size + size // 8)
+    return buffer[:size]
 
 
 @functools.lru_cache(maxsize=128)

@@ -15,11 +15,11 @@ and the run's record (``_Counts``) keeps both.
 ``run_lda_many``, which ``compare`` and ``curve --with-capital`` call
 once for all their models, runs ``run_lda`` per model on one record: the
 first run draws each chunk's counts, and the later runs restore them
-with that state.  The record also holds the draws buffers, so one run
-allocates its simulation memory once, not once per model.  A model's
-annual-loss array therefore depends only on (seed, trials) — never on
-the worker count, the scheduling or the other models of the run — and
-the capital is bit-identical for 1 or many workers.
+with that state.  Each worker thread draws into its own buffer
+(``dist._draws_scratch``).  A model's annual-loss array therefore
+depends only on (seed, trials) — never on the worker count, the
+scheduling or the other models of the run — and the capital is
+bit-identical for 1 or many workers.
 
 Convergence is judged by batch means: the annual losses are split into
 20 consecutive blocks, the percentile is taken per block, and
@@ -39,14 +39,12 @@ inputs with ``dist``'s rules.
 from __future__ import annotations
 
 import math
-import queue
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import (NormalParams, SeverityModel, _expn_quantile, _positive_fields, _require_between, _require_int,
-                   _require_losses, _require_positive, _run_chunks, check_even_power)
+from .dist import (NormalParams, SeverityModel, _draws_scratch, _expn_quantile, _positive_fields, _require_between,
+                   _require_int, _require_losses, _require_positive, _run_chunks, check_even_power)
 from .fit import fit_expn, fit_expn_many, scale_losses
 from .tna import tna_test
 
@@ -224,22 +222,19 @@ def _chunk_losses(severity: SeverityModel, rng: np.random.Generator, counts: np.
 
 
 class _Counts:
-    """The simulation memory of one run: each chunk's event counts, the
-    first draws of its stream, and the draws buffers its chunks fill.
+    """What the models of one run share: each chunk's event counts, with
+    the state of its stream right after them.
 
     A chunk's first run draws its counts from the stream the grid hands
     it and keeps them, at the narrowest unsigned width that holds them
-    (1 byte a trial up to 255 events, 2 up to 65,535), with the stream
-    state right after them; every later run of the chunk restores that
-    state into its stream instead of drawing again.  The draws buffers
-    are a free list: a chunk takes one, fills it and gives it back, so
-    every model of the run reuses the same buffers, one per worker at most.
+    (1 byte a trial up to 255 events, 2 up to 65,535), with that state;
+    every later run of the chunk restores the state into its stream
+    instead of drawing again.
     """
 
     def __init__(self, freq: FrequencyModel):
         self.freq = freq
         self.kept: dict[int, tuple[dict, np.ndarray]] = {}
-        self.buffers: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
 
     def stream(self, chunk: int, rng: np.random.Generator, size: int) -> np.ndarray:
         """The chunk's ``size`` counts as int64, with its stream ``rng`` moved to the state after them."""
@@ -248,30 +243,10 @@ class _Counts:
             rng.bit_generator.state = state
             return counts.astype(np.int64)
         counts = np.asarray(self.freq.draw(rng, size), dtype=np.int64)
-        # the narrowest width, with draws buffers shared by every model, took the benchmark's compare_tail from
-        # 70.9 to 66.3 MB peak RSS against int64 counts and new buffers per model
+        # the narrowest width, with each worker thread reusing one draws buffer for its chunks, holds the
+        # benchmark's compare_tail at 65.3-65.6 MB peak RSS, against 70.9 MB with int64 counts
         self.kept[chunk] = (rng.bit_generator.state, counts.astype(np.min_scalar_type(counts.max())))
         return counts
-
-    @contextmanager
-    def draws(self, size: int):
-        """A buffer of ``size`` doubles from the free list, given back when the block ends.
-
-        A buffer too small is replaced by one an eighth larger than ``size``,
-        so it is seldom regrown: a fresh buffer per chunk (about 1 MB at
-        lambda = 60) faults its pages in again, and many small regrowths
-        grow the heap.
-        """
-        try:
-            buffer = self.buffers.get_nowait()
-        except queue.Empty:
-            buffer = np.empty(0)
-        if buffer.size < size:
-            buffer = np.empty(size + size // 8)
-        try:
-            yield buffer[:size]
-        finally:
-            self.buffers.put(buffer)
 
 
 def run_lda(
@@ -287,9 +262,9 @@ def run_lda(
     with THINTAIL_THREADS workers (default 1); results are bit-identical
     for any count.  Each chunk draws its counts first, then the
     severities, a trial group at a time (``_trial_groups``), from the
-    stream the grid hands it; ``_run`` is the record
-    of the counts, with the draws buffers, that ``run_lda_many`` shares
-    among its models.  A lone run keeps its counts too: about 1 byte a trial.
+    stream the grid hands it, into its thread's draws buffer; ``_run`` is
+    the record of the counts that ``run_lda_many`` shares among its
+    models.  A lone run keeps its counts too: about 1 byte a trial.
     Before anything is drawn, a frequency whose one trial, ten standard
     deviations above its mean, would need a draws buffer above
     ``_TRIAL_BYTES_MAX`` (1 GiB) is refused.
@@ -304,9 +279,9 @@ def run_lda(
     def fill(chunk: int, rng: np.random.Generator, out: np.ndarray):
         counts = run.stream(chunk, rng, out.size)
         groups = [(lo, hi, int(counts[lo:hi].sum())) for lo, hi in _trial_groups(counts)]
-        with run.draws(max(total for _, _, total in groups) + 1) as draws:
-            for lo, hi, total in groups:
-                _chunk_losses(severity, rng, counts[lo:hi], out[lo:hi], draws[: total + 1])
+        draws = _draws_scratch(max(total for _, _, total in groups) + 1)
+        for lo, hi, total in groups:
+            _chunk_losses(severity, rng, counts[lo:hi], out[lo:hi], draws[: total + 1])
 
     _run_chunks(cfg.seed, annual, _TRIAL_CHUNK, fill)
 
@@ -322,19 +297,25 @@ def run_lda_many(severities, freq: FrequencyModel, cfg: LdaConfig = LdaConfig())
     the stream state after them; each later model's ``run_lda`` draws its
     severities from that state, so every result equals the model's own
     ``run_lda`` bit for bit.  The counts, at their narrowest width (see
-    ``_Counts``), one draws buffer per worker (about 1 MB at lambda = 60)
-    and one model's annual losses are held at a time, however many models
-    there are.
+    ``_Counts``), one draws buffer per worker thread (about 1 MB at
+    lambda = 60) and one model's annual losses are held at a time, however
+    many models there are.
     """
     run = _Counts(freq)
     return [run_lda(severity, freq, cfg, _run=run) for severity in severities]
 
 
 def _capital(annual: np.ndarray, freq: FrequencyModel, cfg: LdaConfig) -> CapitalResult:
-    """The capital percentile of one model's annual losses, with its batch-means diagnostics."""
-    capital = float(np.quantile(annual, cfg.percentile))
-
-    block_pcts = np.array([np.quantile(block, cfg.percentile) for block in np.array_split(annual, _BATCHES)])
+    """The capital percentile of one model's annual losses, with its batch-means diagnostics, read in place:
+    ``annual`` is reordered.  The blocks are ``np.array_split``'s, whose first ``trials % _BATCHES`` are a loss
+    longer; the longer and the shorter blocks are one ``np.quantile`` call each, taken before the capital."""
+    size, longer = divmod(annual.size, _BATCHES)
+    split = longer * (size + 1)
+    block_pcts = np.concatenate([
+        np.quantile(annual[:split].reshape(longer, size + 1), cfg.percentile, axis=1, overwrite_input=True),
+        np.quantile(annual[split:].reshape(_BATCHES - longer, size), cfg.percentile, axis=1, overwrite_input=True),
+    ])
+    capital = float(np.quantile(annual, cfg.percentile, overwrite_input=True))
     # the spread of the block percentiles scaled by an exact power of two below 1, so that their
     # squares cannot overflow at any loss scale: the same bits as unscaled wherever those are finite
     _, exponent = math.frexp(block_pcts.max())
@@ -391,6 +372,8 @@ class ComparisonRow:
 def _fit_normal(losses) -> tuple[SeverityModel, float]:
     """Moment-matched Normal on the mean-scaled axis (sample sd, ddof=1) and its TN-A area."""
     scaled, mean = scale_losses(losses)
+    if np.ptp(scaled) == 0.0:  # no spread to fit; their sd may round to 1e-16, not 0
+        raise ValueError(f"model normal needs losses that differ: all {scaled.size} losses are equal")
     params = NormalParams(mu=1.0, sigma=float(np.std(scaled, ddof=1)))
     area = tna_test(scaled, params).area
     return SeverityModel(params=params, scaling_mean=mean), area

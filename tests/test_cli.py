@@ -780,22 +780,30 @@ def python(*args):
 
 # The process's exit status: 0 with a report, 1 with one error line, 2 on a usage error; no out-dir
 # unless the run succeeds.  Each case starts an interpreter, which imports scipy.
-@pytest.mark.parametrize("options, status, stderr", [
-    ([], 0, ""),
-    (["--span-years", "inf"], 1, "error: span_years must be finite and > 0, got inf\n"),
-    (["--power", "0"], 2, "thintail fit: error: argument --power: n must be an integer >= 1, got 0\n"),
-], ids=["report", "error line", "usage error"])
-def test_exit_status_of_the_module_entry_point(pre_file, tmp_path, options, status, stderr):
+# A case with losses runs on a file of them; the others run on the 30-loss fixture.
+@pytest.mark.parametrize("argv, losses, status, stderr", [
+    (["fit"], None, 0, ""),
+    (["fit", "--span-years", "inf"], None, 1, "error: span_years must be finite and > 0, got inf\n"),
+    (["fit", "--power", "0"], None, 2, "thintail fit: error: argument --power: n must be an integer >= 1, got 0\n"),
+    (["compare", "--span-years", "1", "--trials", "1000"], "1.0\n1.0\n1.0", 1,
+     "error: model normal needs losses that differ: all 3 losses are equal\n"),
+], ids=["report", "error line", "usage error", "compare on equal losses"])
+def test_exit_status_of_the_module_entry_point(pre_file, tmp_path, argv, losses, status, stderr):
+    path = pre_file
+    if losses is not None:
+        path = tmp_path / "losses.csv"
+        path.write_text(f"amount\n{losses}\n")
+    command, *options = argv
     out = tmp_path / "out"
-    done = python("-m", "thintail.cli", "fit", "--input", str(pre_file), "--mode", "pre", "--span-years", "5",
+    done = python("-m", "thintail.cli", command, "--input", str(path), "--mode", "pre", "--span-years", "5",
                   *options, "--out-dir", str(out))
     assert done.returncode == status
     if status == 2:  # argparse prints the usage first
-        assert done.stderr.startswith("usage: thintail fit ") and done.stderr.endswith(f"\n{stderr}")
+        assert done.stderr.startswith(f"usage: thintail {command} ") and done.stderr.endswith(f"\n{stderr}")
     else:
         assert done.stderr == stderr
     if status == 0:
-        assert (out / "fit_report.json").stat().st_size > 0
+        assert (out / f"{command}_report.json").stat().st_size > 0
     else:
         assert not out.exists()
 

@@ -5,15 +5,16 @@ import json
 import math
 import re
 import sys
+import threading
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 import thintail as tt
-from thintail import lda
+from thintail import dist, lda
 from thintail.dist import _chunk_rng, _resolve_workers
 from thintail.lda import _TRIAL_CHUNK, _chunk_losses, _Counts, parse_model_spec
 
@@ -370,24 +371,40 @@ def shared_chunk(severity, counts, seed: int, chunk: int, size: int) -> np.ndarr
 
 @pytest.fixture
 def records(monkeypatch):
-    """Every ``_Counts`` record a run makes during the test, each with the draws buffers its
-    chunks used, one entry a chunk."""
+    """Every ``_Counts`` record a run makes during the test."""
     made = []
 
     class Recording(_Counts):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.used = []
             made.append(self)
-
-        @contextmanager
-        def draws(self, size):
-            with super().draws(size) as draws:
-                self.used.append(draws.base)
-                yield draws
 
     monkeypatch.setattr(lda, "_Counts", Recording)
     return made
+
+
+@pytest.fixture
+def draws_used(monkeypatch):
+    """The (thread, whole buffer) of every draws buffer a chunk takes during the test, one entry a
+    chunk; each entry keeps its thread and buffer alive, so their ids stay unique."""
+    used = []
+
+    def recording(size):
+        draws = dist._draws_scratch(size)
+        used.append((threading.current_thread(), draws.base))
+        return draws
+
+    monkeypatch.setattr(lda, "_draws_scratch", recording)
+    return used
+
+
+def owners(draws_used) -> tuple[dict, dict]:
+    """The threads that used each buffer, and the buffers each thread used, by id."""
+    threads_of, buffers_of = defaultdict(set), defaultdict(set)
+    for thread, buffer in draws_used:
+        threads_of[id(buffer)].add(id(thread))
+        buffers_of[id(thread)].add(id(buffer))
+    return threads_of, buffers_of
 
 
 class TestSharedPass:
@@ -412,7 +429,7 @@ class TestSharedPass:
         cfg = tt.LdaConfig(trials=sum(chunk_sizes(freq)), seed=5)
         monkeypatch.setenv("THINTAIL_THREADS", "1")
         expected = [tt.run_lda(model, freq, cfg) for model in MODELS]
-        for workers in ("1", "2"):
+        for workers in ("1", "2", "4"):
             monkeypatch.setenv("THINTAIL_THREADS", workers)
             assert tt.run_lda_many(MODELS, freq, cfg) == expected
 
@@ -449,21 +466,21 @@ class TestSharedPass:
             assert sum(map(len, kept)) == cfg.trials
             assert [counts.itemsize for counts in kept] == [width] * len(kept)
 
-    def test_models_of_a_run_reuse_its_draws_buffers(self, records, monkeypatch):
+    def test_each_worker_thread_fills_its_chunks_from_one_draws_buffer(self, draws_used, monkeypatch):
         # three full chunks at lambda = 60 draw two trial groups each, none past 2^17 draws plus
         # one trial's, far inside a buffer's eighth of headroom, so no buffer is regrown once it is made
         cfg, freq = tt.LdaConfig(trials=3 * _TRIAL_CHUNK, seed=4), tt.PoissonFreq(60.0)
         monkeypatch.setenv("THINTAIL_THREADS", "2")
         results = tt.run_lda_many(MODELS[:3], freq, cfg)
-        (record,) = records
-        used = {id(buffer) for buffer in record.used}  # record.used keeps each buffer, so ids stay unique
-        assert len(record.used) == 3 * 3 and len(used) <= 2
-        free = [record.buffers.get() for _ in range(record.buffers.qsize())]
-        assert 1 <= len(free) <= 2 and {id(buffer) for buffer in free} <= used
+        assert len(draws_used) == 3 * 3
+        threads_of, buffers_of = owners(draws_used)
+        assert all(len(threads) == 1 for threads in threads_of.values())
+        assert all(len(buffers) == 1 for buffers in buffers_of.values())
+        assert id(threading.current_thread()) not in buffers_of  # the pool's workers, not the caller
         monkeypatch.setenv("THINTAIL_THREADS", "1")
         assert results == [tt.run_lda(model, freq, cfg) for model in MODELS[:3]]
 
-    def test_shared_buffers_under_frequent_thread_switches(self, records, monkeypatch):
+    def test_shared_buffers_under_frequent_thread_switches(self, draws_used, monkeypatch):
         # four workers on two cores, switching every microsecond: a buffer handed to two chunks
         # at once would mix their draws and change the capitals
         cfg, freq = tt.LdaConfig(trials=8 * _TRIAL_CHUNK, seed=6), tt.PoissonFreq(8.0)
@@ -477,7 +494,30 @@ class TestSharedPass:
         finally:
             sys.setswitchinterval(interval)
         assert results == expected
-        assert records[-1].buffers.qsize() <= 4
+        threads_of, _ = owners(draws_used)
+        assert all(len(threads) == 1 for threads in threads_of.values())
+
+    def test_run_memory_is_annual_counts_and_each_workers_buffers(self, monkeypatch):
+        # 20 chunks at lambda = 60 on 2 workers: the annual losses (8 bytes a trial), the kept counts (1) and,
+        # per worker thread, its draws buffer (the largest trial group's draws and an eighth, 1.18 MB) and its
+        # rectangle-pass blocks (0.56 MB).  The peak reads 1.07 of that sum, with the Normal's per-draw redraw
+        # mask and each chunk's counts and offsets.  Draws buffers kept past their threads reach 1.9, and draws
+        # buffers of whole chunks, not trial groups, 1.56.
+        freq, cfg = tt.PoissonFreq(60.0), tt.LdaConfig(trials=20 * _TRIAL_CHUNK, seed=3)
+        models = [tt.SeverityModel(SEVERITIES[name], 37.5) for name in ("exp4", "expn100", "normal")]
+        monkeypatch.setenv("THINTAIL_THREADS", "2")
+        tt.run_lda_many(models, freq, cfg)  # warm up: the ziggurat tables are built once per power
+        tracemalloc.start()
+        try:
+            tt.run_lda_many(models, freq, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = 1 + max(int(counts[lo:hi].sum()) for counts in
+                          (freq.draw(_chunk_rng(3, chunk), _TRIAL_CHUNK) for chunk in range(20))
+                          for lo, hi in lda._trial_groups(counts))
+        buffers = 8 * (largest + largest // 8) + 17 * dist._BLOCK
+        assert peak < 1.1 * ((8 + 1) * cfg.trials + 2 * buffers)
 
     @pytest.mark.parametrize("name", ["exp4", "expn100", "normal"])
     def test_chunk_memory_peaks_near_one_draws_array(self, name):
@@ -506,8 +546,9 @@ class TestSharedPass:
 
     def test_many_models_hold_one_annual_array_at_a_time(self, monkeypatch):
         # 9 models at 40,000 trials: a (models, trials) array alone would be 9 trials' worth
-        # of 8-byte values.  The kept counts, one model's annual losses and np.quantile's
-        # copy of them peak at about 2.45, as nine run_lda calls, each keeping its own counts, do.
+        # of 8-byte values.  The peak reads about 3.74 (nine run_lda calls, each keeping its own counts,
+        # 3.50): one model's annual losses (1), the kept counts (0.13), and its worker thread's
+        # rectangle-pass blocks (1.74) and draws buffer (0.23), with each chunk's transients.
         trials, freq = 40_000, tt.PoissonFreq(2.0)
         cfg = tt.LdaConfig(trials=trials, seed=1)
         models = [tt.SeverityModel(tt.ExpNParams(1.0, n), 10.0) for n in range(2, 20, 2)]
@@ -520,6 +561,45 @@ class TestSharedPass:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * trials
+
+
+def reference_capital(annual: np.ndarray, freq, cfg) -> tt.CapitalResult:
+    """``lda._capital`` as a copying formulation takes it: ``np.quantile`` of the whole array, then one
+    ``np.quantile`` call per block of ``np.array_split(annual, 20)``, leaving ``annual`` as it was."""
+    capital = float(np.quantile(annual, cfg.percentile))
+    block_pcts = np.array([np.quantile(block, cfg.percentile) for block in np.array_split(annual, 20)])
+    _, exponent = math.frexp(block_pcts.max())
+    stderr = float(np.ldexp(np.std(np.ldexp(block_pcts, -exponent), ddof=1), exponent)) / math.sqrt(20)
+    converged = 1.96 * stderr < 0.01 * capital if capital > 0.0 else True
+    return tt.CapitalResult(capital, freq.mean, annual.size, stderr, converged, cfg.seed)
+
+
+class TestCapitalInPlace:
+    """``_capital`` reads the annual losses in place, with the bits of the copying formulation."""
+
+    # trials = 0, 1 and 19 mod 20: no block, one block and all but one block a loss longer
+    @pytest.mark.parametrize("trials", [1_000, 1_001, 1_019, 123_457])
+    @pytest.mark.parametrize("losses", ["continuous", "mostly zero", "whole numbers"])
+    @pytest.mark.parametrize("percentile", [0.999, 0.5])
+    def test_equals_the_copying_formulation(self, trials, losses, percentile):
+        rng = np.random.default_rng(trials)
+        annual = rng.exponential(size=trials)
+        if losses == "mostly zero":  # as at lambda = 1e-4: a few trials have an event
+            annual[rng.random(trials) > 4e-3] = 0.0
+        elif losses == "whole numbers":  # as a point mass severity gives: ties everywhere
+            annual = np.floor(4.0 * annual)
+        freq, cfg = tt.PoissonFreq(8.0), tt.LdaConfig(trials=trials, percentile=percentile, seed=9)
+        expected = reference_capital(annual, freq, cfg)
+        reordered = annual.copy()
+        assert lda._capital(reordered, freq, cfg) == expected
+        assert np.array_equal(np.sort(reordered), np.sort(annual))
+
+    def test_run_lda_equals_the_copying_formulation_on_its_losses(self):
+        severity, freq = MODELS[0], tt.PoissonFreq(1e-4)
+        cfg = tt.LdaConfig(trials=2 * _TRIAL_CHUNK + 1_019, seed=0)
+        annual = np.concatenate([own_chunk(severity, freq, 0, chunk, size)
+                                 for chunk, size in enumerate([_TRIAL_CHUNK, _TRIAL_CHUNK, 1_019])])
+        assert tt.run_lda(severity, freq, cfg) == reference_capital(annual, freq, cfg)
 
 
 class TestTrialGroups:
@@ -627,6 +707,15 @@ class TestCompareModels:
     def test_too_few_losses(self):
         with pytest.raises(ValueError):
             tt.compare_models([1.0], 5.0, ["exp4"], tt.LdaConfig(trials=5_000))
+
+    # 41 losses of 3.3 scale to equal values whose sample sd, through their rounded mean, is 1.1e-16, not 0
+    @pytest.mark.parametrize("losses, models", [([2.0] * 3, ["exp4", "normal"]), ([3.3] * 41, ["normal"])],
+                             ids=["3 losses", "41 losses"])
+    def test_equal_losses_are_refused_by_the_normal_before_any_simulation(self, losses, models, monkeypatch):
+        monkeypatch.setattr(lda, "_run_chunks", None)  # a simulation would call it
+        with pytest.raises(ValueError, match=f"^model normal needs losses that differ: all {len(losses)} "
+                                             "losses are equal$"):
+            tt.compare_models(losses, 1.0, models, tt.LdaConfig(trials=1_000))
 
 
 class TestPercentileVsN:
